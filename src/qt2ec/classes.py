@@ -1,11 +1,23 @@
-"""Partition of the edge set into colour-forced equivalence classes.
+"""Partition of the edge set into forcing classes, with the orientation
+each class carries.
 
-Two edges lying on a common induced P3 must receive the same colour in any
-quasi-transitive 2-edge-colouring, so the classes are the connected
-components of the edge set under the relation "shares an induced P3".
-Union-find over dense edge indices computes them in near-linear time in the
-number of P3 merges; the components coincide with the unique smallest
-P3-closed edge sets.
+Edges vu and vw are Gamma-forced together exactly when u and w are
+non-adjacent, i.e. when u-v-w is an induced P3: they must then share a
+colour in any quasi-transitive 2-edge-colouring, and share a head or a tail
+at v in any quasi-transitive orientation.  At a fixed centre v the forcing
+closure is the set of connected components of the complement of G[N(v)]
+(Gallai 1967; Golumbic, *Algorithmic Graph Theory and Perfect Graphs*,
+ch. 5), and within one such co-component every edge points at v or every
+edge points away from v.
+
+The kernel runs one bitset BFS per centre over that complement and unions
+each co-component's edges, with their head/tail parity, into a single
+parity union-find: at most 2m unions, however many induced P3s there are.
+Its components are the edge classes; the parities give every edge's
+direction relative to its class's least edge, and a parity clash names an
+edge of a class that admits no orientation.  ``Graph`` is immutable, so the
+partition is computed once per graph and memoised on it; the colouring,
+orientation and CLI paths all read that one result.
 """
 
 from __future__ import annotations
@@ -17,41 +29,22 @@ from .graph import EdgePair, Graph, edge_subgraph, encode_graph6, induced_p3s, i
 from .report import CheckResult, VerificationReport
 
 
-class DisjointSets:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, size: int):
-        self._parent = list(range(size))
-        self._size = [1] * size
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return True
-
-
 @dataclass(frozen=True)
 class EdgeClassPartition:
-    """The edge classes of a graph, ids ordered by least contained edge index."""
+    """The edge classes of a graph, ids ordered by least contained edge index.
+
+    ``bits[e]`` is edge e's direction (0 = low->high) in its class's
+    canonical orientation, the one orienting the class's least edge
+    low->high.  ``contradictions[c]`` is an edge of class c that the forcing
+    rule orients both ways, or None when the class is orientable.
+    """
 
     graph: Graph
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     vertex_sets: tuple[frozenset[int], ...]
+    bits: tuple[int, ...] = ()
+    contradictions: tuple[EdgePair | None, ...] = ()
 
     @property
     def k(self) -> int:
@@ -65,28 +58,108 @@ class EdgeClassPartition:
 
 
 def compute_classes(g: Graph) -> EdgeClassPartition:
-    """Compute the edge-class partition of ``g``.
+    """The edge-class partition of ``g``, computed on first use and then
+    memoised on the graph.
 
-    Each induced P3 merges its two edges; the resulting union-find
-    components are the classes.  Output is deterministic: classes are
-    sorted by their least edge index and edge lists are sorted.
+    Output is deterministic: classes are sorted by their least edge index
+    and edge lists are sorted.
     """
-    dsu = DisjointSets(g.m)
-    for u, v, w in induced_p3s(g):
-        dsu.union(g.edge_index(u, v), g.edge_index(v, w))
-    groups: dict[int, list[int]] = {}
-    for e in range(g.m):
-        groups.setdefault(dsu.find(e), []).append(e)
-    classes = tuple(tuple(members) for members in sorted(groups.values()))
+    # The memo holds the fields, not the partition: a partition refers to
+    # its graph, and that cycle would keep every dropped graph alive until
+    # the cyclic collector ran.
+    if g._partition is None:
+        g._partition = _forcing_kernel(g)
+    return EdgeClassPartition(g, *g._partition)
+
+
+def _forcing_kernel(g: Graph) -> tuple:
+    """The fields of ``g``'s partition after ``graph``, in declaration order."""
+    adj = [g.adjacency_bits(v) for v in range(g.n)]
+    edge_to: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for i, (a, b) in enumerate(g.edges):
+        edge_to[a][b] = i
+        edge_to[b][a] = i
+    # Parity union-find over edge indices: parity[x] is bit(x) xor
+    # bit(parent[x]), where bit 0 orients an edge low->high.
+    parent = list(range(g.m))
+    parity = [0] * g.m
+    size = [1] * g.m
+    clashes: list[int] = []
+
+    def find(x: int) -> tuple[int, int]:
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        acc = 0
+        for node in reversed(path):
+            acc ^= parity[node]
+            parent[node] = x
+            parity[node] = acc
+        return x, acc
+
+    def union(a: int, b: int, rel: int) -> None:
+        ra, pa = find(a)
+        rb, pb = find(b)
+        if ra == rb:
+            if pa ^ pb != rel:
+                clashes.append(b)
+            return
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        parity[rb] = pa ^ pb ^ rel
+        size[ra] += size[rb]
+
+    for v in range(g.n):
+        left = adj[v]
+        if left & (left - 1) == 0:  # fewer than two neighbours
+            continue
+        to_v = edge_to[v]
+        while left:
+            # Grow the co-component of the least unvisited neighbour u0.
+            # Edge vu has its head at v iff bit(vu) == (v < u), so each
+            # member u joins vu0 with relative parity (v < u0) ^ (v < u).
+            low = left & -left
+            left ^= low
+            u0 = low.bit_length() - 1
+            e0, h0 = to_v[u0], v < u0
+            frontier = low
+            while frontier:
+                x = frontier & -frontier
+                frontier ^= x
+                new = left & ~adj[x.bit_length() - 1]
+                left ^= new
+                frontier |= new
+                while new:
+                    y = new & -new
+                    new ^= y
+                    u = y.bit_length() - 1
+                    union(e0, to_v[u], h0 ^ (v < u))
+
+    class_ids: dict[int, int] = {}
     class_of = [0] * g.m
-    vertex_sets = []
-    for cid, members in enumerate(classes):
-        verts = set()
-        for e in members:
-            class_of[e] = cid
-            verts.update(g.edge(e))
-        vertex_sets.append(frozenset(verts))
-    return EdgeClassPartition(g, tuple(class_of), classes, tuple(vertex_sets))
+    bits = [0] * g.m
+    members: list[list[int]] = []
+    base: list[int] = []
+    for e in range(g.m):
+        root, par = find(e)
+        cid = class_ids.setdefault(root, len(members))
+        if cid == len(members):
+            members.append([])
+            base.append(par)
+        members[cid].append(e)
+        class_of[e] = cid
+        bits[e] = par ^ base[cid]
+    contradictions: list[EdgePair | None] = [None] * len(members)
+    for e in clashes:
+        if contradictions[class_of[e]] is None:
+            contradictions[class_of[e]] = g.edge(e)
+    vertex_sets = tuple(
+        frozenset(x for e in edges for x in g.edge(e)) for edges in members
+    )
+    classes = tuple(tuple(edges) for edges in members)
+    return tuple(class_of), classes, vertex_sets, tuple(bits), tuple(contradictions)
 
 
 def class_of_edge(p: EdgeClassPartition, e: EdgePair) -> tuple[EdgePair, ...]:
@@ -99,8 +172,9 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport
 
     (a) each class spans a connected subgraph; (b) incident edges from
     different classes close a triangle; (c) distinct classes have distinct
-    vertex sets; (d) no induced P3 straddles two classes.  Failures carry a
-    witness; an artificially tampered partition trips (d).
+    vertex sets; (d) no induced P3 straddles two classes.  (b) and (d) are
+    the same predicate, decided by one scan and reported under both names.
+    Failures carry a witness; an artificially tampered partition trips (d).
     """
     if p.graph != g or len(p.class_of) != g.m:
         raise ContractError("partition does not belong to this graph")
@@ -115,19 +189,17 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport
             break
     report.extend([CheckResult("partition-class-connected", witness is None, key, witness)])
 
-    witness = None
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        for i, u in enumerate(nbrs):
-            cu = p.class_of_pair(u, v)
-            for w in nbrs[i + 1:]:
-                if cu != p.class_of_pair(v, w) and not g.has_edge(u, w):
-                    witness = f"edges {(u, v)} and {(v, w)} differ in class but {(u, w)} is a non-edge"
-                    break
-            if witness:
-                break
-        if witness:
+    # Checks (b) and (d) are one predicate: incident edges from different
+    # classes whose far ends are non-adjacent form a straddling induced P3.
+    straddle = None
+    for u, v, w in induced_p3s(g):
+        if p.class_of_pair(u, v) != p.class_of_pair(v, w):
+            straddle = (u, v, w)
             break
+    witness = None
+    if straddle is not None:
+        u, v, w = straddle
+        witness = f"edges {(u, v)} and {(v, w)} differ in class but {(u, w)} is a non-edge"
     report.extend([CheckResult("partition-cross-class-adjacency", witness is None, key, witness)])
 
     # Distinct classes may share a vertex set only inside one component, so
@@ -141,10 +213,6 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport
         seen[verts] = cid
     report.extend([CheckResult("partition-distinct-vertex-sets", witness is None, key, witness)])
 
-    witness = None
-    for u, v, w in induced_p3s(g):
-        if p.class_of_pair(u, v) != p.class_of_pair(v, w):
-            witness = f"induced P3 {(u, v, w)} straddles two classes"
-            break
+    witness = None if straddle is None else f"induced P3 {straddle} straddles two classes"
     report.extend([CheckResult("partition-p3-same-class", witness is None, key, witness)])
     return report

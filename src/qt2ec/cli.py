@@ -284,6 +284,18 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer from --threads or QT2EC_THREADS, got {text!r}"
+        )
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qt2ec",
@@ -328,10 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--sample-n6", type=int, default=None)
     sub.add_argument("--checks", help=f"comma list from: {','.join(sorted(ALL_CHECKS))}")
+    # A string default goes through ``type`` only when ``verify`` is parsed,
+    # so a malformed QT2EC_THREADS cannot break the other subcommands.
     sub.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get("QT2EC_THREADS", "1")),
+        type=_thread_count,
+        default=os.environ.get("QT2EC_THREADS", "1"),
         help="sweep worker processes (default QT2EC_THREADS or 1)",
     )
     sub.add_argument(

@@ -20,10 +20,11 @@ class Graph:
     in lexicographic pair order.  Adjacency is kept as one int bitset per
     vertex because neighbour-pair scans (induced-P3 enumeration) dominate
     the workload.  External string labels, when present, map one-to-one
-    onto the dense ids.
+    onto the dense ids.  :func:`qt2ec.classes.compute_classes` memoises
+    the edge-class partition's fields in ``_partition``.
     """
 
-    __slots__ = ("n", "edges", "labels", "_adj_bits", "_nbrs", "_edge_index")
+    __slots__ = ("n", "edges", "labels", "_adj_bits", "_nbrs", "_edge_index", "_partition")
 
     def __init__(
         self,
@@ -60,6 +61,7 @@ class Graph:
         self._adj_bits = tuple(adj)
         self._nbrs = tuple(tuple(sorted(s)) for s in nbrs)
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
+        self._partition = None
 
     @property
     def m(self) -> int:
@@ -185,6 +187,8 @@ def parse_graph6(text: str) -> Graph:
 
     Layout: N(n) header, then the upper adjacency triangle read column by
     column, packed big-endian six bits per printable character offset 63.
+    The header must use the shortest form that holds n, so accepted input
+    re-encodes to itself.
     """
     s = text.strip()
     if s.startswith(_GRAPH6_HEADER):
@@ -193,18 +197,20 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError("empty graph6 input")
     values = _graph6_values(s)
     if values[0] < 63:
-        n, pos = values[0], 1
+        n, pos, least = values[0], 1, 0
     elif len(values) >= 2 and values[1] < 63:
         if len(values) < 4:
             raise FormatError("truncated graph6 vertex count")
-        n, pos = (values[1] << 12) | (values[2] << 6) | values[3], 4
+        n, pos, least = (values[1] << 12) | (values[2] << 6) | values[3], 4, 63
     else:
         if len(values) < 8:
             raise FormatError("truncated graph6 vertex count")
         n = 0
         for v in values[2:8]:
             n = (n << 6) | v
-        pos = 8
+        pos, least = 8, 258048
+    if n < least:
+        raise FormatError(f"graph6 vertex count {n} needs a shorter header")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     body = values[pos:]

@@ -4,13 +4,15 @@ orientations generated by a seed arc, feasibility, counting, enumeration.
 Direction bits are relative to the canonical low->high edge order (bit 0 =
 low->high).  An induced P3 forces its two edges to share a head or share a
 tail at the centre, which is a parity constraint between their bits, so a
-class is orientable exactly when its signed constraint graph has no odd
-cycle; parity union-find decides that in near-linear time.
+class is orientable exactly when its constraints contain no odd cycle.  The
+co-component forcing kernel of :mod:`qt2ec.classes` decides that for every
+class at once and records each class's canonical orientation; the readers
+here look those up from the partition memoised on the graph.  Only the
+definitional validity check scans induced P3s itself.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -115,50 +117,6 @@ def _head_parity(g: Graph, edge_index: int, centre: int) -> int:
     return 0 if centre == hi else 1
 
 
-def _p3_constraints(g: Graph) -> Iterator[tuple[int, int, int, tuple[int, int, int]]]:
-    """Yield (i, j, parity, triple): bits of edges i, j must xor to parity."""
-    for u, v, w in induced_p3s(g):
-        i = g.edge_index(u, v)
-        j = g.edge_index(v, w)
-        yield i, j, _head_parity(g, i, v) ^ _head_parity(g, j, v), (u, v, w)
-
-
-class _ParityDisjointSets:
-    """Union-find where each element carries a parity relative to its root."""
-
-    def __init__(self, size: int):
-        self._parent = list(range(size))
-        self._rank = [0] * size
-        self._parity = [0] * size
-
-    def find(self, x: int) -> tuple[int, int]:
-        path = []
-        while self._parent[x] != x:
-            path.append(x)
-            x = self._parent[x]
-        parity = 0
-        for node in reversed(path):
-            parity ^= self._parity[node]
-            self._parent[node] = x
-            self._parity[node] = parity
-        return x, parity
-
-    def union(self, a: int, b: int, rel: int) -> bool:
-        """Impose bits(a) xor bits(b) = rel; False on contradiction."""
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return (pa ^ pb) == rel
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-            pa, pb = pb, pa
-        self._parent[rb] = ra
-        self._parity[rb] = pa ^ pb ^ rel
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-        return True
-
-
 def is_quasi_transitive_orientation(
     g: Graph, o: Orientation
 ) -> tuple[bool, tuple[int, int, int] | None]:
@@ -171,9 +129,12 @@ def is_quasi_transitive_orientation(
         raise ContractError("orientation belongs to a different graph")
     if not o.is_total:
         raise ContractError("orientation must be total")
-    for i, j, parity, triple in _p3_constraints(g):
-        if (o.bits[i] ^ o.bits[j]) != parity:  # type: ignore[operator]
-            return False, triple
+    for u, v, w in induced_p3s(g):
+        i, j = g.edge_index(u, v), g.edge_index(v, w)
+        tail_i = o.bits[i] ^ _head_parity(g, i, v)  # type: ignore[operator]
+        tail_j = o.bits[j] ^ _head_parity(g, j, v)  # type: ignore[operator]
+        if tail_i != tail_j:
+            return False, (u, v, w)
     return True, None
 
 
@@ -181,53 +142,33 @@ def partial_orientation(g: Graph, seed: tuple[int, int]) -> Orientation:
     """The unique partial quasi-transitive orientation generated by the arc
     ``seed = (u, v)`` (oriented u -> v).
 
-    Breadth-first forcing: whenever an oriented edge shares an induced P3
-    with another edge, the partner must agree on head-or-tail at the shared
-    centre.  The closure orients exactly the edge class of ``uv``; a parity
-    clash inside that class raises InfeasibilityError carrying the edge
-    that was forced both ways.
+    The forcing closure of ``uv`` orients exactly its edge class, so this is
+    the class's canonical orientation, reversed when the seed arc points
+    the other way.  A class that admits no orientation raises
+    InfeasibilityError carrying an edge the forcing orients both ways.
     """
     u, v = seed
+    p = compute_classes(g)
     start = g.edge_index(u, v)
-    bits: dict[int, int] = {start: 0 if (u, v) == g.edge(start) else 1}
-    queue = deque([start])
-    while queue:
-        i = queue.popleft()
-        a, b = g.edge(i)
-        for centre, other in ((a, b), (b, a)):
-            row = g.adjacency_bits(other)
-            for w in g.neighbors(centre):
-                if w == other or (row >> w) & 1:
-                    continue
-                j = g.edge_index(centre, w)
-                rel = _head_parity(g, i, centre) ^ _head_parity(g, j, centre)
-                forced = bits[i] ^ rel
-                if j in bits:
-                    if bits[j] != forced:
-                        raise InfeasibilityError(
-                            f"edge {g.edge(j)} is forced both ways", edge=g.edge(j)
-                        )
-                else:
-                    bits[j] = forced
-                    queue.append(j)
-    return Orientation(g, tuple(bits.get(i) for i in range(g.m)))
+    cid = p.class_of[start]
+    clash = p.contradictions[cid]
+    if clash is not None:
+        raise InfeasibilityError(f"edge {clash} is forced both ways", edge=clash)
+    flip = p.bits[start] ^ (0 if (u, v) == g.edge(start) else 1)
+    bits: list[int | None] = [None] * g.m
+    for e in p.classes[cid]:
+        bits[e] = p.bits[e] ^ flip
+    return Orientation(g, tuple(bits))
 
 
 def orientability(g: Graph) -> OrientationFeasibility:
     """Decide per class whether a consistent orientation exists.
 
-    Running every P3 parity constraint through parity union-find finds the
-    contradictory classes; the graph is quasi-transitively orientable (a
-    comparability graph) iff none exists, and then has exactly 2^k
-    orientations.
+    The graph is quasi-transitively orientable (a comparability graph) iff
+    no class contradicts itself, and then has exactly 2^k orientations.
     """
     p = compute_classes(g)
-    dsu = _ParityDisjointSets(g.m)
-    bad: dict[int, EdgePair] = {}
-    for i, j, parity, _triple in _p3_constraints(g):
-        if not dsu.union(i, j, parity):
-            bad.setdefault(p.class_of[i], g.edge(j))
-    return OrientationFeasibility(p, tuple(bad.get(c) for c in range(p.k)))
+    return OrientationFeasibility(p, p.contradictions)
 
 
 def enumerate_orientations(
@@ -235,33 +176,23 @@ def enumerate_orientations(
 ) -> Iterator[Orientation]:
     """Yield all quasi-transitive orientations in class-bitmask order.
 
-    Per class the canonical choice is the partial orientation seeded at the
-    class's least edge in low->high direction; mask bit i = 1 reverses
-    class i.  Refuses non-orientable graphs and k above the cap.
+    Per class the canonical choice orients the class's least edge
+    low->high; mask bit i = 1 reverses class i.  Refuses non-orientable
+    graphs and k above the cap.
     """
     feas = orientability(g)
     if not feas.orientable:
         raise RefusalError("graph has no quasi-transitive orientation")
     if feas.k > cap:
         raise RefusalError(f"enumeration cap exceeded: {feas.k} classes > cap {cap}")
-    p = feas.partition
-    canonical: list[int] = [0] * g.m
-    for cid in range(p.k):
-        gamma = partial_orientation(g, g.edge(p.classes[cid][0]))
-        for e in p.classes[cid]:
-            canonical[e] = gamma.bits[e]  # type: ignore[assignment]
-    return _orientation_stream(g, p, tuple(canonical))
+    return _orientation_stream(g, feas.partition)
 
 
-def _orientation_stream(
-    g: Graph, p: EdgeClassPartition, canonical: tuple[int, ...]
-) -> Iterator[Orientation]:
+def _orientation_stream(g: Graph, p: EdgeClassPartition) -> Iterator[Orientation]:
     for mask in range(1 << p.k):
         yield Orientation(
             g,
-            tuple(
-                canonical[e] ^ ((mask >> p.class_of[e]) & 1) for e in range(g.m)
-            ),
+            tuple(p.bits[e] ^ ((mask >> p.class_of[e]) & 1) for e in range(g.m)),
         )
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from qt2ec import encode_graph6
 from qt2ec.cli import build_parser, main
 from qt2ec.families import cycle, figure_graph
@@ -172,6 +174,23 @@ def test_threads_default_from_environment(monkeypatch):
     monkeypatch.setenv("QT2EC_THREADS", "3")
     args = build_parser().parse_args(["verify"])
     assert args.threads == 3
+
+
+def test_malformed_threads_environment_only_affects_verify(capsys, monkeypatch):
+    monkeypatch.setenv("QT2EC_THREADS", "abc")
+    code, out, _ = run(capsys, "classes", "--family", "path,3")
+    assert code == 0 and out.startswith("k=1")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["classes", "--help"])
+    assert excinfo.value.code == 0
+    code, _, _ = run(capsys, "verify", "--max-n", "2", "--threads", "1")
+    assert code == 0
+    for value in ("abc", "0", "-1"):
+        monkeypatch.setenv("QT2EC_THREADS", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--max-n", "2"])
+        assert excinfo.value.code == 2
+        assert "QT2EC_THREADS" in capsys.readouterr().err
 
 
 def test_dot_output(capsys):

@@ -174,6 +174,26 @@ def test_graph6_long_form_vertex_count():
     assert parse_graph6(encode_graph6(g)) == g
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "~~??????",  # n=0 in the 8-character form
+        "~??A_",  # n=2 (K2) in the 4-character form
+        "~??}" + "?" * 316,  # n=62, the largest the 1-character form holds
+        "~~???}~~",  # n=258047, the largest the 4-character form holds
+    ],
+)
+def test_graph6_rejects_non_minimal_header(text: str):
+    with pytest.raises(FormatError, match="shorter header"):
+        parse_graph6(text)
+
+
+def test_graph6_minimal_headers_round_trip():
+    for n in (0, 62, 63):
+        text = encode_graph6(Graph(n, [(0, n - 1)] if n > 1 else []))
+        assert encode_graph6(parse_graph6(text)) == text
+
+
 # ---------------------------------------------------------------------------
 # DOT
 
