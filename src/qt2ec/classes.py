@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .graph import EdgePair, Graph, edge_subgraph, encode_graph6, induced_p3s, is_connected
+from .graph import EdgePair, Graph, encode_graph6, induced_p3s, reach
 from .report import CheckResult, VerificationReport
 
 
@@ -183,8 +183,12 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport
 
     witness = None
     for cid in range(p.k):
-        sub = edge_subgraph(g, p.class_edges(cid))
-        if not is_connected(sub):
+        adj: dict[int, int] = {}
+        for u, v in p.class_edges(cid):
+            adj[u] = adj.get(u, 0) | 1 << v
+            adj[v] = adj.get(v, 0) | 1 << u
+        span = sum(1 << v for v in adj)
+        if reach(adj, span & -span) != span:
             witness = f"class {cid} spans a disconnected subgraph"
             break
     report.extend([CheckResult("partition-class-connected", witness is None, key, witness)])

@@ -3,7 +3,7 @@ local structure queries the rest of the package builds on."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, FormatError
 
@@ -337,6 +337,23 @@ def is_module_set(g: Graph, vertices: VertexSet) -> bool:
     return True
 
 
+def reach(adj: Sequence[int] | Mapping[int, int], seed: int, within: int = -1) -> int:
+    """Bitset of the vertices reachable from the vertex bitset ``seed``
+    along the adjacency bitsets ``adj``, never leaving the bitset
+    ``within``.  ``adj`` only needs entries for the vertices visited."""
+    component = frontier = seed
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= adj[low.bit_length() - 1]
+            f ^= low
+        frontier = nxt & within & ~component
+        component |= frontier
+    return component
+
+
 def is_complete_multipartite(g: Graph) -> list[tuple[int, ...]] | None:
     """Parts of a complete multipartite decomposition, or None.
 
@@ -351,17 +368,7 @@ def is_complete_multipartite(g: Graph) -> list[tuple[int, ...]] | None:
     for start in range(g.n):
         if (seen >> start) & 1:
             continue
-        component = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= comp_adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~component
-            component |= frontier
+        component = reach(comp_adj, 1 << start)
         seen |= component
         members = tuple(v for v in range(g.n) if (component >> v) & 1)
         for i, u in enumerate(members):
@@ -378,24 +385,14 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     for start in range(g.n):
         if (seen >> start) & 1:
             continue
-        component = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= g.adjacency_bits(low.bit_length() - 1)
-                f ^= low
-            frontier = nxt & ~component
-            component |= frontier
+        component = reach(g._adj_bits, 1 << start)
         seen |= component
         out.append(tuple(v for v in range(g.n) if (component >> v) & 1))
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return g.n <= 1 or reach(g._adj_bits, 1) == (1 << g.n) - 1
 
 
 def induced_subgraph(g: Graph, vertices: VertexSet) -> Graph:

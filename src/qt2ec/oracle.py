@@ -1,17 +1,21 @@
 """Independent brute-force ground truth and the small-graph theorem sweep.
 
-The brute-force counters iterate every total colouring/orientation as a
-bitmask and apply the definitional induced-P3 test; they never consult the
-class partition whose counting laws they validate.  The sweep runs every
-named structural check over the labeled-graph corpus and reports one
-record per (graph, check) with a reproducible witness on failure.
+The brute-force counters run one definitional backtracking search: edges
+are assigned a bit in index order, and each induced-P3 constraint (an XOR
+parity on its two edge bits) is tested as soon as its later edge is set.
+Every surviving total colouring/orientation is counted one leaf at a time,
+so the work follows the number of answers rather than 2^m.  The counters
+never consult the class partition whose counting laws they validate.  The
+sweep runs every named structural check over the labeled-graph corpus and
+reports one record per (graph, check) with a reproducible witness on
+failure.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Callable, Iterator
 
@@ -31,6 +35,7 @@ from .graph import (
     induced_subgraph,
     is_connected,
     is_module_set,
+    reach,
 )
 from .orientation import orientability
 from .report import CheckResult, VerificationReport
@@ -52,47 +57,68 @@ CheckFn = Callable[[Graph, EdgeClassPartition], list[CheckResult]]
 # brute-force counters
 
 
-def brute_force_colouring_count(g: Graph) -> int:
-    """Count quasi-transitive 2-edge-colourings by trying all 2^m maps."""
-    if g.m > MASK_CAP_EDGES:
-        raise RefusalError(f"brute force capped at {MASK_CAP_EDGES} edges, graph has {g.m}")
-    pairs = [
-        (g.edge_index(u, v), g.edge_index(v, w)) for u, v, w in induced_p3s(g)
-    ]
-    count = 0
-    for mask in range(1 << g.m):
-        for i, j in pairs:
-            if ((mask >> i) ^ (mask >> j)) & 1:
-                break
-        else:
-            count += 1
-    return count
+def _count_parity_solutions(g: Graph, orient: bool) -> int:
+    """Count bit maps on the edges that satisfy every induced-P3 parity.
 
-
-def brute_force_orientation_count(g: Graph) -> int:
-    """Count quasi-transitive orientations by trying all 2^m arc maps.
-
-    A mask bit of 0 orients its edge low->high.  Validity is checked
-    directly from the definition: the centre of every induced P3 must be a
-    common head or a common tail.
+    For an induced P3 ``u-v-w`` with edges i < j the constraint is
+    ``bit_i ^ bit_j == parity``.  Colourings need equal colours (parity 0).
+    For orientations a bit of 0 orients its edge low->high, and the centre
+    v must be a common head or a common tail, so the parity is whether v
+    is the high end of exactly one of the two edges.  ``need[j]`` holds
+    the earlier edges constrained against j and ``odd[j]`` those of them
+    with parity 1: setting bit_j to b passes iff the earlier bits under
+    ``need[j]`` equal ``odd[j]`` when b is 0 and its complement when b is 1.
     """
     if g.m > MASK_CAP_EDGES:
         raise RefusalError(f"brute force capped at {MASK_CAP_EDGES} edges, graph has {g.m}")
-    triples = []
+    m = g.m
+    need = [0] * m
+    odd = [0] * m
     for u, v, w in induced_p3s(g):
-        i = g.edge_index(u, v)
-        j = g.edge_index(v, w)
-        triples.append((i, j, v == g.edge(i)[1], v == g.edge(j)[1]))
+        i, j = sorted((g.edge_index(u, v), g.edge_index(v, w)))
+        need[j] |= 1 << i
+        if orient and (v == g.edge(i)[1]) != (v == g.edge(j)[1]):
+            odd[j] |= 1 << i
     count = 0
-    for mask in range(1 << g.m):
-        for i, j, head_i_low, head_j_low in triples:
-            head_at_v_i = head_i_low != bool((mask >> i) & 1)
-            head_at_v_j = head_j_low != bool((mask >> j) & 1)
-            if head_at_v_i != head_at_v_j:
+    stack = [(0, 0)]
+    while stack:
+        e, bits = stack.pop()
+        while e < m:
+            earlier = need[e]
+            if not earlier:
+                stack.append((e + 1, bits | 1 << e))
+            elif bits & earlier == odd[e]:
+                pass
+            elif bits & earlier == earlier ^ odd[e]:
+                bits |= 1 << e
+            else:
                 break
+            e += 1
         else:
             count += 1
     return count
+
+
+def brute_force_colouring_count(g: Graph) -> int:
+    """Count quasi-transitive 2-edge-colourings by backtracking over the
+    edges: every induced P3 must be monochromatic."""
+    return _count_parity_solutions(g, orient=False)
+
+
+def brute_force_orientation_count(g: Graph) -> int:
+    """Count quasi-transitive orientations by backtracking over the edges.
+
+    Validity is checked directly from the definition: the centre of every
+    induced P3 must be a common head or a common tail.
+    """
+    return _count_parity_solutions(g, orient=True)
+
+
+@lru_cache(maxsize=1)
+def _orientation_count(g: Graph) -> int:
+    """The brute-force orientation count of the graph under test, shared by
+    the two checks that need it."""
+    return brute_force_orientation_count(g)
 
 
 # ---------------------------------------------------------------------------
@@ -108,82 +134,88 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     return Graph(n, [pairs[b] for b in range(len(pairs)) if (mask >> b) & 1])
 
 
-def enumerate_labeled_graphs(n: int, connected_only: bool = True) -> Iterator[Graph]:
-    """All labeled graphs on n vertices in ascending edge-mask order."""
+def _mask_connected(pairs: list[tuple[int, int]], n: int, mask: int) -> bool:
+    """Connectivity of ``graph_from_mask(n, mask)`` straight from the mask."""
+    adj = [0] * n
+    while mask:
+        low = mask & -mask
+        u, v = pairs[low.bit_length() - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        mask ^= low
+    return n <= 1 or reach(adj, 1) == (1 << n) - 1
+
+
+def _check_corpus_n(n: int) -> None:
     if not 1 <= n <= MAX_CORPUS_N:
         raise ContractError(f"corpus size must be 1..{MAX_CORPUS_N}, got {n}")
-    for mask in range(1 << (n * (n - 1) // 2)):
-        g = graph_from_mask(n, mask)
-        if connected_only and not is_connected(g):
+
+
+def _labeled_masks(n: int, connected_only: bool) -> Iterator[int]:
+    pairs = _pair_table(n)
+    for mask in range(1 << len(pairs)):
+        if not connected_only or _mask_connected(pairs, n, mask):
+            yield mask
+
+
+def enumerate_labeled_graphs(n: int, connected_only: bool = True) -> Iterator[Graph]:
+    """All labeled graphs on n vertices in ascending edge-mask order."""
+    _check_corpus_n(n)
+    for mask in _labeled_masks(n, connected_only):
+        yield graph_from_mask(n, mask)
+
+
+def _sample_connected_masks(n: int, count: int, seed: int) -> list[int]:
+    _check_corpus_n(n)
+    pairs = _pair_table(n)
+    rng = Random(seed)
+    seen: set[int] = set()
+    out: list[int] = []
+    while len(out) < count:
+        if len(seen) == 1 << len(pairs):
+            raise RefusalError(f"fewer than {count} connected graphs exist at n={n}")
+        mask = rng.getrandbits(len(pairs))
+        if mask in seen:
             continue
-        yield g
+        seen.add(mask)
+        if _mask_connected(pairs, n, mask):
+            out.append(mask)
+    return out
 
 
 def sample_connected_graphs(n: int, count: int, seed: int) -> list[Graph]:
     """Seeded sample of ``count`` distinct connected labeled graphs."""
-    if not 1 <= n <= MAX_CORPUS_N:
-        raise ContractError(f"corpus size must be 1..{MAX_CORPUS_N}, got {n}")
-    bits = n * (n - 1) // 2
-    rng = Random(seed)
-    seen: set[int] = set()
-    out: list[Graph] = []
-    while len(out) < count:
-        if len(seen) == 1 << bits:
-            raise RefusalError(f"fewer than {count} connected graphs exist at n={n}")
-        mask = rng.getrandbits(bits)
-        if mask in seen:
-            continue
-        seen.add(mask)
-        g = graph_from_mask(n, mask)
-        if is_connected(g):
-            out.append(g)
-    return out
+    return [graph_from_mask(n, mask) for mask in _sample_connected_masks(n, count, seed)]
 
 
 # ---------------------------------------------------------------------------
 # subset oracle for the unique-witness theorem
 
 
-def _subset_connected(g: Graph, mask: int) -> bool:
-    component = mask & -mask
-    frontier = component
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= g.adjacency_bits(low.bit_length() - 1)
-            f ^= low
-        frontier = nxt & mask & ~component
-        component |= frontier
-    return component == mask
-
-
 def subset_witness_count(g: Graph) -> int:
     """Exhaustively count vertex subsets that qualify as homogeneous
-    witnesses: size 2..n-1, connected induced subgraph, module.
+    witnesses: size 2..n-1, module, connected induced subgraph.
 
     Works straight off adjacency bitsets, independently of the edge-class
     machinery it cross-checks.
     """
     if g.n > MAX_CORPUS_N:
         raise RefusalError(f"subset brute force capped at n = {MAX_CORPUS_N}, graph has {g.n}")
+    adj = [g.adjacency_bits(v) for v in range(g.n)]
     count = 0
     for mask in range(1 << g.n):
         size = mask.bit_count()
         if size < 2 or size > g.n - 1:
             continue
-        if not _subset_connected(g, mask):
-            continue
-        ok = True
+        module = True
         for v in range(g.n):
             if (mask >> v) & 1:
                 continue
-            hit = g.adjacency_bits(v) & mask
+            hit = adj[v] & mask
             if hit != 0 and hit != mask:
-                ok = False
+                module = False
                 break
-        count += ok
+        count += module and reach(adj, mask & -mask, mask) == mask
     return count
 
 
@@ -214,7 +246,7 @@ def _check_colouring_count(g: Graph, p: EdgeClassPartition) -> list[CheckResult]
 
 
 def _check_orientation_count(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    brute = brute_force_orientation_count(g)
+    brute = _orientation_count(g)
     expected = orientability(g).count
     ok = brute == expected
     return [
@@ -242,7 +274,7 @@ def _check_class_subgraph_single_class(
     return [CheckResult("class-subgraph-single-class", witness is None, witness=witness)]
 
 
-def _all_shortest_paths(g: Graph, x: int, y: int) -> Iterator[list[int]]:
+def _distances(g: Graph, x: int) -> dict[int, int]:
     dist = {x: 0}
     order = [x]
     for v in order:
@@ -250,6 +282,13 @@ def _all_shortest_paths(g: Graph, x: int, y: int) -> Iterator[list[int]]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 order.append(w)
+    return dist
+
+
+def _all_shortest_paths(
+    g: Graph, dist: dict[int, int], x: int, y: int
+) -> Iterator[list[int]]:
+    """Every shortest x-y path, given the BFS distances ``dist`` from x."""
     if y not in dist:
         return
     stack: list[list[int]] = [[y]]
@@ -264,22 +303,22 @@ def _all_shortest_paths(g: Graph, x: int, y: int) -> Iterator[list[int]]:
                 stack.append(partial + [u])
 
 
-def _check_shortest_paths(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    witness = None
+def _shortest_path_witness(g: Graph, p: EdgeClassPartition) -> str | None:
     for x in range(g.n):
+        dist = _distances(g, x)
         for y in range(x + 1, g.n):
-            for path_vertices in _all_shortest_paths(g, x, y):
+            for path_vertices in _all_shortest_paths(g, dist, x, y):
                 cids = {
                     p.class_of_pair(a, b)
                     for a, b in zip(path_vertices, path_vertices[1:])
                 }
                 if len(cids) > 1:
-                    witness = f"shortest path {path_vertices} uses classes {sorted(cids)}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
+                    return f"shortest path {path_vertices} uses classes {sorted(cids)}"
+    return None
+
+
+def _check_shortest_paths(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
+    witness = _shortest_path_witness(g, p)
     return [CheckResult("shortest-path-single-class", witness is None, witness=witness)]
 
 
@@ -393,7 +432,7 @@ def _check_unique_hf1f2(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
 def _check_final_equivalence(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     if g.m == 0 or not is_connected(g):
         return _vacuous("final-equivalence", "no edges or disconnected, skipped")
-    brute = brute_force_orientation_count(g)
+    brute = _orientation_count(g)
     if brute == 0:
         return _vacuous("final-equivalence", "not orientable, skipped")
     trivial_only = classify_colourability(g).kind is Colourability.TRIVIAL_ONLY
@@ -443,14 +482,19 @@ class SweepConfig:
 def _run_checks(
     g: Graph, names: list[str], registry: dict[str, CheckFn]
 ) -> list[CheckResult]:
+    """Every named check on ``g``, its records keyed by graph6.  A check's
+    time goes on its first record only, so the ``seconds`` sum to the
+    time spent in checks."""
     key = encode_graph6(g)
     partition = compute_classes(g)
     out: list[CheckResult] = []
     for name in names:
         started = time.perf_counter()
         records = registry[name](g, partition)
-        elapsed = time.perf_counter() - started
-        out.extend(r.with_context(key, elapsed) for r in records)
+        seconds: float | None = time.perf_counter() - started
+        for r in records:
+            out.append(CheckResult(r.check, r.passed, key, r.witness, r.detail, seconds))
+            seconds = None
     return out
 
 
@@ -478,21 +522,13 @@ def theorem_sweep(
         if name not in table:
             raise ContractError(f"unknown check {name!r}")
 
-    items: list[tuple[int, int]] = []
-    for n in range(1, cfg.max_n + 1):
-        bits = n * (n - 1) // 2
-        for mask in range(1 << bits):
-            g = graph_from_mask(n, mask)
-            if cfg.connected_only and not is_connected(g):
-                continue
-            items.append((n, mask))
+    items = [
+        (n, mask)
+        for n in range(1, cfg.max_n + 1)
+        for mask in _labeled_masks(n, cfg.connected_only)
+    ]
     if cfg.sample_n6 and cfg.max_n < 6:
-        for g in sample_connected_graphs(6, cfg.sample_n6, cfg.seed):
-            mask = 0
-            for b, (u, v) in enumerate(_pair_table(6)):
-                if g.has_edge(u, v):
-                    mask |= 1 << b
-            items.append((6, mask))
+        items.extend((6, mask) for mask in _sample_connected_masks(6, cfg.sample_n6, cfg.seed))
 
     report = VerificationReport(
         meta={
@@ -505,6 +541,9 @@ def theorem_sweep(
         }
     )
     if cfg.threads > 1 and not custom:
+        # Imported here: the module costs every CLI call tens of ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             for records in pool.map(
                 _sweep_worker,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -11,7 +11,10 @@ class CheckResult:
     """One verdict for one named check on one graph.
 
     Failing records always carry a reproducible witness; ``graph_key`` is
-    the graph6 encoding of the graph under test.
+    the graph6 encoding of the graph under test.  In a theorem sweep a
+    check's run time sits in ``seconds`` on the first record that check
+    returns for a graph and is None on the rest, so summing ``seconds``
+    counts each check's time once.
     """
 
     check: str
@@ -20,9 +23,6 @@ class CheckResult:
     witness: str | None = None
     detail: str | None = None
     seconds: float | None = None
-
-    def with_context(self, graph_key: str, seconds: float | None = None) -> "CheckResult":
-        return replace(self, graph_key=graph_key, seconds=seconds)
 
 
 @dataclass

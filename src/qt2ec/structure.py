@@ -15,9 +15,9 @@ from .errors import ContractError
 from .graph import (
     Graph,
     encode_graph6,
-    induced_subgraph,
     is_complete_multipartite,
     is_connected,
+    reach,
 )
 from .report import CheckResult, VerificationReport
 
@@ -61,17 +61,9 @@ def _induces_join(g: Graph, vertices: frozenset[int]) -> bool:
     i.e. the complement of the induced subgraph is disconnected."""
     if len(vertices) < 2:
         return False
-    sub = induced_subgraph(g, vertices)
-    complement = Graph(
-        sub.n,
-        [
-            (u, v)
-            for u in range(sub.n)
-            for v in range(u + 1, sub.n)
-            if not sub.has_edge(u, v)
-        ],
-    )
-    return not is_connected(complement)
+    inside = sum(1 << v for v in vertices)
+    complement = {v: inside & ~g.adjacency_bits(v) & ~(1 << v) for v in vertices}
+    return reach(complement, inside & -inside) != inside
 
 
 def check_crossing_lemmas(
