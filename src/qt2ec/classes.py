@@ -10,14 +10,16 @@ closure is the set of connected components of the complement of G[N(v)]
 ch. 5), and within one such co-component every edge points at v or every
 edge points away from v.
 
-The kernel runs one bitset BFS per centre over that complement and unions
-each co-component's edges, with their head/tail parity, into a single
-parity union-find: at most 2m unions, however many induced P3s there are.
-Its components are the edge classes; the parities give every edge's
-direction relative to its class's least edge, and a parity clash names an
-edge of a class that admits no orientation.  ``Graph`` is immutable, so the
-partition is computed once per graph and memoised on it; the colouring,
-orientation and CLI paths all read that one result.
+The kernel runs one bitset BFS per centre over that complement and links
+each co-component's edges, with their head/tail parity, to the
+co-component's first edge: per-edge link lists with at most 4m entries,
+however many induced P3s there are.  One BFS over those links from each
+unlabelled edge in index order then labels the edge classes.  It gives
+every edge its direction relative to its class's least edge, and an edge
+reached with both directions names a class that admits no orientation.
+``Graph`` is immutable, so the partition is computed once per graph and
+memoised on it; the colouring, orientation and CLI paths all read that one
+result.
 """
 
 from __future__ import annotations
@@ -79,37 +81,9 @@ def _forcing_kernel(g: Graph) -> tuple:
     for i, (a, b) in enumerate(g.edges):
         edge_to[a][b] = i
         edge_to[b][a] = i
-    # Parity union-find over edge indices: parity[x] is bit(x) xor
-    # bit(parent[x]), where bit 0 orients an edge low->high.
-    parent = list(range(g.m))
-    parity = [0] * g.m
-    size = [1] * g.m
-    clashes: list[int] = []
-
-    def find(x: int) -> tuple[int, int]:
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        acc = 0
-        for node in reversed(path):
-            acc ^= parity[node]
-            parent[node] = x
-            parity[node] = acc
-        return x, acc
-
-    def union(a: int, b: int, rel: int) -> None:
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
-            if pa ^ pb != rel:
-                clashes.append(b)
-            return
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        parity[rb] = pa ^ pb ^ rel
-        size[ra] += size[rb]
+    # links[e] lists the edges forced together with e, each as f << 1 | rel,
+    # where rel is bit(e) xor bit(f) and bit 0 orients an edge low->high.
+    links: list[list[int]] = [[] for _ in range(g.m)]
 
     for v in range(g.n):
         left = adj[v]
@@ -117,13 +91,14 @@ def _forcing_kernel(g: Graph) -> tuple:
             continue
         to_v = edge_to[v]
         while left:
-            # Grow the co-component of the least unvisited neighbour u0.
-            # Edge vu has its head at v iff bit(vu) == (v < u), so each
-            # member u joins vu0 with relative parity (v < u0) ^ (v < u).
+            # Grow the co-component of the least unvisited neighbour u0 and
+            # link each member's edge to vu0.  Edge vu has its head at v iff
+            # bit(vu) == (v < u), so member u has rel (v < u0) ^ (v < u).
             low = left & -left
             left ^= low
             u0 = low.bit_length() - 1
             e0, h0 = to_v[u0], v < u0
+            star = links[e0]
             frontier = low
             while frontier:
                 x = frontier & -frontier
@@ -135,26 +110,38 @@ def _forcing_kernel(g: Graph) -> tuple:
                     y = new & -new
                     new ^= y
                     u = y.bit_length() - 1
-                    union(e0, to_v[u], h0 ^ (v < u))
+                    e, rel = to_v[u], h0 ^ (v < u)
+                    star.append(e << 1 | rel)
+                    links[e].append(e0 << 1 | rel)
 
-    class_ids: dict[int, int] = {}
-    class_of = [0] * g.m
+    # One BFS per class, started from its least edge with bit 0, so class
+    # ids follow least edges and bits come out canonical.  An edge reached
+    # again with the other bit is forced both ways: the class's contradiction.
+    class_of = [-1] * g.m
     bits = [0] * g.m
     members: list[list[int]] = []
-    base: list[int] = []
-    for e in range(g.m):
-        root, par = find(e)
-        cid = class_ids.setdefault(root, len(members))
-        if cid == len(members):
-            members.append([])
-            base.append(par)
-        members[cid].append(e)
-        class_of[e] = cid
-        bits[e] = par ^ base[cid]
-    contradictions: list[EdgePair | None] = [None] * len(members)
-    for e in clashes:
-        if contradictions[class_of[e]] is None:
-            contradictions[class_of[e]] = g.edge(e)
+    contradictions: list[EdgePair | None] = []
+    for start in range(g.m):
+        if class_of[start] >= 0:
+            continue
+        cid = len(members)
+        class_of[start] = cid
+        clash = None
+        queue = [start]
+        for x in queue:
+            bit = bits[x]
+            for link in links[x]:
+                f = link >> 1
+                b = bit ^ (link & 1)
+                if class_of[f] < 0:
+                    class_of[f] = cid
+                    bits[f] = b
+                    queue.append(f)
+                elif bits[f] != b and clash is None:
+                    clash = f
+        queue.sort()
+        members.append(queue)
+        contradictions.append(None if clash is None else g.edge(clash))
     vertex_sets = tuple(
         frozenset(x for e in edges for x in g.edge(e)) for edges in members
     )

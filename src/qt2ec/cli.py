@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or format error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -77,14 +78,20 @@ def _read_graph(args: argparse.Namespace) -> Graph:
         raise ContractError("exactly one input source required: a file/'-' or --family")
     if args.family is not None:
         return family_from_spec(args.family)
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    source = "stdin" if args.input == "-" else args.input
+    try:
+        if args.input == "-":
+            # Decode the bytes strictly: a C locale's stdin would let
+            # undecodable bytes through as surrogate escapes.
+            raw = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
+        else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise FormatError(f"cannot read {args.input}: {exc}") from exc
+    except OSError as exc:
+        raise FormatError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{source} is not UTF-8 text: {exc}") from exc
     if args.in_format == "graph6":
         for line in text.splitlines():
             if line.strip():
@@ -297,6 +304,17 @@ def _thread_count(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and then shared.
+
+    One parser serves every call in a process as long as ``QT2EC_THREADS``,
+    the only input it reads, stays the same; a changed value builds a new
+    one.  Callers share the returned object and must not mutate it.
+    """
+    return _build_parser(os.environ.get("QT2EC_THREADS", "1"))
+
+
+@functools.lru_cache(maxsize=1)
+def _build_parser(threads_default: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qt2ec",
         description=(
@@ -345,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--threads",
         type=_thread_count,
-        default=os.environ.get("QT2EC_THREADS", "1"),
+        default=threads_default,
         help="sweep worker processes (default QT2EC_THREADS or 1)",
     )
     sub.add_argument(

@@ -515,8 +515,10 @@ def theorem_sweep(
     """
     custom = registry is not None
     table = registry if registry is not None else ALL_CHECKS
-    if cfg.max_n > MAX_CORPUS_N:
-        raise ContractError(f"max_n capped at {MAX_CORPUS_N}, got {cfg.max_n}")
+    if not 1 <= cfg.max_n <= MAX_CORPUS_N:
+        raise ContractError(f"max_n must be 1..{MAX_CORPUS_N}, got {cfg.max_n}")
+    if cfg.sample_n6 is not None and cfg.sample_n6 < 0:
+        raise ContractError(f"sample_n6 must be 0 or more, got {cfg.sample_n6}")
     names = sorted(cfg.checks) if cfg.checks is not None else sorted(table)
     for name in names:
         if name not in table:

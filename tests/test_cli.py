@@ -127,6 +127,25 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "unknown family" in err
 
 
+def test_non_utf8_file_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "classes", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "is not UTF-8 text" in err
+
+
+def test_non_utf8_stdin_exits_two(capsys, monkeypatch):
+    # A C locale gives sys.stdin surrogateescape, which would not raise.
+    stdin = io.TextIOWrapper(
+        io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors="surrogateescape"
+    )
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "classes", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error: stdin is not UTF-8 text")
+
+
 def test_refusals_exit_three(capsys, tmp_path):
     disconnected = tmp_path / "two_parts.txt"
     disconnected.write_text("a b\nc d\n")
@@ -162,6 +181,20 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-n", "2", "--checks", "broken")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-n", "0"], "max_n must be 1"),
+        (["--max-n", "-2"], "max_n must be 1"),
+        (["--max-n", "2", "--sample-n6", "-5"], "sample_n6 must be 0 or more"),
+    ],
+)
+def test_verify_refuses_empty_sweeps(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_oracle_subcommand(capsys):
@@ -203,3 +236,35 @@ def test_dot_output(capsys):
     )
     assert code == 0
     assert out.startswith("digraph {") and "0 -> 1;" in out
+
+
+def test_parser_is_shared_while_environment_holds(monkeypatch):
+    monkeypatch.setenv("QT2EC_THREADS", "2")
+    assert build_parser() is build_parser()
+
+
+def test_changed_threads_environment_takes_effect(capsys, monkeypatch):
+    monkeypatch.setenv("QT2EC_THREADS", "2")
+    code, _, _ = run(capsys, "verify", "--max-n", "2", "--checks", "colouring-count")
+    assert code == 0
+    monkeypatch.setenv("QT2EC_THREADS", "abc")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--max-n", "2", "--checks", "colouring-count"])
+    assert excinfo.value.code == 2
+    assert "QT2EC_THREADS" in capsys.readouterr().err
+
+
+def test_flags_do_not_carry_over_between_calls(capsys):
+    code, out, _ = run(capsys, "colour", "--family", "path,3", "--enumerate")
+    assert code == 0 and len(out.splitlines()) == 4
+    code, out, _ = run(capsys, "colour", "--family", "path,3")
+    assert code == 0 and out.splitlines() == ["count=2"]
+
+
+def test_help_leaves_the_shared_parser_usable(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["orient", "--help"])
+    assert excinfo.value.code == 0
+    assert "--seed-arc" in capsys.readouterr().out
+    code, out, _ = run(capsys, "classes", "--family", "path,3")
+    assert code == 0 and out.startswith("k=1")

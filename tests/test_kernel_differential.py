@@ -79,6 +79,9 @@ def check_against_reference(g: Graph, rng: Random, enumeration_cap: int) -> None
     assert p.classes == classes
     assert all(p.class_of[e] == cid for cid, members in enumerate(classes) for e in members)
     assert [c is None for c in p.contradictions] == consistent
+    for cid, clash in enumerate(p.contradictions):
+        if clash is not None:
+            assert p.class_of_pair(*clash) == cid
     feas = orientability(g)
     assert feas.count == ((1 << len(classes)) if all(consistent) else 0)
 
@@ -145,3 +148,14 @@ def test_kernel_matches_p3_reference_on_random_graphs(case: tuple[Graph, Random]
 )
 def test_kernel_matches_p3_reference_on_large_families(spec: str, enumeration_cap: int):
     check_against_reference(family_from_spec(spec), Random(spec), enumeration_cap)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_matches_p3_reference_on_dense_random_graphs(seed: int):
+    # Dense G(60, 1/2) is non-orientable with a single class: every edge
+    # reaches the BFS from both sides, so a missed parity clash shows here.
+    rng = Random(seed)
+    g = Graph(60, [(u, v) for u in range(60) for v in range(u + 1, 60) if rng.random() < 0.5])
+    p = compute_classes(g)
+    assert p.k == 1 and p.contradictions[0] is not None
+    check_against_reference(g, rng, enumeration_cap=0)

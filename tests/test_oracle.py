@@ -131,6 +131,20 @@ def test_sweep_unknown_check_rejected():
         theorem_sweep(SweepConfig(max_n=8))
 
 
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_sweep_refuses_empty_corpus(max_n):
+    with pytest.raises(ContractError, match="max_n must be 1"):
+        theorem_sweep(SweepConfig(max_n=max_n))
+
+
+def test_sweep_refuses_negative_sample():
+    with pytest.raises(ContractError, match="sample_n6 must be 0 or more"):
+        theorem_sweep(SweepConfig(max_n=2, sample_n6=-5))
+    for sample in (0, None):
+        cfg = SweepConfig(max_n=2, checks=frozenset({"colouring-count"}), sample_n6=sample)
+        assert theorem_sweep(cfg).meta["graphs"] == 2
+
+
 def test_sweep_sample_n6_extends_corpus():
     cfg = SweepConfig(
         max_n=2, checks=frozenset({"colouring-count"}), sample_n6=5, seed=3
