@@ -309,6 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     One parser serves every call in a process as long as ``QT2EC_THREADS``,
     the only input it reads, stays the same; a changed value builds a new
     one.  Callers share the returned object and must not mutate it.
+
+    Sharing saves work only when ``main`` runs more than once in one
+    process (the test suite, the benchmark's ``cli-mixed`` workload, or a
+    Python caller looping over graphs).  A one-shot ``qt2ec`` command
+    builds the parser once either way.
     """
     return _build_parser(os.environ.get("QT2EC_THREADS", "1"))
 
