@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .graph import EdgePair, Graph, encode_graph6, induced_p3s, reach
+from .graph import EdgePair, Graph, induced_p3s, reach
 from .report import CheckResult, VerificationReport
 
 
@@ -165,8 +165,7 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport
     """
     if p.graph != g or len(p.class_of) != g.m:
         raise ContractError("partition does not belong to this graph")
-    key = encode_graph6(g)
-    report = VerificationReport(meta={"graph6": key})
+    results: list[CheckResult] = []
 
     witness = None
     for cid in range(p.k):
@@ -178,7 +177,7 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport
         if reach(adj, span & -span) != span:
             witness = f"class {cid} spans a disconnected subgraph"
             break
-    report.extend([CheckResult("partition-class-connected", witness is None, key, witness)])
+    results.append(CheckResult("partition-class-connected", witness is None, witness=witness))
 
     # Checks (b) and (d) are one predicate: incident edges from different
     # classes whose far ends are non-adjacent form a straddling induced P3.
@@ -191,7 +190,7 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport
     if straddle is not None:
         u, v, w = straddle
         witness = f"edges {(u, v)} and {(v, w)} differ in class but {(u, w)} is a non-edge"
-    report.extend([CheckResult("partition-cross-class-adjacency", witness is None, key, witness)])
+    results.append(CheckResult("partition-cross-class-adjacency", witness is None, witness=witness))
 
     # Distinct classes may share a vertex set only inside one component, so
     # the global comparison is exactly the per-component law.
@@ -202,8 +201,8 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport
             witness = f"classes {seen[verts]} and {cid} share vertex set {sorted(verts)}"
             break
         seen[verts] = cid
-    report.extend([CheckResult("partition-distinct-vertex-sets", witness is None, key, witness)])
+    results.append(CheckResult("partition-distinct-vertex-sets", witness is None, witness=witness))
 
     witness = None if straddle is None else f"induced P3 {straddle} straddles two classes"
-    report.extend([CheckResult("partition-p3-same-class", witness is None, key, witness)])
-    return report
+    results.append(CheckResult("partition-p3-same-class", witness is None, witness=witness))
+    return VerificationReport(results)

@@ -15,7 +15,7 @@ from typing import Iterator, Mapping
 
 from .classes import EdgeClassPartition, compute_classes
 from .errors import ContractError, RefusalError
-from .graph import EdgePair, Graph, induced_p3s, induced_subgraph, is_connected, is_module_set
+from .graph import EdgePair, Graph, induced_p3s, is_connected, is_module_set
 
 DEFAULT_ENUMERATION_CAP = 20
 
@@ -184,7 +184,7 @@ def count_homogeneous_witness_classes(g: Graph) -> int:
             continue
         if not is_module_set(g, verts):
             continue
-        if not is_connected(induced_subgraph(g, verts)):
+        if not is_connected(g, verts):
             continue
         count += 1
     return count

@@ -320,14 +320,19 @@ def induced_p3s(g: Graph) -> Iterator[tuple[int, int, int]]:
                     yield (u, v, w)
 
 
-def is_module_set(g: Graph, vertices: VertexSet) -> bool:
-    """True iff every vertex outside the set is adjacent to all of it or
-    to none of it (the set is a module / homogeneous set)."""
+def _vertex_bits(g: Graph, vertices: VertexSet) -> int:
     inside = 0
     for v in vertices:
         if not 0 <= v < g.n:
             raise ContractError(f"vertex {v} outside range 0..{g.n - 1}")
         inside |= 1 << v
+    return inside
+
+
+def is_module_set(g: Graph, vertices: VertexSet) -> bool:
+    """True iff every vertex outside the set is adjacent to all of it or
+    to none of it (the set is a module / homogeneous set)."""
+    inside = _vertex_bits(g, vertices)
     for v in range(g.n):
         if (inside >> v) & 1:
             continue
@@ -379,20 +384,11 @@ def is_complete_multipartite(g: Graph) -> list[tuple[int, ...]] | None:
     return parts
 
 
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    seen = 0
-    out: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if (seen >> start) & 1:
-            continue
-        component = reach(g._adj_bits, 1 << start)
-        seen |= component
-        out.append(tuple(v for v in range(g.n) if (component >> v) & 1))
-    return out
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or reach(g._adj_bits, 1) == (1 << g.n) - 1
+def is_connected(g: Graph, vertices: VertexSet | None = None) -> bool:
+    """True iff the subgraph induced on ``vertices`` (default: all of
+    ``g``) is connected; no vertex or one vertex counts as connected."""
+    inside = (1 << g.n) - 1 if vertices is None else _vertex_bits(g, vertices)
+    return reach(g._adj_bits, inside & -inside, inside) == inside
 
 
 def induced_subgraph(g: Graph, vertices: VertexSet) -> Graph:

@@ -8,7 +8,7 @@ so the work follows the number of answers rather than 2^m.  The counters
 never consult the class partition whose counting laws they validate.  The
 sweep runs every named structural check over the labeled-graph corpus and
 reports one record per (graph, check) with a reproducible witness on
-failure.
+failure.  The sweep's corpus holds connected graphs only.
 """
 
 from __future__ import annotations
@@ -27,16 +27,7 @@ from .colouring import (
     find_homogeneous_witness,
 )
 from .errors import ContractError, RefusalError
-from .graph import (
-    Graph,
-    edge_subgraph,
-    encode_graph6,
-    induced_p3s,
-    induced_subgraph,
-    is_connected,
-    is_module_set,
-    reach,
-)
+from .graph import Graph, encode_graph6, induced_p3s, is_connected, is_module_set, reach
 from .orientation import orientability
 from .report import CheckResult, VerificationReport
 from .structure import (
@@ -267,7 +258,7 @@ def _check_class_subgraph_single_class(
 ) -> list[CheckResult]:
     witness = None
     for cid in range(p.k):
-        sub_k = compute_classes(edge_subgraph(g, p.class_edges(cid))).k
+        sub_k = compute_classes(Graph(g.n, p.class_edges(cid))).k
         if sub_k != 1:
             witness = f"class {cid} splits into {sub_k} classes as its own graph"
             break
@@ -323,16 +314,13 @@ def _check_shortest_paths(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
 
 
 def _check_pendant_classes(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    if not is_connected(g):
-        return _vacuous("pendant-class-bound", "disconnected, skipped")
-    pendant = []
-    for cid in range(p.k):
-        others: set[int] = set()
-        for other in range(p.k):
-            if other != cid:
-                others.update(p.vertex_sets[other])
-        if p.vertex_sets[cid] - others:
-            pendant.append(cid)
+    owners = [0] * g.n
+    for verts in p.vertex_sets:
+        for v in verts:
+            owners[v] += 1
+    pendant = [
+        cid for cid, verts in enumerate(p.vertex_sets) if any(owners[v] == 1 for v in verts)
+    ]
     ok = len(pendant) <= 1
     return [
         CheckResult(
@@ -345,7 +333,7 @@ def _check_pendant_classes(g: Graph, p: EdgeClassPartition) -> list[CheckResult]
 
 
 def _check_two_class_nesting(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    if not is_connected(g) or p.k != 2:
+    if p.k != 2:
         return _vacuous("two-class-nesting", f"k={p.k}, vacuous")
     rel = class_pair_relation(g, p, 0, 1)
     ok = rel.tag == "nested"
@@ -359,7 +347,7 @@ def _check_two_class_nesting(g: Graph, p: EdgeClassPartition) -> list[CheckResul
 
 
 def _check_three_class(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    if not is_connected(g) or p.k != 3:
+    if p.k != 3:
         return _vacuous("three-class-classification", f"k={p.k}, vacuous")
     outcome = three_class_classification(g)
     ok = outcome.tripartite_parts is not None or outcome.spanning_class is not None
@@ -392,8 +380,6 @@ def _check_tinylemma(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
 
 
 def _check_hf1f2_witness(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    if not is_connected(g):
-        return _vacuous("hf1f2-witness", "disconnected, skipped")
     witness_set = find_homogeneous_witness(g)
     problems = []
     if (witness_set is not None) != (p.k >= 2):
@@ -403,7 +389,7 @@ def _check_hf1f2_witness(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
             problems.append(f"witness size {len(witness_set)} out of range")
         if not is_module_set(g, witness_set):
             problems.append(f"witness {sorted(witness_set)} is not a module")
-        if not is_connected(induced_subgraph(g, witness_set)):
+        if not is_connected(g, witness_set):
             problems.append(f"witness {sorted(witness_set)} induces a disconnected graph")
     ok = not problems
     return [
@@ -412,8 +398,6 @@ def _check_hf1f2_witness(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
 
 
 def _check_unique_hf1f2(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    if not is_connected(g):
-        return _vacuous("unique-hf1f2", "disconnected, skipped")
     subset_count = subset_witness_count(g)
     class_count = count_homogeneous_witness_classes(g)
     uniquely = p.k == 2
@@ -430,7 +414,7 @@ def _check_unique_hf1f2(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
 
 
 def _check_final_equivalence(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    if g.m == 0 or not is_connected(g):
+    if g.m == 0:
         return _vacuous("final-equivalence", "no edges or disconnected, skipped")
     brute = _orientation_count(g)
     if brute == 0:
@@ -469,10 +453,12 @@ ALL_CHECKS: dict[str, CheckFn] = {
 
 @dataclass
 class SweepConfig:
-    """What the theorem sweep should cover; ``checks=None`` selects all."""
+    """What the theorem sweep should cover: every connected labeled graph
+    on 1..``max_n`` vertices, plus ``sample_n6`` seeded connected six-vertex
+    graphs when ``max_n`` < 6.  ``checks=None`` selects all.  The corpus
+    holds connected graphs only, and the checks rely on that."""
 
     max_n: int = 5
-    connected_only: bool = True
     checks: frozenset[str] | None = None
     sample_n6: int | None = None
     seed: int = 0
@@ -508,10 +494,12 @@ def theorem_sweep(
 ) -> VerificationReport:
     """Run the named checks over the corpus and report every verdict.
 
-    Failures become report records (never exceptions), each carrying the
-    graph6 key of the offending graph.  Records come back sorted by
-    (graph6, check) so multi-worker runs merge identically; ``registry`` is
-    a test hook replacing the default check table (serial execution only).
+    This is the one place that decides the corpus (connected graphs only)
+    and keys the records: checks return unkeyed records, and each gets the
+    graph6 key of its graph here.  Failures become report records (never
+    exceptions).  Records come back sorted by (graph6, check) so
+    multi-worker runs merge identically; ``registry`` is a test hook
+    replacing the default check table (serial execution only).
     """
     custom = registry is not None
     table = registry if registry is not None else ALL_CHECKS
@@ -527,7 +515,7 @@ def theorem_sweep(
     items = [
         (n, mask)
         for n in range(1, cfg.max_n + 1)
-        for mask in _labeled_masks(n, cfg.connected_only)
+        for mask in _labeled_masks(n, connected_only=True)
     ]
     if cfg.sample_n6 and cfg.max_n < 6:
         items.extend((6, mask) for mask in _sample_connected_masks(6, cfg.sample_n6, cfg.seed))
@@ -535,7 +523,7 @@ def theorem_sweep(
     report = VerificationReport(
         meta={
             "max_n": cfg.max_n,
-            "connected_only": cfg.connected_only,
+            "connected_only": True,  # always; kept in the report schema
             "checks": names,
             "sample_n6": cfg.sample_n6,
             "seed": cfg.seed,

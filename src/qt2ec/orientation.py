@@ -93,7 +93,10 @@ class OrientationFeasibility:
     """Per-class consistency verdicts; the total count is 2^k or 0."""
 
     partition: EdgeClassPartition
-    contradictions: tuple[EdgePair | None, ...]
+
+    @property
+    def contradictions(self) -> tuple[EdgePair | None, ...]:
+        return self.partition.contradictions
 
     @property
     def k(self) -> int:
@@ -167,8 +170,7 @@ def orientability(g: Graph) -> OrientationFeasibility:
     The graph is quasi-transitively orientable (a comparability graph) iff
     no class contradicts itself, and then has exactly 2^k orientations.
     """
-    p = compute_classes(g)
-    return OrientationFeasibility(p, p.contradictions)
+    return OrientationFeasibility(compute_classes(g))
 
 
 def enumerate_orientations(

@@ -10,8 +10,10 @@ from dataclasses import dataclass, field
 class CheckResult:
     """One verdict for one named check on one graph.
 
-    Failing records always carry a reproducible witness; ``graph_key`` is
-    the graph6 encoding of the graph under test.  In a theorem sweep a
+    Failing records always carry a reproducible witness.  ``graph_key`` is
+    the graph6 encoding of the graph under test; ``theorem_sweep`` sets
+    it, and the records of a standalone verifier such as
+    ``verify_partition_laws`` leave it empty.  In a theorem sweep a
     check's run time sits in ``seconds`` on the first record that check
     returns for a graph and is None on the rest, so summing ``seconds``
     counts each check's time once.

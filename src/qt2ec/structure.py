@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 from .classes import EdgeClassPartition, compute_classes
 from .errors import ContractError
-from .graph import (
-    Graph,
-    encode_graph6,
-    is_complete_multipartite,
-    is_connected,
-    reach,
-)
+from .graph import Graph, is_complete_multipartite, is_connected, reach
 from .report import CheckResult, VerificationReport
 
 DISJOINT = "disjoint"
@@ -79,8 +73,7 @@ def check_crossing_lemmas(
     rel = class_pair_relation(g, p, c, d)
     if rel.tag != CROSSING:
         raise ContractError(f"class pair ({c}, {d}) is {rel.tag}, not crossing")
-    key = encode_graph6(g)
-    report = VerificationReport(meta={"graph6": key, "pair": (c, d)})
+    results: list[CheckResult] = []
     shared, a_side, b_side = rel.shared, rel.only_first, rel.only_second
 
     witness = None
@@ -91,7 +84,7 @@ def check_crossing_lemmas(
                 break
         if witness:
             break
-    report.extend([CheckResult("crossing-no-edge-inside-intersection", witness is None, key, witness)])
+    results.append(CheckResult("crossing-no-edge-inside-intersection", witness is None, witness=witness))
 
     witness = None
     for side, other in ((a_side, p.vertex_sets[d]), (b_side, p.vertex_sets[c])):
@@ -104,7 +97,7 @@ def check_crossing_lemmas(
                 break
         if witness:
             break
-    report.extend([CheckResult("crossing-sides-joined", witness is None, key, witness)])
+    results.append(CheckResult("crossing-sides-joined", witness is None, witness=witness))
 
     witness = None
     for cid in (c, d):
@@ -114,14 +107,14 @@ def check_crossing_lemmas(
                 break
         if witness:
             break
-    report.extend([CheckResult("crossing-edges-touch-intersection", witness is None, key, witness)])
+    results.append(CheckResult("crossing-edges-touch-intersection", witness is None, witness=witness))
 
     witness = None
     for name, piece in (("A", a_side), ("B", b_side), ("I", shared)):
         if _induces_join(g, piece):
             witness = f"piece {name} = {sorted(piece)} induces a join"
             break
-    report.extend([CheckResult("crossing-no-piece-is-join", witness is None, key, witness)])
+    results.append(CheckResult("crossing-no-piece-is-join", witness is None, witness=witness))
 
     witness = None
     cross_classes = {
@@ -132,8 +125,8 @@ def check_crossing_lemmas(
     }
     if len(cross_classes) > 1:
         witness = f"side-to-side edges span classes {sorted(cross_classes)}"
-    report.extend([CheckResult("crossing-cross-edges-one-class", witness is None, key, witness)])
-    return report
+    results.append(CheckResult("crossing-cross-edges-one-class", witness is None, witness=witness))
+    return VerificationReport(results)
 
 
 @dataclass(frozen=True)
@@ -191,7 +184,6 @@ def check_tinylemma_instances(
     """
     if p.graph != g:
         raise ContractError("partition does not belong to this graph")
-    key = encode_graph6(g)
     instances = 0
     witness = None
     for cf in range(p.k):
@@ -226,8 +218,7 @@ def check_tinylemma_instances(
     result = CheckResult(
         "tinylemma-forced-edge",
         witness is None,
-        key,
-        witness,
+        witness=witness,
         detail=f"instances={instances}; hypotheses: {TINY_LEMMA_HYPOTHESES}",
     )
-    return VerificationReport([result], meta={"graph6": key})
+    return VerificationReport([result])

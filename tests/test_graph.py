@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from itertools import combinations
+from random import Random
 
 import networkx as nx
 import pytest
@@ -342,6 +343,37 @@ def test_is_connected():
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
     assert is_connected(Graph(1))
     assert is_connected(Graph(0))
+
+
+@st.composite
+def gnp_with_subset(draw) -> tuple[Graph, set[int]]:
+    """A seeded G(n, p) graph and a vertex subset of it (maybe empty)."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    p = draw(st.sampled_from([0.1, 0.25, 0.5, 0.8]))
+    rng = Random(draw(st.integers(min_value=0, max_value=2**32)))
+    g = Graph(n, [pair for pair in combinations(range(n), 2) if rng.random() < p])
+    subset = draw(st.sets(st.integers(min_value=0, max_value=n - 1))) if n else set()
+    return g, subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(gnp_with_subset())
+def test_is_connected_on_a_subset_matches_the_induced_subgraph(case):
+    g, subset = case
+    assert is_connected(g, subset) == is_connected(induced_subgraph(g, subset))
+    assert is_connected(g, iter(subset)) == is_connected(g, sorted(subset))
+    assert is_connected(g, set())
+    for v in range(g.n):
+        assert is_connected(g, {v})
+    assert is_connected(g, range(g.n)) == is_connected(g)
+
+
+def test_is_connected_on_a_subset_rejects_foreign_vertices():
+    g = path(4)
+    assert is_connected(g, {1, 2}) and not is_connected(g, {0, 2})
+    for bad in ({0, 4}, {-1}, {2, -3}):
+        with pytest.raises(ContractError):
+            is_connected(g, bad)
 
 
 def test_induced_subgraph_reads_off_adjacency():

@@ -10,10 +10,14 @@ from qt2ec import (
     Graph,
     RefusalError,
     SweepConfig,
+    compute_classes,
+    is_connected,
+    parse_graph6,
     theorem_sweep,
 )
 from qt2ec.families import complete, cycle, path, triangle_with_tail, figure_graph
 from qt2ec.oracle import (
+    ALL_CHECKS,
     brute_force_colouring_count,
     brute_force_orientation_count,
     enumerate_labeled_graphs,
@@ -115,6 +119,37 @@ def test_sweep_records_are_sorted_and_keyed():
     keys = [(r.graph_key, r.check) for r in report.results]
     assert keys == sorted(keys)
     assert all(r.graph_key for r in report.results)
+
+
+def test_sweep_graph_keys_decode_to_connected_graphs():
+    # The checks carry no connectivity guards of their own: they rely on
+    # the sweep's corpus holding connected graphs only.
+    report = theorem_sweep(SweepConfig(max_n=5, sample_n6=50))
+    keys = {r.graph_key for r in report.results}
+    assert len(keys) == report.meta["graphs"] == 772 + 50
+    for key in keys:
+        assert is_connected(parse_graph6(key)), key
+
+
+def test_pendant_check_matches_the_set_union_definition():
+    # Disconnected graphs give several pendant classes, so the witness
+    # list, and its order, is exercised as well as the verdict.
+    checked = 0
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n, connected_only=False):
+            p = compute_classes(g)
+            pendant = [
+                cid
+                for cid in range(p.k)
+                if p.vertex_sets[cid].difference(
+                    *(p.vertex_sets[o] for o in range(p.k) if o != cid)
+                )
+            ]
+            (record,) = ALL_CHECKS["pendant-class-bound"](g, p)
+            assert record.passed == (len(pendant) <= 1)
+            assert record.witness == (None if record.passed else f"pendant classes {pendant}")
+            checked += not record.passed
+    assert checked > 0
 
 
 def test_sweep_check_selection():

@@ -12,6 +12,7 @@ from qt2ec import (
     class_pair_relation,
     compute_classes,
     three_class_classification,
+    verify_partition_laws,
 )
 from qt2ec.families import (
     complete_multipartite,
@@ -88,6 +89,20 @@ def test_crossing_lemmas_pass_on_k4_minus_e():
     assert report.passed, report.failures()
     # the side-to-side edges form exactly the singleton class {0-1}
     assert p.class_of_pair(0, 1) == 0
+
+
+def test_standalone_verifiers_leave_records_unkeyed():
+    # Only theorem_sweep keys records by graph6; a standalone call leaves
+    # the key empty and the report's meta unset.
+    g = figure_graph("k4_minus_e")
+    p = compute_classes(g)
+    for report in (
+        check_crossing_lemmas(g, p, 1, 2),
+        check_tinylemma_instances(g, p),
+        verify_partition_laws(g, p),
+    ):
+        assert report.results and report.meta == {}
+        assert all(r.graph_key == "" for r in report.results)
 
 
 def test_crossing_lemmas_require_crossing_pair():
