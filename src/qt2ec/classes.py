@@ -142,9 +142,8 @@ def _forcing_kernel(g: Graph) -> tuple:
         queue.sort()
         members.append(queue)
         contradictions.append(None if clash is None else g.edge(clash))
-    vertex_sets = tuple(
-        frozenset(x for e in edges for x in g.edge(e)) for edges in members
-    )
+    pairs = g.edges
+    vertex_sets = tuple(frozenset([x for e in edges for x in pairs[e]]) for edges in members)
     classes = tuple(tuple(edges) for edges in members)
     return tuple(class_of), classes, vertex_sets, tuple(bits), tuple(contradictions)
 

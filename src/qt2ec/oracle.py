@@ -256,9 +256,24 @@ def _check_partition_laws(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
 def _check_class_subgraph_single_class(
     g: Graph, p: EdgeClassPartition
 ) -> list[CheckResult]:
+    """Each class is a single class as a graph of its own.
+
+    One kernel call decides it: class c's edges go on vertices
+    ``c*n .. c*n+n-1`` of a disjoint union.  Edge classes never cross
+    components, so the union's classes are those of the class subgraphs
+    side by side, and a non-empty class subgraph has at least one class.
+    The union's k therefore equals ``p.k`` exactly when every class is one
+    class on its own, provided no class is empty (only a hand-built
+    partition has one).  Only on a failure does the per-class loop run, to
+    name the same witness.
+    """
+    n = g.n
+    shifted = [(a + c * n, b + c * n) for c in range(p.k) for a, b in p.class_edges(c)]
+    if all(p.classes) and compute_classes(Graph(n * p.k, shifted)).k == p.k:
+        return [CheckResult("class-subgraph-single-class", True)]
     witness = None
     for cid in range(p.k):
-        sub_k = compute_classes(Graph(g.n, p.class_edges(cid))).k
+        sub_k = compute_classes(Graph(n, p.class_edges(cid))).k
         if sub_k != 1:
             witness = f"class {cid} splits into {sub_k} classes as its own graph"
             break
@@ -309,6 +324,17 @@ def _shortest_path_witness(g: Graph, p: EdgeClassPartition) -> str | None:
 
 
 def _check_shortest_paths(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
+    """Every shortest path lies in one class.
+
+    One induced-P3 scan decides it.  Two consecutive edges a-b-c of a
+    shortest path form an induced P3, since an edge ac would make the path
+    shorter; and every induced P3 u-v-w is itself a shortest u-w path.  So
+    some shortest path uses two classes exactly when some induced P3
+    straddles two classes.  Only then are the shortest paths listed, to
+    name the same witness.
+    """
+    if all(p.class_of_pair(u, v) == p.class_of_pair(v, w) for u, v, w in induced_p3s(g)):
+        return [CheckResult("shortest-path-single-class", True)]
     witness = _shortest_path_witness(g, p)
     return [CheckResult("shortest-path-single-class", witness is None, witness=witness)]
 
@@ -465,28 +491,49 @@ class SweepConfig:
     threads: int = 1
 
 
-def _run_checks(
-    g: Graph, names: list[str], registry: dict[str, CheckFn]
-) -> list[CheckResult]:
-    """Every named check on ``g``, its records keyed by graph6.  A check's
-    time goes on its first record only, so the ``seconds`` sum to the
-    time spent in checks."""
+Row = tuple[str, bool, str, str | None, str | None, float | None]
+
+
+def _run_checks(g: Graph, names: list[str], registry: dict[str, CheckFn]) -> list[Row]:
+    """Every named check on ``g``, as plain ``(check, passed, key, witness,
+    detail, seconds)`` tuples keyed by graph6: the fields of
+    ``CheckResult`` in order, which pickle far cheaper than the dataclass
+    on their way back from a pool worker.  A check's time goes on its
+    first record only, so the ``seconds`` sum to the time spent in checks."""
     key = encode_graph6(g)
     partition = compute_classes(g)
-    out: list[CheckResult] = []
+    out: list[Row] = []
     for name in names:
         started = time.perf_counter()
         records = registry[name](g, partition)
         seconds: float | None = time.perf_counter() - started
         for r in records:
-            out.append(CheckResult(r.check, r.passed, key, r.witness, r.detail, seconds))
+            out.append((r.check, r.passed, key, r.witness, r.detail, seconds))
             seconds = None
     return out
 
 
-def _sweep_worker(args: tuple[int, int, tuple[str, ...]]) -> list[CheckResult]:
+def _sweep_worker(args: tuple[int, int, tuple[str, ...]]) -> list[Row]:
     n, mask, names = args
     return _run_checks(graph_from_mask(n, mask), list(names), ALL_CHECKS)
+
+
+def _sweep_rows(
+    items: list[tuple[int, int]], names: list[str], table: dict[str, CheckFn], threads: int
+) -> Iterator[list[Row]]:
+    """Each corpus graph's rows, in corpus order, from a pool of
+    ``threads`` worker processes or, with one thread, from this one."""
+    if threads > 1:
+        # Imported here: the module costs every CLI call tens of ms.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(
+                _sweep_worker, [(n, mask, tuple(names)) for n, mask in items], chunksize=64
+            )
+    else:
+        for n, mask in items:
+            yield _run_checks(graph_from_mask(n, mask), names, table)
 
 
 def theorem_sweep(
@@ -497,7 +544,9 @@ def theorem_sweep(
     This is the one place that decides the corpus (connected graphs only)
     and keys the records: checks return unkeyed records, and each gets the
     graph6 key of its graph here.  Failures become report records (never
-    exceptions).  Records come back sorted by (graph6, check) so
+    exceptions).  The serial loop and the pool workers alike return plain
+    tuples from ``_run_checks``; they become ``CheckResult`` records here,
+    in one place, as each graph's rows arrive.  Records come back sorted by (graph6, check) so
     multi-worker runs merge identically; ``registry`` is a test hook
     replacing the default check table (serial execution only).
     """
@@ -530,18 +579,6 @@ def theorem_sweep(
             "graphs": len(items),
         }
     )
-    if cfg.threads > 1 and not custom:
-        # Imported here: the module costs every CLI call tens of ms.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            for records in pool.map(
-                _sweep_worker,
-                [(n, mask, tuple(names)) for n, mask in items],
-                chunksize=64,
-            ):
-                report.extend(records)
-    else:
-        for n, mask in items:
-            report.extend(_run_checks(graph_from_mask(n, mask), names, table))
+    for rows in _sweep_rows(items, names, table, 1 if custom else cfg.threads):
+        report.extend([CheckResult(*row) for row in rows])
     return report.sorted()

@@ -1,23 +1,32 @@
-"""Differential test of the backtracking brute-force counters against the
-exhaustive 2^m mask loops they replaced, kept here as the reference."""
+"""Differential tests of the verification half against the definitions it
+replaced, kept here as references: the backtracking brute-force counters
+against the exhaustive 2^m mask loops, and the two sweep checks decided by
+one scan or one kernel call against the per-class kernel loop and the full
+shortest-path listing."""
 
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import astuple
+from itertools import combinations
 from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qt2ec
-from qt2ec import Graph, RefusalError, SweepConfig, theorem_sweep
+from qt2ec import EdgeClassPartition, Graph, RefusalError, SweepConfig, compute_classes, theorem_sweep
 from qt2ec.families import complete
 from qt2ec.graph import induced_p3s
 from qt2ec.oracle import (
     ALL_CHECKS,
     MASK_CAP_EDGES,
+    _sweep_worker,
     brute_force_colouring_count,
     brute_force_orientation_count,
     enumerate_labeled_graphs,
@@ -129,3 +138,133 @@ def test_cli_import_does_not_load_the_process_pool():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_worker_rows_do_not_pickle_report_objects():
+    names = tuple(sorted(ALL_CHECKS))
+    rows = _sweep_worker((4, 0b111111, names))  # K4
+    assert rows and all(type(row) is tuple and len(row) == 6 for row in rows)
+    assert b"qt2ec.report" not in pickle.dumps(rows)
+
+
+# ---------------------------------------------------------------------------
+# class-subgraph-single-class and shortest-path-single-class
+
+
+def per_class_kernel_verdict(g: Graph, p: EdgeClassPartition) -> tuple[bool, str | None]:
+    """The kernel on each class as a graph of its own, one class at a time."""
+    for cid in range(p.k):
+        sub_k = compute_classes(Graph(g.n, p.class_edges(cid))).k
+        if sub_k != 1:
+            return False, f"class {cid} splits into {sub_k} classes as its own graph"
+    return True, None
+
+
+def shortest_path_listing_verdict(g: Graph, p: EdgeClassPartition) -> tuple[bool, str | None]:
+    """Every shortest x-y path, x < y, listed from one BFS per source."""
+    for x in range(g.n):
+        dist = {x: 0}
+        order = [x]
+        for v in order:
+            for w in g.neighbors(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    order.append(w)
+        for y in range(x + 1, g.n):
+            if y not in dist:
+                continue
+            stack = [[y]]
+            while stack:
+                partial = stack.pop()
+                head = partial[-1]
+                if head == x:
+                    path = partial[::-1]
+                    cids = {p.class_of_pair(a, b) for a, b in zip(path, path[1:])}
+                    if len(cids) > 1:
+                        return False, f"shortest path {path} uses classes {sorted(cids)}"
+                    continue
+                for u in g.neighbors(head):
+                    if dist.get(u) == dist[head] - 1:
+                        stack.append(partial + [u])
+    return True, None
+
+
+def partition_of(g: Graph, groups: list[list[int]]) -> EdgeClassPartition:
+    """A hand-built partition with class c holding the edge ids groups[c]."""
+    class_of = [0] * g.m
+    for cid, group in enumerate(groups):
+        for e in group:
+            class_of[e] = cid
+    return EdgeClassPartition(
+        g,
+        tuple(class_of),
+        tuple(tuple(group) for group in groups),
+        tuple(frozenset(x for e in group for x in g.edge(e)) for group in groups),
+    )
+
+
+def tampered_partitions(g: Graph, merges=None):
+    """The true partition, then for each pair in ``merges`` (default: all)
+    two classes merged, also with an empty class added; then each class
+    of two or more edges split into its least edge and the rest, and into
+    its even and odd positions."""
+    true = compute_classes(g)
+    yield true
+    groups = [list(c) for c in true.classes]
+    for i, j in merges if merges is not None else combinations(range(true.k), 2):
+        merged = groups[:j] + groups[j + 1:]
+        merged[i] = sorted(groups[i] + groups[j])
+        yield partition_of(g, merged)
+        yield partition_of(g, merged + [[]])
+    for i, group in enumerate(groups):
+        if len(group) >= 2:
+            rest = groups[:i] + groups[i + 1:]
+            yield partition_of(g, rest + [group[:1], group[1:]])
+            yield partition_of(g, rest + [group[::2], group[1::2]])
+
+
+def verdict(g: Graph, p: EdgeClassPartition, name: str) -> tuple[bool, str | None]:
+    (record,) = ALL_CHECKS[name](g, p)
+    return record.passed, record.witness
+
+
+def assert_rewritten_checks_agree(g: Graph, merges=None) -> tuple[int, int]:
+    """Both checks against their references on every tampered partition;
+    returns how many partitions failed each reference."""
+    fails = [0, 0]
+    for p in tampered_partitions(g, merges):
+        old = per_class_kernel_verdict(g, p)
+        assert verdict(g, p, "class-subgraph-single-class") == old, (g.edges, p.classes)
+        fails[0] += not old[0]
+        old = shortest_path_listing_verdict(g, p)
+        assert verdict(g, p, "shortest-path-single-class") == old, (g.edges, p.classes)
+        fails[1] += not old[0]
+    return fails[0], fails[1]
+
+
+def test_rewritten_checks_on_every_labeled_graph_up_to_five_vertices():
+    fails = [0, 0]
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n, connected_only=False):
+            for slot, count in enumerate(assert_rewritten_checks_agree(g)):
+                fails[slot] += count
+    # The tampering does reach both fallbacks, many times over.
+    assert min(fails) > 1000, fails
+
+
+@st.composite
+def gnp_and_merges(draw, max_n: int = 10) -> tuple[Graph, list[tuple[int, int]]]:
+    """A seeded G(n, p) graph and a few class pairs of it to merge."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    density = draw(st.sampled_from([0.2, 0.4, 0.6, 0.85]))
+    rng = Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    g = Graph(n, [pair for pair in combinations(range(n), 2) if rng.random() < density])
+    pairs = list(combinations(range(compute_classes(g).k), 2))
+    return g, rng.sample(pairs, min(3, len(pairs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gnp_and_merges())
+def test_rewritten_checks_on_random_graphs(case):
+    g, merges = case
+    assert_rewritten_checks_agree(g, merges)
