@@ -153,6 +153,15 @@ def class_of_edge(p: EdgeClassPartition, e: EdgePair) -> tuple[EdgePair, ...]:
     return p.class_edges(p.class_of_pair(*e))
 
 
+def first_straddle(g: Graph, p: EdgeClassPartition) -> tuple[int, int, int] | None:
+    """The first induced P3 u-v-w, in ``induced_p3s`` order, whose edges uv
+    and vw lie in different classes of ``p``; None when there is none."""
+    for u, v, w in induced_p3s(g):
+        if p.class_of_pair(u, v) != p.class_of_pair(v, w):
+            return u, v, w
+    return None
+
+
 def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport:
     """Check the structural laws every correctly computed partition obeys.
 
@@ -180,11 +189,7 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport
 
     # Checks (b) and (d) are one predicate: incident edges from different
     # classes whose far ends are non-adjacent form a straddling induced P3.
-    straddle = None
-    for u, v, w in induced_p3s(g):
-        if p.class_of_pair(u, v) != p.class_of_pair(v, w):
-            straddle = (u, v, w)
-            break
+    straddle = first_straddle(g, p)
     witness = None
     if straddle is not None:
         u, v, w = straddle

@@ -19,7 +19,12 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, Iterator
 
-from .classes import EdgeClassPartition, compute_classes, verify_partition_laws
+from .classes import (
+    EdgeClassPartition,
+    compute_classes,
+    first_straddle,
+    verify_partition_laws,
+)
 from .colouring import (
     Colourability,
     classify_colourability,
@@ -258,22 +263,20 @@ def _check_class_subgraph_single_class(
 ) -> list[CheckResult]:
     """Each class is a single class as a graph of its own.
 
-    One kernel call decides it: class c's edges go on vertices
-    ``c*n .. c*n+n-1`` of a disjoint union.  Edge classes never cross
-    components, so the union's classes are those of the class subgraphs
-    side by side, and a non-empty class subgraph has at least one class.
-    The union's k therefore equals ``p.k`` exactly when every class is one
-    class on its own, provided no class is empty (only a hand-built
-    partition has one).  Only on a failure does the per-class loop run, to
-    name the same witness.
+    One kernel call decides it and names the witness: class c's edges go on
+    vertices ``c*n .. c*n+n-1`` of a disjoint union.  Edge classes never
+    cross components, so every class of the union lies in one block, and
+    block c holds as many classes as class c has as a graph of its own
+    (none for an empty class, which only a hand-built partition has).
     """
     n = g.n
     shifted = [(a + c * n, b + c * n) for c in range(p.k) for a, b in p.class_edges(c)]
-    if all(p.classes) and compute_classes(Graph(n * p.k, shifted)).k == p.k:
-        return [CheckResult("class-subgraph-single-class", True)]
+    union = compute_classes(Graph(n * p.k, shifted))
+    counts = [0] * p.k
+    for members in union.classes:
+        counts[union.graph.edge(members[0])[0] // n] += 1
     witness = None
-    for cid in range(p.k):
-        sub_k = compute_classes(Graph(n, p.class_edges(cid))).k
+    for cid, sub_k in enumerate(counts):
         if sub_k != 1:
             witness = f"class {cid} splits into {sub_k} classes as its own graph"
             break
@@ -326,14 +329,15 @@ def _shortest_path_witness(g: Graph, p: EdgeClassPartition) -> str | None:
 def _check_shortest_paths(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     """Every shortest path lies in one class.
 
-    One induced-P3 scan decides it.  Two consecutive edges a-b-c of a
+    One induced-P3 straddle scan decides it, the one that partition law (d)
+    runs (``first_straddle``).  Two consecutive edges a-b-c of a
     shortest path form an induced P3, since an edge ac would make the path
     shorter; and every induced P3 u-v-w is itself a shortest u-w path.  So
     some shortest path uses two classes exactly when some induced P3
     straddles two classes.  Only then are the shortest paths listed, to
     name the same witness.
     """
-    if all(p.class_of_pair(u, v) == p.class_of_pair(v, w) for u, v, w in induced_p3s(g)):
+    if first_straddle(g, p) is None:
         return [CheckResult("shortest-path-single-class", True)]
     witness = _shortest_path_witness(g, p)
     return [CheckResult("shortest-path-single-class", witness is None, witness=witness)]

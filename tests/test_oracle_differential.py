@@ -248,7 +248,8 @@ def test_rewritten_checks_on_every_labeled_graph_up_to_five_vertices():
         for g in enumerate_labeled_graphs(n, connected_only=False):
             for slot, count in enumerate(assert_rewritten_checks_agree(g)):
                 fails[slot] += count
-    # The tampering does reach both fallbacks, many times over.
+    # The tampering makes both checks fail, and so name witnesses, many
+    # times over.
     assert min(fails) > 1000, fails
 
 
