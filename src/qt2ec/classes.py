@@ -10,16 +10,17 @@ closure is the set of connected components of the complement of G[N(v)]
 ch. 5), and within one such co-component every edge points at v or every
 edge points away from v.
 
-The kernel runs one bitset BFS per centre over that complement and links
-each co-component's edges, with their head/tail parity, to the
-co-component's first edge: per-edge link lists with at most 4m entries,
-however many induced P3s there are.  One BFS over those links from each
-unlabelled edge in index order then labels the edge classes.  It gives
-every edge its direction relative to its class's least edge, and an edge
-reached with both directions names a class that admits no orientation.
-``Graph`` is immutable, so the partition is computed once per graph and
-memoised on it; the colouring, orientation and CLI paths all read that one
-result.
+The kernel reads ``Graph``'s adjacency bitsets and edge map.  At each
+centre it takes every co-component with :func:`qt2ec.graph.reach` over the
+complemented bitsets, bounded by the centre's unvisited neighbours, and
+links the co-component's edges, with their head/tail parity, to its first
+edge: per-edge link lists with at most 4m entries, however many induced
+P3s there are.  One BFS over those links from each unlabelled edge in
+index order then labels the edge classes.  It gives every edge its
+direction relative to its class's least edge, and an edge reached with
+both directions names a class that admits no orientation.  ``Graph`` is
+immutable, so the partition is computed once per graph and memoised on it;
+the colouring, orientation and CLI paths all read that one result.
 """
 
 from __future__ import annotations
@@ -76,11 +77,8 @@ def compute_classes(g: Graph) -> EdgeClassPartition:
 
 def _forcing_kernel(g: Graph) -> tuple:
     """The fields of ``g``'s partition after ``graph``, in declaration order."""
-    adj = [g.adjacency_bits(v) for v in range(g.n)]
-    edge_to: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for i, (a, b) in enumerate(g.edges):
-        edge_to[a][b] = i
-        edge_to[b][a] = i
+    adj, edge_at = g._adj_bits, g._edge_at
+    co_adj = [~a for a in adj]
     # links[e] lists the edges forced together with e, each as f << 1 | rel,
     # where rel is bit(e) xor bit(f) and bit 0 orients an edge low->high.
     links: list[list[int]] = [[] for _ in range(g.m)]
@@ -89,30 +87,25 @@ def _forcing_kernel(g: Graph) -> tuple:
         left = adj[v]
         if left & (left - 1) == 0:  # fewer than two neighbours
             continue
-        to_v = edge_to[v]
+        to_v = edge_at[v]
         while left:
-            # Grow the co-component of the least unvisited neighbour u0 and
+            # Take the co-component of the least unvisited neighbour u0 and
             # link each member's edge to vu0.  Edge vu has its head at v iff
             # bit(vu) == (v < u), so member u has rel (v < u0) ^ (v < u).
             low = left & -left
-            left ^= low
             u0 = low.bit_length() - 1
             e0, h0 = to_v[u0], v < u0
             star = links[e0]
-            frontier = low
-            while frontier:
-                x = frontier & -frontier
-                frontier ^= x
-                new = left & ~adj[x.bit_length() - 1]
-                left ^= new
-                frontier |= new
-                while new:
-                    y = new & -new
-                    new ^= y
-                    u = y.bit_length() - 1
-                    e, rel = to_v[u], h0 ^ (v < u)
-                    star.append(e << 1 | rel)
-                    links[e].append(e0 << 1 | rel)
+            comp = reach(co_adj, low, left)
+            left ^= comp
+            comp ^= low
+            while comp:
+                y = comp & -comp
+                comp ^= y
+                u = y.bit_length() - 1
+                e, rel = to_v[u], h0 ^ (v < u)
+                star.append(e << 1 | rel)
+                links[e].append(e0 << 1 | rel)
 
     # One BFS per class, started from its least edge with bit 0, so class
     # ids follow least edges and bits come out canonical.  An edge reached

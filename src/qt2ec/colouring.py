@@ -56,16 +56,10 @@ class EdgeColouring:
     def monochromatic(cls, g: Graph, colour: str = RED) -> "EdgeColouring":
         return cls(g, (colour,) * g.m)
 
-    def of(self, u: int, v: int) -> str:
-        return self.colours[self.graph.edge_index(u, v)]
-
     def swapped(self) -> "EdgeColouring":
         return EdgeColouring(
             self.graph, tuple(BLUE if c == RED else RED for c in self.colours)
         )
-
-    def as_dict(self) -> dict[EdgePair, str]:
-        return {self.graph.edge(i): c for i, c in enumerate(self.colours)}
 
 
 class Colourability(Enum):

@@ -19,12 +19,16 @@ class Graph:
     Edges are canonical ``(min, max)`` pairs carrying a dense index assigned
     in lexicographic pair order.  Adjacency is kept as one int bitset per
     vertex because neighbour-pair scans (induced-P3 enumeration) dominate
-    the workload.  External string labels, when present, map one-to-one
-    onto the dense ids.  :func:`qt2ec.classes.compute_classes` memoises
-    the edge-class partition's fields in ``_partition``.
+    the workload.  The one edge map, ``_edge_at[u][v]``, gives the index
+    of edge {u, v}; its keys come out ascending, so they are also the
+    sorted neighbour lists.  Walks over the bitsets go through
+    :func:`reach`, the package's only bitset BFS.  External string labels,
+    when present, map one-to-one onto the dense ids.
+    :func:`qt2ec.classes.compute_classes` memoises the edge-class
+    partition's fields in ``_partition``.
     """
 
-    __slots__ = ("n", "edges", "labels", "_adj_bits", "_nbrs", "_edge_index", "_partition")
+    __slots__ = ("n", "edges", "labels", "_adj_bits", "_nbrs", "_edge_at", "_partition")
 
     def __init__(
         self,
@@ -51,16 +55,18 @@ class Graph:
                 raise ContractError("vertex labels must be unique")
         self.labels: tuple[str, ...] | None = labels
 
+        # The edges arrive sorted, so each vertex's lower neighbours come
+        # first and every row of the edge map is keyed in ascending order.
         adj = [0] * n
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
+        edge_at: list[dict[int, int]] = [{} for _ in range(n)]
+        for i, (u, v) in enumerate(self.edges):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+            edge_at[u][v] = i
+            edge_at[v][u] = i
         self._adj_bits = tuple(adj)
-        self._nbrs = tuple(tuple(sorted(s)) for s in nbrs)
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
+        self._edge_at = tuple(edge_at)
+        self._nbrs = tuple(tuple(row) for row in edge_at)
         self._partition = None
 
     @property
@@ -77,15 +83,14 @@ class Graph:
         return len(self._nbrs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= v < self.n and bool((self._adj_bits[u] >> v) & 1)
+        return 0 <= u < self.n and v in self._edge_at[u]
 
     def edge_index(self, u: int, v: int) -> int:
         """Dense index of edge {u, v}; unknown edges are a contract error."""
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._edge_index[key]
-        except KeyError:
-            raise ContractError(f"no edge {key} in graph") from None
+        index = self._edge_at[u].get(v) if 0 <= u < self.n else None
+        if index is None:
+            raise ContractError(f"no edge {(u, v) if u < v else (v, u)} in graph")
+        return index
 
     def edge(self, index: int) -> EdgePair:
         return self.edges[index]
@@ -345,7 +350,12 @@ def is_module_set(g: Graph, vertices: VertexSet) -> bool:
 def reach(adj: Sequence[int] | Mapping[int, int], seed: int, within: int = -1) -> int:
     """Bitset of the vertices reachable from the vertex bitset ``seed``
     along the adjacency bitsets ``adj``, never leaving the bitset
-    ``within``.  ``adj`` only needs entries for the vertices visited."""
+    ``within``.  ``adj`` only needs entries for the vertices visited.
+
+    This is the package's one bitset BFS.  A complemented row ``~a`` walks
+    the complement graph; it is negative, so it needs a finite (non-negative)
+    ``within`` to stay inside the vertex range.
+    """
     component = frontier = seed
     while frontier:
         nxt = 0
@@ -367,13 +377,13 @@ def is_complete_multipartite(g: Graph) -> list[tuple[int, ...]] | None:
     in ``g``.  Parts are sorted by their smallest vertex.
     """
     full = (1 << g.n) - 1
-    comp_adj = [(~g.adjacency_bits(v)) & full & ~(1 << v) for v in range(g.n)]
+    co_adj = [~a for a in g._adj_bits]
     seen = 0
     parts: list[tuple[int, ...]] = []
     for start in range(g.n):
         if (seen >> start) & 1:
             continue
-        component = reach(comp_adj, 1 << start)
+        component = reach(co_adj, 1 << start, full)
         seen |= component
         members = tuple(v for v in range(g.n) if (component >> v) & 1)
         for i, u in enumerate(members):
@@ -405,19 +415,3 @@ def induced_subgraph(g: Graph, vertices: VertexSet) -> Graph:
         if u in remap and v in remap
     ]
     return Graph(len(verts), edges, labels=[g.label(v) for v in verts])
-
-
-def edge_subgraph(g: Graph, edges: Iterable[EdgePair]) -> Graph:
-    """Graph whose edge set is exactly ``edges`` and whose vertex set is
-    their endpoints, densely reindexed (no isolated vertices survive)."""
-    pairs = []
-    for u, v in edges:
-        g.edge_index(u, v)
-        pairs.append((u, v) if u < v else (v, u))
-    verts = sorted({x for pair in pairs for x in pair})
-    remap = {v: i for i, v in enumerate(verts)}
-    return Graph(
-        len(verts),
-        [(remap[u], remap[v]) for u, v in pairs],
-        labels=[g.label(v) for v in verts],
-    )

@@ -445,7 +445,7 @@ def _check_unique_hf1f2(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
 
 def _check_final_equivalence(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     if g.m == 0:
-        return _vacuous("final-equivalence", "no edges or disconnected, skipped")
+        return _vacuous("final-equivalence", "no edges, skipped")
     brute = _orientation_count(g)
     if brute == 0:
         return _vacuous("final-equivalence", "not orientable, skipped")

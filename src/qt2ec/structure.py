@@ -56,8 +56,8 @@ def _induces_join(g: Graph, vertices: frozenset[int]) -> bool:
     if len(vertices) < 2:
         return False
     inside = sum(1 << v for v in vertices)
-    complement = {v: inside & ~g.adjacency_bits(v) & ~(1 << v) for v in vertices}
-    return reach(complement, inside & -inside) != inside
+    co_adj = {v: ~g.adjacency_bits(v) for v in vertices}
+    return reach(co_adj, inside & -inside, inside) != inside
 
 
 def check_crossing_lemmas(

@@ -15,7 +15,6 @@ from qt2ec import (
     ContractError,
     FormatError,
     Graph,
-    edge_subgraph,
     encode_graph6,
     format_edge_list,
     induced_p3s,
@@ -64,8 +63,27 @@ def test_constructor_rejects_bad_edges():
 
 
 def test_unknown_edge_is_contract_error():
-    with pytest.raises(ContractError):
-        path(3).edge_index(0, 2)
+    # Negative, out-of-range and self pairs are unknown edges too.
+    for u, v in [(0, 2), (-1, 0), (0, -1), (-1, 2), (2, -1), (3, 2), (2, 3), (0, 7), (1, 1)]:
+        with pytest.raises(ContractError, match="no edge"):
+            path(3).edge_index(u, v)
+
+
+def test_has_edge_is_false_for_out_of_range_endpoints():
+    g = Graph(4, [(1, 3)])
+    assert g.has_edge(1, 3) and g.has_edge(3, 1)
+    # -1 must not wrap round to vertex 3's row, and 7 must not index past it.
+    for u, v in [(-1, 1), (1, -1), (7, 1), (1, 7), (4, 1), (1, 4), (1, 1)]:
+        assert not g.has_edge(u, v), (u, v)
+
+
+@given(graphs(max_n=10))
+def test_neighbors_and_edge_index_agree_with_the_bitsets(g: Graph):
+    for v in range(g.n):
+        row = g.adjacency_bits(v)
+        assert g.neighbors(v) == tuple(u for u in range(g.n) if (row >> u) & 1)
+    for i, (u, v) in enumerate(g.edges):
+        assert g.edge_index(u, v) == g.edge_index(v, u) == i
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +404,3 @@ def test_induced_subgraph_reads_off_adjacency():
 def test_induced_subgraph_rejects_foreign_vertices():
     with pytest.raises(ContractError):
         induced_subgraph(path(3), {0, 5})
-
-
-def test_edge_subgraph_keeps_only_listed_edges():
-    g = figure_graph("k4_minus_e")
-    sub = edge_subgraph(g, [(0, 2), (0, 3)])
-    assert sub.n == 3 and sub.edges == ((0, 1), (0, 2))
-    with pytest.raises(ContractError):
-        edge_subgraph(g, [(2, 3)])

@@ -114,6 +114,20 @@ def test_sweep_passes_at_n4():
     assert summary["orientation-count"] == (44, 0)
 
 
+def test_sweep_final_equivalence_record_of_the_one_vertex_graph():
+    # The corpus is connected, so only "@" (one vertex, no edges) takes
+    # the vacuous branch.
+    report = theorem_sweep(SweepConfig(max_n=2, checks=frozenset({"final-equivalence"})))
+    [record] = [r for r in report.results if r.graph_key == "@"]
+    assert (record.check, record.passed, record.witness, record.detail) == (
+        "final-equivalence",
+        True,
+        None,
+        "no edges, skipped",
+    )
+    assert all(r.detail is None for r in report.results if r.graph_key != "@")
+
+
 def test_sweep_records_are_sorted_and_keyed():
     report = theorem_sweep(SweepConfig(max_n=3))
     keys = [(r.graph_key, r.check) for r in report.results]
