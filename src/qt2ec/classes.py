@@ -148,9 +148,12 @@ def class_of_edge(p: EdgeClassPartition, e: EdgePair) -> tuple[EdgePair, ...]:
 
 def first_straddle(g: Graph, p: EdgeClassPartition) -> tuple[int, int, int] | None:
     """The first induced P3 u-v-w, in ``induced_p3s`` order, whose edges uv
-    and vw lie in different classes of ``p``; None when there is none."""
+    and vw lie in different classes of ``p``; None when there is none.
+    Both edges are read from the centre's row of the graph's edge map."""
+    class_of, edge_at = p.class_of, g._edge_at
     for u, v, w in induced_p3s(g):
-        if p.class_of_pair(u, v) != p.class_of_pair(v, w):
+        to_v = edge_at[v]
+        if class_of[to_v[u]] != class_of[to_v[w]]:
             return u, v, w
     return None
 

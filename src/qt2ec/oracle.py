@@ -45,6 +45,7 @@ from .structure import (
 
 MASK_CAP_EDGES = 22
 MAX_CORPUS_N = 7
+MAX_SWEEP_THREADS = 64
 
 CheckFn = Callable[[Graph, EdgeClassPartition], list[CheckResult]]
 
@@ -53,28 +54,43 @@ CheckFn = Callable[[Graph, EdgeClassPartition], list[CheckResult]]
 # brute-force counters
 
 
+@lru_cache(maxsize=1)
+def _p3_parity_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(need, odd)`` of the graph under test, built from one induced-P3
+    scan and shared by the two counters: ``need[j]`` has bit i set for
+    each induced P3 on edges i < j, and ``odd[j]`` also when that P3's
+    orientation parity is 1.  A bit of 0 orients its edge low->high, and
+    the centre v must be a common head or a common tail, so the parity is
+    whether v is the high end of exactly one of the two edges."""
+    need = [0] * g.m
+    odd = [0] * g.m
+    for u, v, w in induced_p3s(g):
+        to_v = g._edge_at[v]
+        i, j = to_v[u], to_v[w]
+        if i > j:
+            i, j = j, i
+        need[j] |= 1 << i
+        if (u < v) != (w < v):
+            odd[j] |= 1 << i
+    return tuple(need), tuple(odd)
+
+
 def _count_parity_solutions(g: Graph, orient: bool) -> int:
     """Count bit maps on the edges that satisfy every induced-P3 parity.
 
     For an induced P3 ``u-v-w`` with edges i < j the constraint is
-    ``bit_i ^ bit_j == parity``.  Colourings need equal colours (parity 0).
-    For orientations a bit of 0 orients its edge low->high, and the centre
-    v must be a common head or a common tail, so the parity is whether v
-    is the high end of exactly one of the two edges.  ``need[j]`` holds
-    the earlier edges constrained against j and ``odd[j]`` those of them
-    with parity 1: setting bit_j to b passes iff the earlier bits under
-    ``need[j]`` equal ``odd[j]`` when b is 0 and its complement when b is 1.
+    ``bit_i ^ bit_j == parity``.  Colourings need equal colours (parity 0);
+    orientations take the parities of :func:`_p3_parity_table`.  ``need[j]``
+    holds the earlier edges constrained against j and ``odd[j]`` those of
+    them with parity 1: setting bit_j to b passes iff the earlier bits
+    under ``need[j]`` equal ``odd[j]`` when b is 0 and its complement when
+    b is 1.
     """
     if g.m > MASK_CAP_EDGES:
         raise RefusalError(f"brute force capped at {MASK_CAP_EDGES} edges, graph has {g.m}")
     m = g.m
-    need = [0] * m
-    odd = [0] * m
-    for u, v, w in induced_p3s(g):
-        i, j = sorted((g.edge_index(u, v), g.edge_index(v, w)))
-        need[j] |= 1 << i
-        if orient and (v == g.edge(i)[1]) != (v == g.edge(j)[1]):
-            odd[j] |= 1 << i
+    need, orient_odd = _p3_parity_table(g)
+    odd = orient_odd if orient else (0,) * m
     count = 0
     stack = [(0, 0)]
     while stack:
@@ -121,8 +137,10 @@ def _orientation_count(g: Graph) -> int:
 # corpus generation
 
 
-def _pair_table(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs of n vertices in edge-mask bit order."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -130,7 +148,7 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     return Graph(n, [pairs[b] for b in range(len(pairs)) if (mask >> b) & 1])
 
 
-def _mask_connected(pairs: list[tuple[int, int]], n: int, mask: int) -> bool:
+def _mask_connected(pairs: tuple[tuple[int, int], ...], n: int, mask: int) -> bool:
     """Connectivity of ``graph_from_mask(n, mask)`` straight from the mask."""
     adj = [0] * n
     while mask:
@@ -193,25 +211,28 @@ def subset_witness_count(g: Graph) -> int:
     witnesses: size 2..n-1, module, connected induced subgraph.
 
     Works straight off adjacency bitsets, independently of the edge-class
-    machinery it cross-checks.
+    machinery it cross-checks.  Every subset is tried, in increasing mask
+    order, so each mask's two running intersections come from the mask
+    minus its lowest vertex: ``common`` holds the vertices adjacent to all
+    of the mask and ``apart`` those adjacent to none of it.  The mask is a
+    module iff every vertex outside it lies in one of the two.
     """
-    if g.n > MAX_CORPUS_N:
-        raise RefusalError(f"subset brute force capped at n = {MAX_CORPUS_N}, graph has {g.n}")
-    adj = [g.adjacency_bits(v) for v in range(g.n)]
+    n = g.n
+    if n > MAX_CORPUS_N:
+        raise RefusalError(f"subset brute force capped at n = {MAX_CORPUS_N}, graph has {n}")
+    adj = [g.adjacency_bits(v) for v in range(n)]
+    full = (1 << n) - 1
+    common = [full] * (1 << n)
+    apart = [full] * (1 << n)
     count = 0
-    for mask in range(1 << g.n):
-        size = mask.bit_count()
-        if size < 2 or size > g.n - 1:
-            continue
-        module = True
-        for v in range(g.n):
-            if (mask >> v) & 1:
-                continue
-            hit = adj[v] & mask
-            if hit != 0 and hit != mask:
-                module = False
-                break
-        count += module and reach(adj, mask & -mask, mask) == mask
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        row = adj[low.bit_length() - 1]
+        common[mask] = both = common[rest] & row
+        apart[mask] = neither = apart[rest] & ~row
+        if rest and mask != full and (full ^ mask) & ~(both | neither) == 0:
+            count += reach(adj, low, mask) == mask
     return count
 
 
@@ -501,9 +522,12 @@ Row = tuple[str, bool, str, str | None, str | None, float | None]
 def _run_checks(g: Graph, names: list[str], registry: dict[str, CheckFn]) -> list[Row]:
     """Every named check on ``g``, as plain ``(check, passed, key, witness,
     detail, seconds)`` tuples keyed by graph6: the fields of
-    ``CheckResult`` in order, which pickle far cheaper than the dataclass
-    on their way back from a pool worker.  A check's time goes on its
-    first record only, so the ``seconds`` sum to the time spent in checks."""
+    ``CheckResult`` in order, which pickle far cheaper than records on
+    their way back from a pool worker.  The rows come sorted by
+    ``(check, witness or "")``; the sort is stable, so records that tie
+    keep the order their check returned them in.  A check's time goes on
+    its first record only, so the ``seconds`` sum to the time spent in
+    checks."""
     key = encode_graph6(g)
     partition = compute_classes(g)
     out: list[Row] = []
@@ -514,6 +538,7 @@ def _run_checks(g: Graph, names: list[str], registry: dict[str, CheckFn]) -> lis
         for r in records:
             out.append((r.check, r.passed, key, r.witness, r.detail, seconds))
             seconds = None
+    out.sort(key=lambda row: (row[0], row[3] or ""))
     return out
 
 
@@ -549,10 +574,14 @@ def theorem_sweep(
     and keys the records: checks return unkeyed records, and each gets the
     graph6 key of its graph here.  Failures become report records (never
     exceptions).  The serial loop and the pool workers alike return plain
-    tuples from ``_run_checks``; they become ``CheckResult`` records here,
-    in one place, as each graph's rows arrive.  Records come back sorted by (graph6, check) so
-    multi-worker runs merge identically; ``registry`` is a test hook
-    replacing the default check table (serial execution only).
+    tuples from ``_run_checks``, already in per-graph order; they become
+    ``CheckResult`` records here, in one place, as each graph's rows
+    arrive.  The graphs are then ordered by graph6 key, which the corpus
+    holds once each, so the records come out sorted by (graph6, check,
+    witness or "") and multi-worker runs merge identically.  ``threads``
+    must be 1..``MAX_SWEEP_THREADS``: a pool starts all its workers at
+    once.  ``registry`` is a test hook replacing the default check table
+    (serial execution only).
     """
     custom = registry is not None
     table = registry if registry is not None else ALL_CHECKS
@@ -560,6 +589,8 @@ def theorem_sweep(
         raise ContractError(f"max_n must be 1..{MAX_CORPUS_N}, got {cfg.max_n}")
     if cfg.sample_n6 is not None and cfg.sample_n6 < 0:
         raise ContractError(f"sample_n6 must be 0 or more, got {cfg.sample_n6}")
+    if not 1 <= cfg.threads <= MAX_SWEEP_THREADS:
+        raise ContractError(f"threads must be 1..{MAX_SWEEP_THREADS}, got {cfg.threads}")
     names = sorted(cfg.checks) if cfg.checks is not None else sorted(table)
     for name in names:
         if name not in table:
@@ -583,6 +614,12 @@ def theorem_sweep(
             "graphs": len(items),
         }
     )
-    for rows in _sweep_rows(items, names, table, 1 if custom else cfg.threads):
-        report.extend([CheckResult(*row) for row in rows])
-    return report.sorted()
+    graphs = [
+        list(map(CheckResult._make, rows))
+        for rows in _sweep_rows(items, names, table, 1 if custom else cfg.threads)
+        if rows
+    ]
+    graphs.sort(key=lambda records: records[0].graph_key)
+    for records in graphs:
+        report.extend(records)
+    return report

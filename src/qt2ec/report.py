@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verdict for one named check on one graph.
 
     Failing records always carry a reproducible witness.  ``graph_key`` is
@@ -16,7 +16,9 @@ class CheckResult:
     ``verify_partition_laws`` leave it empty.  In a theorem sweep a
     check's run time sits in ``seconds`` on the first record that check
     returns for a graph and is None on the rest, so summing ``seconds``
-    counts each check's time once.
+    counts each check's time once.  A record is a named tuple: immutable,
+    hashable, and cheap to build, since a sweep builds one per record;
+    ``tuple(r)`` gives the fields in declaration order.
     """
 
     check: str
@@ -43,10 +45,6 @@ class VerificationReport:
 
     def extend(self, results: list[CheckResult]) -> None:
         self.results.extend(results)
-
-    def sorted(self) -> "VerificationReport":
-        ordered = sorted(self.results, key=lambda r: (r.graph_key, r.check, r.witness or ""))
-        return VerificationReport(ordered, dict(self.meta))
 
     def summary(self) -> dict[str, tuple[int, int]]:
         """Per check name: (pass count, fail count)."""

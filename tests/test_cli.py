@@ -197,6 +197,18 @@ def test_verify_refuses_empty_sweeps(capsys, argv, message):
     assert message in err
 
 
+def test_verify_refuses_thread_counts_out_of_range(capsys):
+    # Both refusals come before any corpus graph is built or pool started.
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--threads", "65")
+    assert code == 2 and out == ""
+    assert "threads must be 1..64, got 65" in err
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--max-n", "2", "--threads", value])
+        assert excinfo.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = run(capsys, "oracle", "--family", "cycle,5")
     assert code == 0

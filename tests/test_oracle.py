@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from qt2ec import (
@@ -11,13 +13,16 @@ from qt2ec import (
     RefusalError,
     SweepConfig,
     compute_classes,
+    encode_graph6,
     is_connected,
     parse_graph6,
     theorem_sweep,
 )
 from qt2ec.families import complete, cycle, path, triangle_with_tail, figure_graph
+from qt2ec import oracle
 from qt2ec.oracle import (
     ALL_CHECKS,
+    MAX_SWEEP_THREADS,
     brute_force_colouring_count,
     brute_force_orientation_count,
     enumerate_labeled_graphs,
@@ -135,6 +140,39 @@ def test_sweep_records_are_sorted_and_keyed():
     assert all(r.graph_key for r in report.results)
 
 
+def record_order(r: CheckResult) -> tuple[str, str, str]:
+    return r.graph_key, r.check, r.witness or ""
+
+
+def test_sweep_records_follow_the_graph_check_witness_order():
+    report = theorem_sweep(SweepConfig(max_n=5, sample_n6=100))
+    assert len(report.results) > 14298
+    assert report.results == sorted(report.results, key=record_order)
+
+
+def test_sweep_orders_each_checks_records_by_witness():
+    # Records of one name come back in mixed witness order, None among
+    # them; None and "" tie and keep the order the check returned them in.
+    returned = [("mixed", "b"), ("alpha", "z"), ("mixed", None), ("mixed", "a"),
+                ("mixed", ""), ("alpha", None), ("mixed", None)]
+
+    def scrambled(g, p):
+        return [CheckResult(name, True, detail=str(i), witness=w)
+                for i, (name, w) in enumerate(returned)]
+
+    report = theorem_sweep(
+        SweepConfig(max_n=3, checks=frozenset({"zeta"})), registry={"zeta": scrambled}
+    )
+    keys = sorted(encode_graph6(g) for n in range(1, 4) for g in enumerate_labeled_graphs(n))
+    one_graph = sorted(
+        ((name, w, str(i)) for i, (name, w) in enumerate(returned)),
+        key=lambda t: (t[0], t[1] or ""),
+    )
+    expected = [(key, *t) for key in keys for t in one_graph]
+    assert [(r.graph_key, r.check, r.witness, r.detail) for r in report.results] == expected
+    assert [r.detail for r in report.results[:7]] == ["5", "1", "2", "4", "6", "3", "0"]
+
+
 def test_sweep_graph_keys_decode_to_connected_graphs():
     # The checks carry no connectivity guards of their own: they rely on
     # the sweep's corpus holding connected graphs only.
@@ -184,6 +222,20 @@ def test_sweep_unknown_check_rejected():
 def test_sweep_refuses_empty_corpus(max_n):
     with pytest.raises(ContractError, match="max_n must be 1"):
         theorem_sweep(SweepConfig(max_n=max_n))
+
+
+@pytest.mark.parametrize("threads", [0, -1, MAX_SWEEP_THREADS + 1, 10**6])
+def test_sweep_refuses_thread_counts_out_of_range(monkeypatch, threads):
+    # The check must fire before the corpus, let alone a pool, exists.
+    def no_corpus(*args):
+        raise AssertionError("corpus built before the threads check")
+
+    monkeypatch.setattr(oracle, "_labeled_masks", no_corpus)
+    message = f"threads must be 1..{MAX_SWEEP_THREADS}, got {threads}"
+    with pytest.raises(ContractError, match=message):
+        theorem_sweep(SweepConfig(max_n=2, threads=threads))
+    with pytest.raises(ContractError, match=message):
+        theorem_sweep(SweepConfig(max_n=2, threads=threads), registry=ALL_CHECKS)
 
 
 def test_sweep_refuses_negative_sample():
@@ -247,3 +299,16 @@ def test_json_lines_round_trip():
         record = json.loads(line)
         assert record["passed"] is True
         assert record["graph6"]
+
+
+def test_check_result_is_an_immutable_hashable_record():
+    r = CheckResult("colouring-count", False, witness="brute=3 expected=2^1=2")
+    assert (r.graph_key, r.detail, r.seconds) == ("", None, None)
+    with pytest.raises(AttributeError):
+        r.passed = True
+    assert tuple(r) == ("colouring-count", False, "", "brute=3 expected=2^1=2", None, None)
+    keyed = CheckResult(check="c", passed=True, graph_key="Bw", seconds=0.5)
+    assert tuple(keyed) == ("c", True, "Bw", None, None, 0.5)
+    assert len({r, keyed, CheckResult(*tuple(r))}) == 2
+    assert pickle.loads(pickle.dumps(keyed)) == keyed
+    assert type(pickle.loads(pickle.dumps(keyed))) is CheckResult

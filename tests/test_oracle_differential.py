@@ -1,7 +1,8 @@
 """Differential tests of the verification half against the definitions it
 replaced, kept here as references: the backtracking brute-force counters
-against the exhaustive 2^m mask loops, and the two sweep checks decided by
-one scan or one kernel call against the per-class kernel loop and the full
+against the exhaustive 2^m mask loops, the subset witness oracle against
+its vertex-by-vertex module test, and the two sweep checks decided by one
+scan or one kernel call against the per-class kernel loop and the full
 shortest-path listing."""
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import astuple
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import qt2ec
 from qt2ec import EdgeClassPartition, Graph, RefusalError, SweepConfig, compute_classes, theorem_sweep
 from qt2ec.families import complete
-from qt2ec.graph import induced_p3s
+from qt2ec.graph import induced_p3s, reach
 from qt2ec.oracle import (
     ALL_CHECKS,
     MASK_CAP_EDGES,
@@ -30,7 +30,9 @@ from qt2ec.oracle import (
     brute_force_colouring_count,
     brute_force_orientation_count,
     enumerate_labeled_graphs,
+    graph_from_mask,
     sample_connected_graphs,
+    subset_witness_count,
 )
 
 
@@ -110,7 +112,7 @@ def test_pool_sweep_matches_serial_sweep():
     pooled = theorem_sweep(SweepConfig(max_n=4, threads=2))
 
     def shape(report):
-        return [astuple(r)[:-1] + (r.seconds is None,) for r in report.results]
+        return [tuple(r)[:-1] + (r.seconds is None,) for r in report.results]
 
     assert pooled.meta == serial.meta
     assert shape(pooled) == shape(serial)
@@ -125,6 +127,43 @@ def test_each_check_time_is_stamped_once_per_graph():
         records[r.graph_key] = records.get(r.graph_key, 0) + 1
     assert set(stamped.values()) == {len(ALL_CHECKS)}
     assert max(records.values()) > len(ALL_CHECKS)  # partition-laws alone returns four
+
+
+# ---------------------------------------------------------------------------
+# subset_witness_count
+
+
+def mask_loop_subset_witness_count(g: Graph) -> int:
+    """Every subset of size 2..n-1, tested as a module vertex by vertex
+    outside it, then for a connected induced subgraph."""
+    adj = [g.adjacency_bits(v) for v in range(g.n)]
+    count = 0
+    for mask in range(1 << g.n):
+        size = mask.bit_count()
+        if size < 2 or size > g.n - 1:
+            continue
+        module = True
+        for v in range(g.n):
+            if (mask >> v) & 1:
+                continue
+            hit = adj[v] & mask
+            if hit != 0 and hit != mask:
+                module = False
+                break
+        count += module and reach(adj, mask & -mask, mask) == mask
+    return count
+
+
+def test_subset_witness_count_matches_the_mask_loop():
+    rng = Random(6)
+    graphs = [g for n in range(1, 6) for g in enumerate_labeled_graphs(n, connected_only=False)]
+    graphs += [graph_from_mask(6, rng.getrandbits(15)) for _ in range(500)]
+    graphs += [complete(7), Graph(7), Graph(7, [(i, i + 1) for i in range(6)])]
+    graphs += [graph_from_mask(7, rng.getrandbits(21)) for _ in range(5)]
+    counts = [subset_witness_count(g) for g in graphs]
+    assert counts == [mask_loop_subset_witness_count(g) for g in graphs]
+    assert counts[-8] == 2**7 - 2 - 7  # K7: every subset of size 2..6
+    assert len(set(counts)) > 10
 
 
 def test_cli_import_does_not_load_the_process_pool():
