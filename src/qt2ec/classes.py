@@ -28,8 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .graph import EdgePair, Graph, induced_p3s, reach
+from .graph import EdgePair, Graph, induced_p3_edges, reach
 from .report import CheckResult, VerificationReport
+
+# The most classes an enumeration of the 2^k colourings or orientations takes.
+DEFAULT_ENUMERATION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -148,12 +151,10 @@ def class_of_edge(p: EdgeClassPartition, e: EdgePair) -> tuple[EdgePair, ...]:
 
 def first_straddle(g: Graph, p: EdgeClassPartition) -> tuple[int, int, int] | None:
     """The first induced P3 u-v-w, in ``induced_p3s`` order, whose edges uv
-    and vw lie in different classes of ``p``; None when there is none.
-    Both edges are read from the centre's row of the graph's edge map."""
-    class_of, edge_at = p.class_of, g._edge_at
-    for u, v, w in induced_p3s(g):
-        to_v = edge_at[v]
-        if class_of[to_v[u]] != class_of[to_v[w]]:
+    and vw lie in different classes of ``p``; None when there is none."""
+    class_of = p.class_of
+    for u, v, w, i, j in induced_p3_edges(g):
+        if class_of[i] != class_of[j]:
             return u, v, w
     return None
 

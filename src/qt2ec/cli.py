@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Sequence
 
-from .classes import compute_classes
+from .classes import DEFAULT_ENUMERATION_CAP, compute_classes
 from .colouring import (
     Colourability,
     classify_colourability,
@@ -336,7 +336,7 @@ def _build_parser(threads_default: str) -> argparse.ArgumentParser:
     sub = subparsers.add_parser("colour", help="count (and enumerate) colourings")
     _add_input_arguments(sub)
     sub.add_argument("--enumerate", action="store_true")
-    sub.add_argument("--cap", type=int, default=20, help="class-count cap for enumeration")
+    sub.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="class-count cap for enumeration")
     sub.set_defaults(fn=_cmd_colour)
 
     sub = subparsers.add_parser("classify", help="TrivialOnly | Unique | Properly(k)")
@@ -351,7 +351,7 @@ def _build_parser(threads_default: str) -> argparse.ArgumentParser:
     _add_input_arguments(sub, out_choices=("text", "json", "dot"))
     sub.add_argument("--seed-arc", metavar="U,V", help="emit the partial orientation generated by arc u->v")
     sub.add_argument("--enumerate", action="store_true")
-    sub.add_argument("--cap", type=int, default=20)
+    sub.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     sub.set_defaults(fn=_cmd_orient)
 
     sub = subparsers.add_parser("family", help="emit a generator graph")

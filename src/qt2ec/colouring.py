@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
 
-from .classes import EdgeClassPartition, compute_classes
+from .classes import DEFAULT_ENUMERATION_CAP, EdgeClassPartition, compute_classes
 from .errors import ContractError, RefusalError
-from .graph import EdgePair, Graph, induced_p3s, is_connected, is_module_set
-
-DEFAULT_ENUMERATION_CAP = 20
+from .graph import EdgePair, Graph, induced_p3_edges, is_connected, is_module_set
 
 RED = "R"
 BLUE = "B"
@@ -91,8 +89,8 @@ def is_quasi_transitive_colouring(
     """
     if c.graph != g:
         raise ContractError("colouring belongs to a different graph")
-    for u, v, w in induced_p3s(g):
-        if c.colours[g.edge_index(u, v)] != c.colours[g.edge_index(v, w)]:
+    for u, v, w, i, j in induced_p3_edges(g):
+        if c.colours[i] != c.colours[j]:
             return False, (u, v, w)
     return True, None
 

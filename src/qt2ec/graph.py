@@ -22,10 +22,11 @@ class Graph:
     the workload.  The one edge map, ``_edge_at[u][v]``, gives the index
     of edge {u, v}; its keys come out ascending, so they are also the
     sorted neighbour lists.  Walks over the bitsets go through
-    :func:`reach`, the package's only bitset BFS.  External string labels,
-    when present, map one-to-one onto the dense ids.
-    :func:`qt2ec.classes.compute_classes` memoises the edge-class
-    partition's fields in ``_partition``.
+    :func:`reach`, the package's only bitset BFS, and induced P3s through
+    :func:`induced_p3_edges`.  External string labels, when present, map
+    one-to-one onto the dense ids.  Only the forcing kernel in
+    :mod:`qt2ec.classes` reads these fields outside this module, and
+    ``compute_classes`` memoises its partition's fields in ``_partition``.
     """
 
     __slots__ = ("n", "edges", "labels", "_adj_bits", "_nbrs", "_edge_at", "_partition")
@@ -247,18 +248,15 @@ def encode_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise ContractError(f"graph6 supports at most 258047 vertices, got {n}")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        chunk = bits[k:k + 6] + [0] * (6 - len(bits[k:k + 6]))
-        value = 0
-        for b in chunk:
-            value = (value << 1) | b
-        chars.append(chr(value + 63))
-    return head + "".join(chars)
+    # Column j is pairs (0, j) .. (j - 1, j): row j's low j bits, reversed.
+    adj = g._adj_bits
+    bits = "".join([format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)])
+    nbits = len(bits)
+    pad = -nbits % 6
+    value = int(bits or "0", 2) << pad
+    return head + "".join(
+        chr((value >> shift & 63) + 63) for shift in range(nbits + pad - 6, -1, -6)
+    )
 
 
 _CLASS_STYLES = ("solid", "dashed", "dotted", "bold")
@@ -313,16 +311,24 @@ def to_dot(g: Graph, overlay: object = None) -> str:
 # structure queries
 
 
+def induced_p3_edges(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
+    """The package's one induced-P3 scan: each path of :func:`induced_p3s`,
+    in its order, as ``(u, v, w, i, j)`` with ``i`` the index of edge uv
+    and ``j`` that of vw, both read from the centre's edge-map row."""
+    adj, nbrs_of, edge_at = g._adj_bits, g._nbrs, g._edge_at
+    for v in range(g.n):
+        nbrs, to_v = nbrs_of[v], edge_at[v]
+        for a, u in enumerate(nbrs):
+            row, i = adj[u], to_v[u]
+            for w in nbrs[a + 1:]:
+                if not (row >> w) & 1:
+                    yield u, v, w, i, to_v[w]
+
+
 def induced_p3s(g: Graph) -> Iterator[tuple[int, int, int]]:
     """Yield each induced 3-vertex path once, centre-anchored: ``(u, v, w)``
     with ``uv, vw`` edges, ``uw`` a non-edge, and ``u < w``."""
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        for a, u in enumerate(nbrs):
-            row = g.adjacency_bits(u)
-            for w in nbrs[a + 1:]:
-                if not (row >> w) & 1:
-                    yield (u, v, w)
+    return ((u, v, w) for u, v, w, _, _ in induced_p3_edges(g))
 
 
 def _vertex_bits(g: Graph, vertices: VertexSet) -> int:
@@ -372,25 +378,21 @@ def reach(adj: Sequence[int] | Mapping[int, int], seed: int, within: int = -1) -
 def is_complete_multipartite(g: Graph) -> list[tuple[int, ...]] | None:
     """Parts of a complete multipartite decomposition, or None.
 
-    The complement must be a disjoint union of cliques: its connected
-    components are the candidate parts, valid iff each part is independent
-    in ``g``.  Parts are sorted by their smallest vertex.
+    A vertex's candidate part is its non-neighbourhood, itself included.
+    The graph is complete multipartite iff every member of that part has
+    the same non-neighbourhood.  Parts are sorted by their smallest vertex.
     """
     full = (1 << g.n) - 1
-    co_adj = [~a for a in g._adj_bits]
+    co_rows = [full & ~a for a in g._adj_bits]
     seen = 0
     parts: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if (seen >> start) & 1:
-            continue
-        component = reach(co_adj, 1 << start, full)
-        seen |= component
-        members = tuple(v for v in range(g.n) if (component >> v) & 1)
-        for i, u in enumerate(members):
-            for w in members[i + 1:]:
-                if g.has_edge(u, w):
-                    return None
-        parts.append(members)
+    for v, part in enumerate(co_rows):
+        if not (seen >> v) & 1:
+            members = tuple(u for u in range(g.n) if (part >> u) & 1)
+            if any(co_rows[u] != part for u in members):
+                return None
+            seen |= part
+            parts.append(members)
     return parts
 
 

@@ -32,7 +32,7 @@ from .colouring import (
     find_homogeneous_witness,
 )
 from .errors import ContractError, RefusalError
-from .graph import Graph, encode_graph6, induced_p3s, is_connected, is_module_set, reach
+from .graph import Graph, encode_graph6, induced_p3_edges, is_connected, is_module_set, reach
 from .orientation import orientability
 from .report import CheckResult, VerificationReport
 from .structure import (
@@ -64,9 +64,7 @@ def _p3_parity_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     whether v is the high end of exactly one of the two edges."""
     need = [0] * g.m
     odd = [0] * g.m
-    for u, v, w in induced_p3s(g):
-        to_v = g._edge_at[v]
-        i, j = to_v[u], to_v[w]
+    for u, v, w, i, j in induced_p3_edges(g):
         if i > j:
             i, j = j, i
         need[j] |= 1 << i
@@ -519,15 +517,20 @@ class SweepConfig:
 Row = tuple[str, bool, str, str | None, str | None, float | None]
 
 
+def _record_order(r: CheckResult | Row) -> tuple[str, str]:
+    """``(check, witness or "")``, at the same positions in records and rows."""
+    return r[0], r[3] or ""
+
+
 def _run_checks(g: Graph, names: list[str], registry: dict[str, CheckFn]) -> list[Row]:
     """Every named check on ``g``, as plain ``(check, passed, key, witness,
     detail, seconds)`` tuples keyed by graph6: the fields of
     ``CheckResult`` in order, which pickle far cheaper than records on
     their way back from a pool worker.  The rows come sorted by
     ``(check, witness or "")``; the sort is stable, so records that tie
-    keep the order their check returned them in.  A check's time goes on
-    its first record only, so the ``seconds`` sum to the time spent in
-    checks."""
+    keep the order their check returned them in.  A check's records are
+    sorted first, so its time goes on the first of them in that order and
+    the ``seconds`` sum to the time spent in checks."""
     key = encode_graph6(g)
     partition = compute_classes(g)
     out: list[Row] = []
@@ -535,10 +538,12 @@ def _run_checks(g: Graph, names: list[str], registry: dict[str, CheckFn]) -> lis
         started = time.perf_counter()
         records = registry[name](g, partition)
         seconds: float | None = time.perf_counter() - started
+        if len(records) > 1:
+            records = sorted(records, key=_record_order)
         for r in records:
             out.append((r.check, r.passed, key, r.witness, r.detail, seconds))
             seconds = None
-    out.sort(key=lambda row: (row[0], row[3] or ""))
+    out.sort(key=_record_order)
     return out
 
 

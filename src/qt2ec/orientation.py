@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .classes import EdgeClassPartition, compute_classes
+from .classes import DEFAULT_ENUMERATION_CAP, EdgeClassPartition, compute_classes
 from .errors import ContractError, InfeasibilityError, RefusalError
-from .graph import EdgePair, Graph, induced_p3s
+from .graph import EdgePair, Graph, induced_p3_edges
 
 
 @dataclass(frozen=True)
@@ -114,12 +114,6 @@ class OrientationFeasibility:
         return self.contradictions[class_id] is None
 
 
-def _head_parity(g: Graph, edge_index: int, centre: int) -> int:
-    """0 if bit 0 points the edge's head at ``centre``, else 1."""
-    _, hi = g.edge(edge_index)
-    return 0 if centre == hi else 1
-
-
 def is_quasi_transitive_orientation(
     g: Graph, o: Orientation
 ) -> tuple[bool, tuple[int, int, int] | None]:
@@ -132,11 +126,10 @@ def is_quasi_transitive_orientation(
         raise ContractError("orientation belongs to a different graph")
     if not o.is_total:
         raise ContractError("orientation must be total")
-    for u, v, w in induced_p3s(g):
-        i, j = g.edge_index(u, v), g.edge_index(v, w)
-        tail_i = o.bits[i] ^ _head_parity(g, i, v)  # type: ignore[operator]
-        tail_j = o.bits[j] ^ _head_parity(g, j, v)  # type: ignore[operator]
-        if tail_i != tail_j:
+    # Bit 0 heads an edge at its high end, so v is a common head or tail
+    # iff the bits differ exactly when v is the high end of one edge only.
+    for u, v, w, i, j in induced_p3_edges(g):
+        if o.bits[i] ^ o.bits[j] != ((u < v) != (w < v)):  # type: ignore[operator]
             return False, (u, v, w)
     return True, None
 
@@ -174,7 +167,7 @@ def orientability(g: Graph) -> OrientationFeasibility:
 
 
 def enumerate_orientations(
-    g: Graph, cap: int = 20
+    g: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[Orientation]:
     """Yield all quasi-transitive orientations in class-bitmask order.
 

@@ -14,10 +14,11 @@ class CheckResult(NamedTuple):
     the graph6 encoding of the graph under test; ``theorem_sweep`` sets
     it, and the records of a standalone verifier such as
     ``verify_partition_laws`` leave it empty.  In a theorem sweep a
-    check's run time sits in ``seconds`` on the first record that check
-    returns for a graph and is None on the rest, so summing ``seconds``
-    counts each check's time once.  A record is a named tuple: immutable,
-    hashable, and cheap to build, since a sweep builds one per record;
+    check's run time sits in ``seconds`` on the first of its records for
+    a graph in ``(check, witness)`` order and is None on the rest, so
+    summing ``seconds`` counts each check's time once.  A record is a
+    named tuple: immutable, hashable, and cheap to build, since a sweep
+    builds one per record;
     ``tuple(r)`` gives the fields in declaration order.
     """
 

@@ -187,17 +187,13 @@ def check_tinylemma_instances(
     instances = 0
     witness = None
     for cf in range(p.k):
-        vf = p.vertex_sets[cf]
         for ce in range(p.k):
             if ce == cf:
                 continue
-            ve = p.vertex_sets[ce]
-            if not (ve - vf):
+            rel = class_pair_relation(g, p, ce, cf)
+            if rel.tag != CROSSING:
                 continue
-            shared = ve & vf
-            b_side = vf - ve
-            if not shared or not b_side:
-                continue
+            shared, b_side = rel.shared, rel.only_second
             for a, b in p.class_edges(cf):
                 if a not in shared or b not in shared:
                     continue

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import networkx as nx
@@ -11,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qt2ec
 from qt2ec import (
     ContractError,
     FormatError,
     Graph,
     encode_graph6,
     format_edge_list,
+    induced_p3_edges,
     induced_p3s,
     induced_subgraph,
     is_complete_multipartite,
@@ -27,7 +31,8 @@ from qt2ec import (
     to_dot,
 )
 from qt2ec.colouring import EdgeColouring
-from qt2ec.families import complete, cycle, figure_graph, path
+from qt2ec.families import complete, complete_multipartite, cycle, figure_graph, path
+from qt2ec.oracle import enumerate_labeled_graphs
 from qt2ec.orientation import Orientation
 
 
@@ -298,6 +303,22 @@ def test_induced_p3s_match_triple_scan(g: Graph):
     assert found == brute
 
 
+@st.composite
+def gnp_graphs(draw, max_n: int = 14) -> Graph:
+    """A seeded G(n, p) graph."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    p = draw(st.sampled_from([0.15, 0.35, 0.6, 0.85]))
+    rng = Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return Graph(n, [pair for pair in combinations(range(n), 2) if rng.random() < p])
+
+
+@settings(max_examples=200, deadline=None)
+@given(gnp_graphs())
+def test_induced_p3_edges_carry_the_edge_indices_of_each_p3(g: Graph):
+    for u, v, w, i, j in induced_p3_edges(g):
+        assert (i, j) == (g.edge_index(u, v), g.edge_index(v, w))
+
+
 # ---------------------------------------------------------------------------
 # modules and multipartite structure
 
@@ -350,6 +371,85 @@ def test_is_complete_multipartite_matches_transitivity(g: Graph):
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 assert g.has_edge(u, v) == (part_of[u] != part_of[v])
+
+
+def complement_component_parts(g: Graph) -> list[tuple[int, ...]] | None:
+    """The complement-components form of ``is_complete_multipartite``: the
+    connected components of the complement are the candidate parts, valid
+    iff each is independent in ``g``."""
+    seen: set[int] = set()
+    parts = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        for v in component:
+            for w in range(g.n):
+                if w not in seen and w != v and not g.has_edge(v, w):
+                    seen.add(w)
+                    component.append(w)
+        members = tuple(sorted(component))
+        if any(g.has_edge(u, w) for u, w in combinations(members, 2)):
+            return None
+        parts.append(members)
+    return parts
+
+
+def test_is_complete_multipartite_matches_the_complement_components():
+    graphs = [Graph(0)]
+    graphs += [g for n in range(1, 6) for g in enumerate_labeled_graphs(n, connected_only=False)]
+    found = 0
+    for g in graphs:
+        parts = is_complete_multipartite(g)
+        assert parts == complement_component_parts(g), g.edges
+        found += parts is not None
+    assert 0 < found < len(graphs)
+    for sizes in [(1,), (4,), (1, 1), (2, 3), (1, 1, 2), (3, 3, 3), (1, 2, 3, 4), (5, 1, 5)]:
+        g = complete_multipartite(*sizes)
+        parts = is_complete_multipartite(g)
+        assert parts == complement_component_parts(g)
+        assert [len(part) for part in parts] == list(sizes)
+
+
+# ---------------------------------------------------------------------------
+# Graph's private fields
+
+PRIVATE_FIELDS = {"_adj_bits", "_edge_at", "_nbrs", "_partition"}
+KERNEL_READERS = {"compute_classes", "_forcing_kernel"}
+
+
+def _private_field_names(node: ast.AST) -> list[tuple[int, str]]:
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            name = sub.attr
+        elif isinstance(sub, ast.Name):
+            name = sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            name = sub.value
+        else:
+            continue
+        if name in PRIVATE_FIELDS:
+            found.append((sub.lineno, name))
+    return found
+
+
+def test_only_graph_and_the_forcing_kernel_name_graph_private_fields():
+    package = Path(qt2ec.__file__).parent
+    offenders = []
+    kernel_reads = 0
+    for source in sorted(package.glob("*.py")):
+        if source.name == "graph.py":
+            continue
+        for node in ast.parse(source.read_text(encoding="utf-8")).body:
+            names = _private_field_names(node)
+            if source.name == "classes.py" and getattr(node, "name", None) in KERNEL_READERS:
+                kernel_reads += len(names)
+            else:
+                offenders += [f"{source.name}:{line} {name}" for line, name in names]
+    assert offenders == []
+    assert kernel_reads > 0  # the scan does see the fields where they are read
 
 
 # ---------------------------------------------------------------------------

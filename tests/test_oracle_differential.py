@@ -11,7 +11,7 @@ import os
 import pickle
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, groupby
 from pathlib import Path
 from random import Random
 
@@ -20,7 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qt2ec
-from qt2ec import EdgeClassPartition, Graph, RefusalError, SweepConfig, compute_classes, theorem_sweep
+from qt2ec import (
+    EdgeClassPartition,
+    Graph,
+    RefusalError,
+    SweepConfig,
+    compute_classes,
+    orientability,
+    theorem_sweep,
+)
 from qt2ec.families import complete
 from qt2ec.graph import induced_p3s, reach
 from qt2ec.oracle import (
@@ -129,6 +137,23 @@ def test_each_check_time_is_stamped_once_per_graph():
     assert max(records.values()) > len(ALL_CHECKS)  # partition-laws alone returns four
 
 
+def test_a_multi_record_check_times_its_first_record_in_the_report():
+    # partition-laws returns the partition-* records and crossing-lemmas
+    # the crossing-* ones, and each family sorts together in a graph's rows.
+    report = theorem_sweep(SweepConfig(max_n=5))
+    multi = 0
+    for (key, family), block in groupby(
+        report.results, key=lambda r: (r.graph_key, r.check.split("-")[0])
+    ):
+        if family not in ("crossing", "partition"):
+            continue
+        seconds = [r.seconds for r in block]
+        assert seconds[0] is not None, (key, family)
+        assert seconds[1:] == [None] * (len(seconds) - 1), (key, family)
+        multi += len(seconds) > 1
+    assert multi == 866  # every graph's four partition-* records, and 94 crossing blocks
+
+
 # ---------------------------------------------------------------------------
 # subset_witness_count
 
@@ -164,6 +189,29 @@ def test_subset_witness_count_matches_the_mask_loop():
     assert counts == [mask_loop_subset_witness_count(g) for g in graphs]
     assert counts[-8] == 2**7 - 2 - 7  # K7: every subset of size 2..6
     assert len(set(counts)) > 10
+
+
+def test_counters_never_run_the_forcing_kernel(monkeypatch):
+    graphs = [g for n in range(1, 6) for g in enumerate_labeled_graphs(n)]
+    graphs += sample_connected_graphs(6, 60, seed=17)
+    expected = [
+        (1 << compute_classes(g).k, orientability(g).count, mask_loop_subset_witness_count(g))
+        for g in graphs
+    ]
+
+    def kernel(g):
+        raise AssertionError("the forcing kernel ran")
+
+    monkeypatch.setattr(qt2ec.classes, "_forcing_kernel", kernel)
+    with pytest.raises(AssertionError, match="kernel ran"):
+        compute_classes(Graph(3, [(0, 1), (1, 2)]))
+    for g, counts in zip(graphs, expected):
+        fresh = Graph(g.n, g.edges)  # no memoised partition
+        assert (
+            brute_force_colouring_count(fresh),
+            brute_force_orientation_count(fresh),
+            subset_witness_count(fresh),
+        ) == counts, g.edges
 
 
 def test_cli_import_does_not_load_the_process_pool():

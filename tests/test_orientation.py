@@ -19,6 +19,7 @@ from qt2ec import (
     same_gamma_class,
 )
 from qt2ec.families import complete, cycle, figure_graph, path
+from qt2ec.graph import Graph, induced_p3s
 from qt2ec.oracle import brute_force_orientation_count, enumerate_labeled_graphs
 
 # The twelve arcs of the full figure orientation (dense v_i -> i-1).
@@ -63,6 +64,35 @@ def test_partial_orientation_is_contract_error_for_validity():
 def test_conflicting_arcs_rejected():
     with pytest.raises(ContractError, match="both ways"):
         Orientation.from_arcs(path(3), [(0, 1), (1, 0)])
+
+
+def head_parity_verdict(g: Graph, o: Orientation) -> tuple[bool, tuple[int, int, int] | None]:
+    """The validity check in its head-parity form: an edge's head parity
+    at a centre is 0 when bit 0 points its head there, and the two edges
+    of an induced P3 must have the same bit xor head parity."""
+
+    def head_parity(index: int, centre: int) -> int:
+        return 0 if centre == g.edge(index)[1] else 1
+
+    for u, v, w in induced_p3s(g):
+        i, j = g.edge_index(u, v), g.edge_index(v, w)
+        if o.bits[i] ^ head_parity(i, v) != o.bits[j] ^ head_parity(j, v):
+            return False, (u, v, w)
+    return True, None
+
+
+def test_validity_matches_the_head_parity_form():
+    # Every total orientation of every labeled graph on at most four
+    # vertices, valid and invalid ones alike.
+    verdicts = {True: 0, False: 0}
+    for n in range(1, 5):
+        for g in enumerate_labeled_graphs(n, connected_only=False):
+            for mask in range(1 << g.m):
+                o = Orientation(g, tuple((mask >> e) & 1 for e in range(g.m)))
+                verdict = is_quasi_transitive_orientation(g, o)
+                assert verdict == head_parity_verdict(g, o), (g.edges, mask)
+                verdicts[verdict[0]] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 # ---------------------------------------------------------------------------
