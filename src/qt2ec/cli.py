@@ -52,6 +52,16 @@ _KIND_NAMES = {
 }
 
 
+def _add_output_argument(sub: argparse.ArgumentParser, out_choices: tuple[str, ...]) -> None:
+    sub.add_argument(
+        "--out",
+        dest="out_format",
+        choices=list(out_choices),
+        default="text",
+        help="output format (default text)",
+    )
+
+
 def _add_input_arguments(
     sub: argparse.ArgumentParser, out_choices: tuple[str, ...] = ("text", "json")
 ) -> None:
@@ -64,13 +74,7 @@ def _add_input_arguments(
         default="edgelist",
         help="input format (default edgelist)",
     )
-    sub.add_argument(
-        "--out",
-        dest="out_format",
-        choices=list(out_choices),
-        default="text",
-        help="output format (default text)",
-    )
+    _add_output_argument(sub, out_choices)
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
@@ -236,10 +240,6 @@ def _cmd_orient(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    if args.family is None:
-        raise ContractError("family subcommand requires --family SPEC")
-    if args.input is not None:
-        raise ContractError("family subcommand takes no input file")
     g = family_from_spec(args.family)
     if args.out_format == "graph6":
         _emit(encode_graph6(g))
@@ -355,7 +355,8 @@ def _build_parser(threads_default: str) -> argparse.ArgumentParser:
     sub.set_defaults(fn=_cmd_orient)
 
     sub = subparsers.add_parser("family", help="emit a generator graph")
-    _add_input_arguments(sub, out_choices=("text", "json", "dot", "graph6"))
+    sub.add_argument("--family", metavar="SPEC", required=True, help=f"generator spec: {FAMILY_USAGE}")
+    _add_output_argument(sub, ("text", "json", "dot", "graph6"))
     sub.set_defaults(fn=_cmd_family)
 
     sub = subparsers.add_parser("verify", help="run the theorem sweep")
@@ -371,12 +372,7 @@ def _build_parser(threads_default: str) -> argparse.ArgumentParser:
         default=threads_default,
         help="sweep worker processes (default QT2EC_THREADS or 1)",
     )
-    sub.add_argument(
-        "--out",
-        dest="out_format",
-        choices=["text", "json"],
-        default="text",
-    )
+    _add_output_argument(sub, ("text", "json"))
     sub.set_defaults(fn=_cmd_verify)
 
     sub = subparsers.add_parser("oracle", help="brute-force colouring/orientation counts")

@@ -114,7 +114,7 @@ class Graph:
         return v
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Graph)
             and self.n == other.n
             and self.edges == other.edges
@@ -314,7 +314,9 @@ def to_dot(g: Graph, overlay: object = None) -> str:
 def induced_p3_edges(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
     """The package's one induced-P3 scan: each path of :func:`induced_p3s`,
     in its order, as ``(u, v, w, i, j)`` with ``i`` the index of edge uv
-    and ``j`` that of vw, both read from the centre's edge-map row."""
+    and ``j`` that of vw, both read from the centre's edge-map row.  Since
+    ``u < w`` and the edges are indexed in pair order, ``i < j`` whether
+    v lies below, between or above u and w."""
     adj, nbrs_of, edge_at = g._adj_bits, g._nbrs, g._edge_at
     for v in range(g.n):
         nbrs, to_v = nbrs_of[v], edge_at[v]

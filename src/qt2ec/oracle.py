@@ -36,10 +36,11 @@ from .graph import Graph, encode_graph6, induced_p3_edges, is_connected, is_modu
 from .orientation import orientability
 from .report import CheckResult, VerificationReport
 from .structure import (
-    CROSSING,
+    NESTED,
     check_crossing_lemmas,
     check_tinylemma_instances,
     class_pair_relation,
+    crossing_pairs,
     three_class_classification,
 )
 
@@ -65,8 +66,6 @@ def _p3_parity_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     need = [0] * g.m
     odd = [0] * g.m
     for u, v, w, i, j in induced_p3_edges(g):
-        if i > j:
-            i, j = j, i
         need[j] |= 1 << i
         if (u < v) != (w < v):
             odd[j] |= 1 << i
@@ -385,7 +384,7 @@ def _check_two_class_nesting(g: Graph, p: EdgeClassPartition) -> list[CheckResul
     if p.k != 2:
         return _vacuous("two-class-nesting", f"k={p.k}, vacuous")
     rel = class_pair_relation(g, p, 0, 1)
-    ok = rel.tag == "nested"
+    ok = rel.tag == NESTED
     return [
         CheckResult(
             "two-class-nesting",
@@ -414,14 +413,11 @@ def _check_three_class(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
 
 
 def _check_crossing_lemmas(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for c in range(p.k):
-        for d in range(c + 1, p.k):
-            if class_pair_relation(g, p, c, d).tag == CROSSING:
-                results.extend(check_crossing_lemmas(g, p, c, d).results)
-    if not results:
-        return _vacuous("crossing-lemmas", "no crossing pairs")
-    return results
+    return [
+        r
+        for rel in crossing_pairs(g, p)
+        for r in check_crossing_lemmas(g, p, rel.first, rel.second).results
+    ] or _vacuous("crossing-lemmas", "no crossing pairs")
 
 
 def _check_tinylemma(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
@@ -609,7 +605,14 @@ def theorem_sweep(
     if cfg.sample_n6 and cfg.max_n < 6:
         items.extend((6, mask) for mask in _sample_connected_masks(6, cfg.sample_n6, cfg.seed))
 
-    report = VerificationReport(
+    graphs = [
+        list(map(CheckResult._make, rows))
+        for rows in _sweep_rows(items, names, table, 1 if custom else cfg.threads)
+        if rows
+    ]
+    graphs.sort(key=lambda records: records[0].graph_key)
+    return VerificationReport(
+        [r for records in graphs for r in records],
         meta={
             "max_n": cfg.max_n,
             "connected_only": True,  # always; kept in the report schema
@@ -617,14 +620,5 @@ def theorem_sweep(
             "sample_n6": cfg.sample_n6,
             "seed": cfg.seed,
             "graphs": len(items),
-        }
+        },
     )
-    graphs = [
-        list(map(CheckResult._make, rows))
-        for rows in _sweep_rows(items, names, table, 1 if custom else cfg.threads)
-        if rows
-    ]
-    graphs.sort(key=lambda records: records[0].graph_key)
-    for records in graphs:
-        report.extend(records)
-    return report

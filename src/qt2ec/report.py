@@ -44,9 +44,6 @@ class VerificationReport:
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if not r.passed]
 
-    def extend(self, results: list[CheckResult]) -> None:
-        self.results.extend(results)
-
     def summary(self) -> dict[str, tuple[int, int]]:
         """Per check name: (pass count, fail count)."""
         counts: dict[str, list[int]] = {}

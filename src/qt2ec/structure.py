@@ -50,6 +50,23 @@ def class_pair_relation(
     return ClassPairRelation(c, d, vc - vd, vd - vc, vc & vd)
 
 
+def crossing_pairs(g: Graph, p: EdgeClassPartition) -> list[ClassPairRelation]:
+    """The relations of the crossing class pairs c < d, in (c, d) order:
+    the package's one scan for them."""
+    if p.graph != g:
+        raise ContractError("partition does not belong to this graph")
+    sets = p.vertex_sets
+    out = []
+    for c in range(p.k):
+        vc = sets[c]
+        for d in range(c + 1, p.k):
+            vd = sets[d]
+            rel = ClassPairRelation(c, d, vc - vd, vd - vc, vc & vd)
+            if rel.tag == CROSSING:
+                out.append(rel)
+    return out
+
+
 def _induces_join(g: Graph, vertices: frozenset[int]) -> bool:
     """A join splits into two nonempty parts with every cross pair adjacent,
     i.e. the complement of the induced subgraph is disconnected."""
@@ -73,50 +90,38 @@ def check_crossing_lemmas(
     rel = class_pair_relation(g, p, c, d)
     if rel.tag != CROSSING:
         raise ContractError(f"class pair ({c}, {d}) is {rel.tag}, not crossing")
-    results: list[CheckResult] = []
     shared, a_side, b_side = rel.shared, rel.only_first, rel.only_second
 
-    witness = None
+    inside = avoids = None
     for cid in (c, d):
         for u, v in p.class_edges(cid):
-            if u in shared and v in shared:
-                witness = f"class {cid} edge {(u, v)} lies inside the intersection"
-                break
-        if witness:
-            break
-    results.append(CheckResult("crossing-no-edge-inside-intersection", witness is None, witness=witness))
+            touches = (u in shared) + (v in shared)
+            if touches == 2 and inside is None:
+                inside = f"class {cid} edge {(u, v)} lies inside the intersection"
+            elif touches == 0 and avoids is None:
+                avoids = f"class {cid} edge {(u, v)} avoids the intersection"
 
-    witness = None
+    # The first missing neighbour of u in the other class is the lowest
+    # set bit of that class's vertex bits outside u's adjacency row.
+    gap = None
     for side, other in ((a_side, p.vertex_sets[d]), (b_side, p.vertex_sets[c])):
+        other_bits = sum(1 << v for v in other)
         for u in sorted(side):
-            for v in sorted(other):
-                if not g.has_edge(u, v):
-                    witness = f"vertex {u} not adjacent to {v}"
-                    break
-            if witness:
+            missing = other_bits & ~g.adjacency_bits(u)
+            if missing:
+                v = (missing & -missing).bit_length() - 1
+                gap = f"vertex {u} not adjacent to {v}"
                 break
-        if witness:
+        if gap:
             break
-    results.append(CheckResult("crossing-sides-joined", witness is None, witness=witness))
 
-    witness = None
-    for cid in (c, d):
-        for u, v in p.class_edges(cid):
-            if u not in shared and v not in shared:
-                witness = f"class {cid} edge {(u, v)} avoids the intersection"
-                break
-        if witness:
-            break
-    results.append(CheckResult("crossing-edges-touch-intersection", witness is None, witness=witness))
-
-    witness = None
+    join = None
     for name, piece in (("A", a_side), ("B", b_side), ("I", shared)):
         if _induces_join(g, piece):
-            witness = f"piece {name} = {sorted(piece)} induces a join"
+            join = f"piece {name} = {sorted(piece)} induces a join"
             break
-    results.append(CheckResult("crossing-no-piece-is-join", witness is None, witness=witness))
 
-    witness = None
+    spread = None
     cross_classes = {
         p.class_of_pair(u, v)
         for u in a_side
@@ -124,9 +129,16 @@ def check_crossing_lemmas(
         if g.has_edge(u, v)
     }
     if len(cross_classes) > 1:
-        witness = f"side-to-side edges span classes {sorted(cross_classes)}"
-    results.append(CheckResult("crossing-cross-edges-one-class", witness is None, witness=witness))
-    return VerificationReport(results)
+        spread = f"side-to-side edges span classes {sorted(cross_classes)}"
+
+    laws = (
+        ("crossing-no-edge-inside-intersection", inside),
+        ("crossing-sides-joined", gap),
+        ("crossing-edges-touch-intersection", avoids),
+        ("crossing-no-piece-is-join", join),
+        ("crossing-cross-edges-one-class", spread),
+    )
+    return VerificationReport([CheckResult(name, w is None, witness=w) for name, w in laws])
 
 
 @dataclass(frozen=True)
@@ -178,39 +190,36 @@ def check_tinylemma_instances(
     """Scan every configuration matching the small adjacency lemma's
     hypotheses and assert the forced edge ux exists.
 
-    The hypotheses are restrictive (they require a class edge inside the
-    shared part), so most graphs contribute zero instances; the instance
-    count is recorded in the result detail.
+    Each crossing pair plays both roles, (ce, cf) and (cf, ce), in (cf, ce)
+    order.  Crossing law (a) rules out the cf edge inside the shared part
+    that the hypotheses need, so on a correct partition every graph has
+    zero instances; the instance count is recorded in the result detail.
     """
-    if p.graph != g:
-        raise ContractError("partition does not belong to this graph")
+    roles = []  # (cf, ce, cf's exclusive side, shared part)
+    for rel in crossing_pairs(g, p):
+        roles.append((rel.second, rel.first, rel.only_second, rel.shared))
+        roles.append((rel.first, rel.second, rel.only_first, rel.shared))
+    roles.sort(key=lambda role: role[:2])
     instances = 0
     witness = None
-    for cf in range(p.k):
-        for ce in range(p.k):
-            if ce == cf:
+    for cf, ce, b_side, shared in roles:
+        for a, b in p.class_edges(cf):
+            if a not in shared or b not in shared:
                 continue
-            rel = class_pair_relation(g, p, ce, cf)
-            if rel.tag != CROSSING:
-                continue
-            shared, b_side = rel.shared, rel.only_second
-            for a, b in p.class_edges(cf):
-                if a not in shared or b not in shared:
-                    continue
-                for u, v in ((a, b), (b, a)):
-                    for x in g.neighbors(v):
-                        if x not in b_side or p.class_of_pair(v, x) != cf:
+            for u, v in ((a, b), (b, a)):
+                for x in g.neighbors(v):
+                    if x not in b_side or p.class_of_pair(v, x) != cf:
+                        continue
+                    for y in g.neighbors(v):
+                        if y not in shared or y == u:
                             continue
-                        for y in g.neighbors(v):
-                            if y not in shared or y == u:
-                                continue
-                            if p.class_of_pair(v, y) == cf:
-                                continue
-                            if not g.has_edge(u, y) or p.class_of_pair(u, y) != ce:
-                                continue
-                            instances += 1
-                            if witness is None and not g.has_edge(u, x):
-                                witness = f"u={u} v={v} x={x} y={y}: edge ({u}, {x}) missing"
+                        if p.class_of_pair(v, y) == cf:
+                            continue
+                        if not g.has_edge(u, y) or p.class_of_pair(u, y) != ce:
+                            continue
+                        instances += 1
+                        if witness is None and not g.has_edge(u, x):
+                            witness = f"u={u} v={v} x={x} y={y}: edge ({u}, {x}) missing"
     result = CheckResult(
         "tinylemma-forced-edge",
         witness is None,

@@ -114,6 +114,103 @@ def test_json_output_echoes_graph6_key(capsys):
     assert record["k"] == 3
 
 
+def json_record(capsys, *argv: str) -> dict:
+    code, out, _ = run(capsys, *argv, "--out", "json")
+    assert code == 0
+    return json.loads(out)
+
+
+def test_colour_json_record(capsys):
+    record = json_record(capsys, "colour", "--family", "path,3", "--enumerate")
+    assert record == {
+        "schema": "qt2ec/1",
+        "graph6": "Bg",
+        "count": 2,
+        "edges": [[0, 1], [1, 2]],
+        "colourings": ["RR", "BB"],
+    }
+    record = json_record(capsys, "colour", "--family", "path,3")
+    assert "colourings" not in record and record["count"] == 2
+
+
+def test_classify_json_record(capsys):
+    record = json_record(capsys, "classify", "--family", "path,3")
+    assert record == {
+        "schema": "qt2ec/1",
+        "graph6": "Bg",
+        "classification": "TrivialOnly",
+        "k": 1,
+        "count": 2,
+    }
+    record = json_record(capsys, "classify", "--family", "double_path_apex,3")
+    assert (record["classification"], record["k"], record["count"]) == ("Properly(3)", 3, 8)
+
+
+def test_witness_json_record(capsys):
+    assert json_record(capsys, "witness", "--family", "path,3") == {
+        "schema": "qt2ec/1",
+        "graph6": "Bg",
+        "witness": None,
+    }
+    record = json_record(capsys, "witness", "--family", "triangle_tail,3")
+    assert record["witness"] == [3, 4]
+    assert record["labels"] == ["w0", "w1", "w2", "u", "v"]
+
+
+def test_orient_json_record(capsys):
+    record = json_record(
+        capsys, "orient", "--family", "path,3", "--seed-arc", "0,1", "--enumerate"
+    )
+    assert record == {
+        "schema": "qt2ec/1",
+        "graph6": "Bg",
+        "orientable": True,
+        "k": 1,
+        "count": 2,
+        "gamma": [[0, 1], [2, 1]],
+        "orientations": [[[0, 1], [2, 1]], [[1, 0], [1, 2]]],
+    }
+    assert json_record(capsys, "orient", "--family", "cycle,5") == {
+        "schema": "qt2ec/1",
+        "graph6": "Dhc",
+        "orientable": False,
+        "k": 1,
+        "count": 0,
+    }
+
+
+def test_json_records_of_a_labeled_edge_list_carry_the_labels(capsys, tmp_path):
+    # A triangle a-b-c with a pendant edge c-d: two classes, {ab} and the rest.
+    path = tmp_path / "labeled.txt"
+    path.write_text("a b\nb c\nc a\nc d\n")
+    header = {"schema": "qt2ec/1", "graph6": "Cx", "labels": ["a", "b", "c", "d"]}
+    fields = {
+        "classes": {"k": 2, "classes": [[[0, 1]], [[0, 2], [1, 2], [2, 3]]]},
+        "colour": {"count": 4, "edges": [[0, 1], [0, 2], [1, 2], [2, 3]]},
+        "classify": {"classification": "Unique", "k": 2, "count": 4},
+        "witness": {"witness": [0, 1]},
+        "orient": {"orientable": True, "k": 2, "count": 4},
+    }
+    for sub, expected in fields.items():
+        assert json_record(capsys, sub, str(path)) == {**header, **expected}, sub
+
+
+def test_family_takes_only_a_spec_and_an_output_format(capsys, tmp_path):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("a b\n")
+    for argv in (
+        ["family", str(graph), "--family", "cycle,4"],
+        ["family", "--family", "cycle,4", "--in", "graph6"],
+        ["family", "--out", "graph6"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
+        assert capsys.readouterr().out == ""
+    code, out, _ = run(capsys, "family", "--family", "cycle,4", "--out", "graph6")
+    assert code == 0 and out.strip() == encode_graph6(cycle(4))
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "classes")
     assert code == 2 and "input source" in err

@@ -170,6 +170,11 @@ def test_graph6_errors():
         parse_graph6("A__")
     with pytest.raises(FormatError, match="empty"):
         parse_graph6("   ")
+    for text in ("~", "~?"):
+        with pytest.raises(FormatError, match="truncated graph6 vertex count"):
+            parse_graph6(text)
+    with pytest.raises(FormatError, match="nonzero padding bits"):
+        parse_graph6("A`")
 
 
 @given(graphs(max_n=12))
@@ -317,6 +322,7 @@ def gnp_graphs(draw, max_n: int = 14) -> Graph:
 def test_induced_p3_edges_carry_the_edge_indices_of_each_p3(g: Graph):
     for u, v, w, i, j in induced_p3_edges(g):
         assert (i, j) == (g.edge_index(u, v), g.edge_index(v, w))
+        assert i < j
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Differential tests of the verification half against the definitions it
 replaced, kept here as references: the backtracking brute-force counters
 against the exhaustive 2^m mask loops, the subset witness oracle against
-its vertex-by-vertex module test, and the two sweep checks decided by one
+its vertex-by-vertex module test, the two sweep checks decided by one
 scan or one kernel call against the per-class kernel loop and the full
-shortest-path listing."""
+shortest-path listing, and the crossing-lemmas and tinylemma checks,
+which share one crossing-pair scan, against a crossing test per class
+pair."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations, groupby
 from pathlib import Path
 from random import Random
@@ -25,6 +28,8 @@ from qt2ec import (
     Graph,
     RefusalError,
     SweepConfig,
+    check_tinylemma_instances,
+    class_pair_relation,
     compute_classes,
     orientability,
     theorem_sweep,
@@ -41,6 +46,12 @@ from qt2ec.oracle import (
     graph_from_mask,
     sample_connected_graphs,
     subset_witness_count,
+)
+from qt2ec.structure import (
+    CROSSING,
+    TINY_LEMMA_HYPOTHESES,
+    _induces_join,
+    crossing_pairs,
 )
 
 
@@ -356,3 +367,202 @@ def gnp_and_merges(draw, max_n: int = 10) -> tuple[Graph, list[tuple[int, int]]]
 def test_rewritten_checks_on_random_graphs(case):
     g, merges = case
     assert_rewritten_checks_agree(g, merges)
+
+
+# ---------------------------------------------------------------------------
+# crossing-lemmas and tinylemma
+
+
+def reference_crossing_lemmas(g: Graph, p: EdgeClassPartition, c: int, d: int) -> list[tuple]:
+    """The five crossing laws of one pair as ``(check, passed, witness,
+    detail)``: laws (a) and (c) in a loop each, law (b) by ``has_edge`` over
+    the sorted sides, and laws (d) and (e) as the checks run them."""
+    rel = class_pair_relation(g, p, c, d)
+    shared, a_side, b_side = rel.shared, rel.only_first, rel.only_second
+    edges = [(cid, u, v) for cid in (c, d) for u, v in p.class_edges(cid)]
+    inside = next(
+        (
+            f"class {cid} edge {(u, v)} lies inside the intersection"
+            for cid, u, v in edges
+            if u in shared and v in shared
+        ),
+        None,
+    )
+    avoids = next(
+        (
+            f"class {cid} edge {(u, v)} avoids the intersection"
+            for cid, u, v in edges
+            if u not in shared and v not in shared
+        ),
+        None,
+    )
+    joined = next(
+        (
+            f"vertex {u} not adjacent to {v}"
+            for side, other in ((a_side, p.vertex_sets[d]), (b_side, p.vertex_sets[c]))
+            for u in sorted(side)
+            for v in sorted(other)
+            if not g.has_edge(u, v)
+        ),
+        None,
+    )
+    join = next(
+        (
+            f"piece {name} = {sorted(piece)} induces a join"
+            for name, piece in (("A", a_side), ("B", b_side), ("I", shared))
+            if _induces_join(g, piece)
+        ),
+        None,
+    )
+    cross = sorted({p.class_of_pair(u, v) for u in a_side for v in b_side if g.has_edge(u, v)})
+    spread = f"side-to-side edges span classes {cross}" if len(cross) > 1 else None
+    return [
+        (name, witness is None, witness, None)
+        for name, witness in (
+            ("crossing-no-edge-inside-intersection", inside),
+            ("crossing-sides-joined", joined),
+            ("crossing-edges-touch-intersection", avoids),
+            ("crossing-no-piece-is-join", join),
+            ("crossing-cross-edges-one-class", spread),
+        )
+    ]
+
+
+def reference_crossing_records(g: Graph, p: EdgeClassPartition) -> list[tuple]:
+    """The crossing-lemmas sweep check, each class pair tested for crossing
+    on its own."""
+    records = [
+        record
+        for c in range(p.k)
+        for d in range(c + 1, p.k)
+        if class_pair_relation(g, p, c, d).tag == CROSSING
+        for record in reference_crossing_lemmas(g, p, c, d)
+    ]
+    return records or [("crossing-lemmas", True, None, "no crossing pairs")]
+
+
+def reference_tinylemma(g: Graph, p: EdgeClassPartition) -> tuple[int, tuple]:
+    """The tinylemma record and its instance count, scanning every ordered
+    class pair (ce, cf) in (cf, ce) order."""
+    instances = 0
+    witness = None
+    for cf in range(p.k):
+        for ce in range(p.k):
+            if ce == cf:
+                continue
+            rel = class_pair_relation(g, p, ce, cf)
+            if rel.tag != CROSSING:
+                continue
+            shared, b_side = rel.shared, rel.only_second
+            for a, b in p.class_edges(cf):
+                if a not in shared or b not in shared:
+                    continue
+                for u, v in ((a, b), (b, a)):
+                    for x in g.neighbors(v):
+                        if x not in b_side or p.class_of_pair(v, x) != cf:
+                            continue
+                        for y in g.neighbors(v):
+                            if (
+                                y in shared
+                                and y != u
+                                and p.class_of_pair(v, y) != cf
+                                and g.has_edge(u, y)
+                                and p.class_of_pair(u, y) == ce
+                            ):
+                                instances += 1
+                                if witness is None and not g.has_edge(u, x):
+                                    witness = f"u={u} v={v} x={x} y={y}: edge ({u}, {x}) missing"
+    detail = f"instances={instances}; hypotheses: {TINY_LEMMA_HYPOTHESES}"
+    return instances, ("tinylemma-forced-edge", witness is None, witness, detail)
+
+
+def records_of(g: Graph, p: EdgeClassPartition, name: str) -> list[tuple]:
+    return [(r.check, r.passed, r.witness, r.detail) for r in ALL_CHECKS[name](g, p)]
+
+
+def assert_crossing_checks_agree(g: Graph, partitions, fails: Counter) -> None:
+    """Both checks against their references on each partition; counts each
+    failing record by check, and partitions with tinylemma instances."""
+    for p in partitions:
+        old = reference_crossing_records(g, p)
+        assert records_of(g, p, "crossing-lemmas") == old, (g.edges, p.classes)
+        instances, record = reference_tinylemma(g, p)
+        assert records_of(g, p, "tinylemma") == [record], (g.edges, p.classes)
+        fails.update(check for check, passed, _, _ in old + [record] if not passed)
+        fails["partitions with tinylemma instances"] += instances > 0
+
+
+def test_crossing_checks_on_every_labeled_graph_up_to_five_vertices():
+    fails: Counter = Counter()
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n, connected_only=False):
+            assert_crossing_checks_agree(g, tampered_partitions(g), fails)
+    # The tampering breaks every crossing law many times over, but never
+    # puts a class edge inside a shared part with the lemma's other
+    # hypotheses met.
+    laws = [count for check, count in fails.items() if check.startswith("crossing-")]
+    assert len(laws) == 5 and min(laws) > 600, fails
+    assert fails["partitions with tinylemma instances"] == 0, fails
+
+
+def random_groupings(g: Graph, rng: Random, count: int):
+    """``count`` partitions of g's edges into 2..4 classes, each edge in a
+    class drawn at random (a class may stay empty)."""
+    for _ in range(count):
+        groups: list[list[int]] = [[] for _ in range(rng.randint(2, 4))]
+        for e in range(g.m):
+            groups[rng.randrange(len(groups))].append(e)
+        yield partition_of(g, groups)
+
+
+def test_crossing_checks_on_random_groupings_of_four_and_five_vertex_graphs():
+    rng = Random(1)
+    fails: Counter = Counter()
+    for n in (4, 5):
+        for g in enumerate_labeled_graphs(n):
+            assert_crossing_checks_agree(g, random_groupings(g, rng, 3), fails)
+    # 2,298 partitions: 55 meet the lemma's hypotheses and 41 of those
+    # miss a forced edge.
+    assert fails["partitions with tinylemma instances"] == 55, fails
+    assert fails["tinylemma-forced-edge"] == 41, fails
+
+
+# The diamond 0-1-3-2 (diagonal 1-2) with a pendant edge 2-4, split by hand
+# into the crossing classes {02, 12, 24} and {01, 13, 23}: u=0, v=1, x=3,
+# y=2 meets the lemma's hypotheses, and its forced edge 0-3 is missing.
+TINY_GRAPH_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4)]
+
+
+def pair_classes(g: Graph, *classes: list[tuple[int, int]]) -> EdgeClassPartition:
+    return partition_of(g, [[g.edge_index(u, v) for u, v in pairs] for pairs in classes])
+
+
+def test_tinylemma_names_the_missing_forced_edge():
+    g = Graph(5, TINY_GRAPH_EDGES)
+    p = pair_classes(g, [(0, 2), (1, 2), (2, 4)], [(0, 1), (1, 3), (2, 3)])
+    assert [(rel.first, rel.second) for rel in crossing_pairs(g, p)] == [(0, 1)]
+    (record,) = check_tinylemma_instances(g, p).results
+    assert not record.passed
+    assert record.witness == "u=0 v=1 x=3 y=2: edge (0, 3) missing"
+    assert record.detail.startswith("instances=1;")
+
+
+def test_tinylemma_passes_once_the_forced_edge_is_there():
+    g = Graph(5, TINY_GRAPH_EDGES + [(0, 3)])
+    p = pair_classes(g, [(0, 2), (1, 2), (2, 4)], [(0, 1), (1, 3), (2, 3), (0, 3)])
+    (record,) = check_tinylemma_instances(g, p).results
+    assert record.passed and record.witness is None
+    assert record.detail.startswith("instances=2;")
+
+
+def test_tinylemma_names_the_witness_of_the_role_with_the_lower_cf():
+    # The edge 0-4 joined to the independent set {1, 2, 3}, split by hand
+    # into {04}, {02, 14, 24} and {01, 03, 34}.  Classes 1 and 2 cross on
+    # {0, 1, 4}, and each role of the pair misses a forced edge: 1-2 with
+    # class 1 as cf, 1-3 with class 2 as cf.
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
+    p = pair_classes(g, [(0, 4)], [(0, 2), (1, 4), (2, 4)], [(0, 1), (0, 3), (3, 4)])
+    assert [(rel.first, rel.second) for rel in crossing_pairs(g, p)] == [(1, 2)]
+    (record,) = check_tinylemma_instances(g, p).results
+    assert record.witness == "u=1 v=4 x=2 y=0: edge (1, 2) missing"
+    assert record.detail.startswith("instances=2;")

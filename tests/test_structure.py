@@ -23,7 +23,7 @@ from qt2ec.families import (
 )
 from qt2ec.graph import Graph
 from qt2ec.oracle import enumerate_labeled_graphs
-from qt2ec.structure import CROSSING, DISJOINT, NESTED
+from qt2ec.structure import CROSSING, DISJOINT, NESTED, crossing_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +76,25 @@ def test_pair_relation_pieces_cover_union():
                 p.vertex_sets[c] | p.vertex_sets[d]
             )
             assert rel.tag in (DISJOINT, NESTED, CROSSING)
+
+
+def test_crossing_pairs_are_the_crossing_relations_in_pair_order():
+    pinned = {"k4_minus_e": [(0, 1), (0, 2), (1, 2)], "fig1_left": [(0, 1), (0, 3), (1, 3)]}
+    for name in ("k4_minus_e", "fig1_left", "fig1_right"):
+        g = figure_graph(name)
+        p = compute_classes(g)
+        expected = [
+            class_pair_relation(g, p, c, d)
+            for c in range(p.k)
+            for d in range(c + 1, p.k)
+            if class_pair_relation(g, p, c, d).tag == CROSSING
+        ]
+        assert crossing_pairs(g, p) == expected
+        assert [(r.first, r.second) for r in expected] == pinned.get(name, [])
+        # An equal graph built apart passes the guard too.
+        assert crossing_pairs(Graph(g.n, g.edges, g.labels), p) == expected
+    with pytest.raises(ContractError, match="does not belong"):
+        crossing_pairs(cycle(4), p)
 
 
 # ---------------------------------------------------------------------------
