@@ -10,17 +10,26 @@ closure is the set of connected components of the complement of G[N(v)]
 ch. 5), and within one such co-component every edge points at v or every
 edge points away from v.
 
-The kernel reads ``Graph``'s adjacency bitsets and edge map.  At each
-centre it takes every co-component with :func:`qt2ec.graph.reach` over the
-complemented bitsets, bounded by the centre's unvisited neighbours, and
-links the co-component's edges, with their head/tail parity, to its first
-edge: per-edge link lists with at most 4m entries, however many induced
-P3s there are.  One BFS over those links from each unlabelled edge in
-index order then labels the edge classes.  It gives every edge its
-direction relative to its class's least edge, and an edge reached with
-both directions names a class that admits no orientation.  ``Graph`` is
-immutable, so the partition is computed once per graph and memoised on it;
-the colouring, orientation and CLI paths all read that one result.
+The kernel works over stars.  A star is one pair (centre v, co-component C
+of N(v)), and it holds the edges from v to C.  Every edge lies in exactly
+two stars, one at each end.  Let sigma(s) say that the edges of star s point
+at its centre.  An edge's head is at the centre of one of its two stars and
+its tail at the other, so its two stars have opposite sigma.  A class is
+then a connected component of the star graph, which has one node per star
+and one link per edge.  The class is orientable iff its component is
+bipartite, and an edge's direction bit is the colour of the star at its
+low end.
+
+At each centre the kernel takes every co-component with
+:func:`qt2ec.graph.reach` over the complemented bitsets, bounded by the
+centre's unvisited neighbours, and gives it a star id.  A centre whose whole
+neighbourhood is one co-component is one star: its upper edges get that
+id all at once, with no walk over the members, and only its edges to lower
+neighbours are linked one by one.  One BFS over the star graph from the
+low star of each unlabelled edge, in edge order, then labels the classes,
+and C-level maps over the low stars give every edge its class and bit.  ``Graph`` is immutable, so the partition is
+computed once per graph and memoised on it; the colouring, orientation and
+CLI paths all read that one result.
 """
 
 from __future__ import annotations
@@ -41,8 +50,11 @@ class EdgeClassPartition:
 
     ``bits[e]`` is edge e's direction (0 = low->high) in its class's
     canonical orientation, the one orienting the class's least edge
-    low->high.  ``contradictions[c]`` is an edge of class c that the forcing
-    rule orients both ways, or None when the class is orientable.
+    low->high.  ``contradictions[c]`` is None when class c is orientable.
+    Otherwise it is the class's least edge, which the forcing rule orients
+    both ways: in a class with an odd cycle of forcings, every edge is
+    reached with both bits from any seed.  The bits inside such a class
+    carry no meaning.
     """
 
     graph: Graph
@@ -82,66 +94,95 @@ def _forcing_kernel(g: Graph) -> tuple:
     """The fields of ``g``'s partition after ``graph``, in declaration order."""
     adj, edge_at = g._adj_bits, g._edge_at
     co_adj = [~a for a in adj]
-    # links[e] lists the edges forced together with e, each as f << 1 | rel,
-    # where rel is bit(e) xor bit(f) and bit 0 orients an edge low->high.
-    links: list[list[int]] = [[] for _ in range(g.m)]
-
+    # Star s is one co-component of the neighbourhood of centre[s].
+    # links[s] holds the star at the far end of each of s's edges, and
+    # low[e] the star at edge e's low end.  A vertex's upper edges have
+    # consecutive indices, so low fills up in edge order.
+    centre: list[int] = []
+    links: list[list[int]] = []
+    low: list[int] = []
     for v in range(g.n):
         left = adj[v]
-        if left & (left - 1) == 0:  # fewer than two neighbours
+        if not left:
             continue
         to_v = edge_at[v]
-        while left:
-            # Take the co-component of the least unvisited neighbour u0 and
-            # link each member's edge to vu0.  Edge vu has its head at v iff
-            # bit(vu) == (v < u), so member u has rel (v < u0) ^ (v < u).
-            low = left & -left
-            u0 = low.bit_length() - 1
-            e0, h0 = to_v[u0], v < u0
-            star = links[e0]
-            comp = reach(co_adj, low, left)
-            left ^= comp
-            comp ^= low
-            while comp:
-                y = comp & -comp
-                comp ^= y
-                u = y.bit_length() - 1
-                e, rel = to_v[u], h0 ^ (v < u)
-                star.append(e << 1 | rel)
-                links[e].append(e0 << 1 | rel)
+        s = len(links)
+        comp = reach(co_adj, left & -left, left)
+        if comp == left:
+            # One star holds every edge at v.  Its edges to lower
+            # neighbours reach the stars already made at their low ends.
+            centre.append(v)
+            down = []
+            for u, e in to_v.items():
+                if u > v:
+                    break
+                a = low[e]
+                down.append(a)
+                links[a].append(s)
+            links.append(down)
+            low += [s] * (len(to_v) - len(down))
+        else:
+            # Several stars: walk each co-component's members.  A member
+            # above v fills in its edge's low star, whose slot is reserved
+            # here; a member below v links the new star to its own.
+            low += [0] * (left >> v).bit_count()
+            while True:
+                centre.append(v)
+                links.append([])
+                left ^= comp
+                while comp:
+                    y = comp & -comp
+                    comp ^= y
+                    u = y.bit_length() - 1
+                    e = to_v[u]
+                    if u > v:
+                        low[e] = s
+                    else:
+                        a = low[e]
+                        links[a].append(s)
+                        links[s].append(a)
+                if not left:
+                    break
+                s += 1
+                comp = reach(co_adj, left & -left, left)
 
-    # One BFS per class, started from its least edge with bit 0, so class
-    # ids follow least edges and bits come out canonical.  An edge reached
-    # again with the other bit is forced both ways: the class's contradiction.
-    class_of = [-1] * g.m
-    bits = [0] * g.m
-    members: list[list[int]] = []
+    # One BFS per class over the stars, started with colour 0 from the low
+    # star of the least edge not yet labelled, so class ids follow least
+    # edges and each least edge gets bit 0: bits[e] is the colour of e's
+    # low star.  A link between two stars of one colour closes an odd cycle,
+    # and then the class has no orientation.
+    label = [-1] * len(links)
+    colour = [0] * len(links)
+    vertex_sets: list[frozenset[int]] = []
     contradictions: list[EdgePair | None] = []
-    for start in range(g.m):
-        if class_of[start] >= 0:
+    for e, s in enumerate(low):
+        if label[s] >= 0:
             continue
-        cid = len(members)
-        class_of[start] = cid
-        clash = None
-        queue = [start]
+        cid = len(vertex_sets)
+        label[s] = cid
+        odd = False
+        queue = [s]
         for x in queue:
-            bit = bits[x]
-            for link in links[x]:
-                f = link >> 1
-                b = bit ^ (link & 1)
-                if class_of[f] < 0:
-                    class_of[f] = cid
-                    bits[f] = b
-                    queue.append(f)
-                elif bits[f] != b and clash is None:
-                    clash = f
-        queue.sort()
-        members.append(queue)
-        contradictions.append(None if clash is None else g.edge(clash))
-    pairs = g.edges
-    vertex_sets = tuple(frozenset([x for e in edges for x in pairs[e]]) for edges in members)
-    classes = tuple(tuple(edges) for edges in members)
-    return tuple(class_of), classes, vertex_sets, tuple(bits), tuple(contradictions)
+            c = colour[x] ^ 1
+            for t in links[x]:
+                if label[t] < 0:
+                    label[t] = cid
+                    colour[t] = c
+                    queue.append(t)
+                elif colour[t] != c:
+                    odd = True
+        vertex_sets.append(frozenset(map(centre.__getitem__, queue)))
+        contradictions.append(g.edges[e] if odd else None)
+    class_of = tuple(map(label.__getitem__, low))
+    if len(vertex_sets) == 1:
+        classes = (tuple(range(g.m)),)
+    else:
+        members: list[list[int]] = [[] for _ in vertex_sets]
+        for e, cid in enumerate(class_of):
+            members[cid].append(e)
+        classes = tuple(map(tuple, members))
+    bits = tuple(map(colour.__getitem__, low))
+    return class_of, classes, tuple(vertex_sets), bits, tuple(contradictions)
 
 
 def class_of_edge(p: EdgeClassPartition, e: EdgePair) -> tuple[EdgePair, ...]:

@@ -360,12 +360,13 @@ def reach(adj: Sequence[int] | Mapping[int, int], seed: int, within: int = -1) -
     along the adjacency bitsets ``adj``, never leaving the bitset
     ``within``.  ``adj`` only needs entries for the vertices visited.
 
-    This is the package's one bitset BFS.  A complemented row ``~a`` walks
-    the complement graph; it is negative, so it needs a finite (non-negative)
+    This is the package's one bitset BFS.  It stops as soon as the
+    component fills ``within``.  A complemented row ``~a`` walks the
+    complement graph; it is negative, so it needs a finite (non-negative)
     ``within`` to stay inside the vertex range.
     """
     component = frontier = seed
-    while frontier:
+    while frontier and component != within:
         nxt = 0
         f = frontier
         while f:

@@ -37,11 +37,11 @@ from .orientation import orientability
 from .report import CheckResult, VerificationReport
 from .structure import (
     NESTED,
-    check_crossing_lemmas,
+    _classify_three,
+    _crossing_laws,
     check_tinylemma_instances,
     class_pair_relation,
     crossing_pairs,
-    three_class_classification,
 )
 
 MASK_CAP_EDGES = 22
@@ -397,7 +397,7 @@ def _check_two_class_nesting(g: Graph, p: EdgeClassPartition) -> list[CheckResul
 def _check_three_class(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     if p.k != 3:
         return _vacuous("three-class-classification", f"k={p.k}, vacuous")
-    outcome = three_class_classification(g)
+    outcome = _classify_three(g, p)
     ok = outcome.tripartite_parts is not None or outcome.spanning_class is not None
     detail = None
     if outcome.tripartite_parts is not None and outcome.spanning_class is not None:
@@ -416,7 +416,7 @@ def _check_crossing_lemmas(g: Graph, p: EdgeClassPartition) -> list[CheckResult]
     return [
         r
         for rel in crossing_pairs(g, p)
-        for r in check_crossing_lemmas(g, p, rel.first, rel.second).results
+        for r in _crossing_laws(g, p, rel)
     ] or _vacuous("crossing-lemmas", "no crossing pairs")
 
 

@@ -90,6 +90,13 @@ def check_crossing_lemmas(
     rel = class_pair_relation(g, p, c, d)
     if rel.tag != CROSSING:
         raise ContractError(f"class pair ({c}, {d}) is {rel.tag}, not crossing")
+    return VerificationReport(_crossing_laws(g, p, rel))
+
+
+def _crossing_laws(g: Graph, p: EdgeClassPartition, rel: ClassPairRelation) -> list[CheckResult]:
+    """The records of :func:`check_crossing_lemmas` for the crossing
+    relation ``rel``, which the caller has already built."""
+    c, d = rel.first, rel.second
     shared, a_side, b_side = rel.shared, rel.only_first, rel.only_second
 
     inside = avoids = None
@@ -138,7 +145,7 @@ def check_crossing_lemmas(
         ("crossing-no-piece-is-join", join),
         ("crossing-cross-edges-one-class", spread),
     )
-    return VerificationReport([CheckResult(name, w is None, witness=w) for name, w in laws])
+    return [CheckResult(name, w is None, witness=w) for name, w in laws]
 
 
 @dataclass(frozen=True)
@@ -169,6 +176,12 @@ def three_class_classification(g: Graph) -> ThreeClassOutcome:
     p = compute_classes(g)
     if p.k != 3:
         raise ContractError(f"expected exactly 3 classes, found {p.k}")
+    return _classify_three(g, p)
+
+
+def _classify_three(g: Graph, p: EdgeClassPartition) -> ThreeClassOutcome:
+    """The outcome of :func:`three_class_classification`, read from the
+    three classes of ``p`` as given."""
     parts = is_complete_multipartite(g)
     tri = tuple(parts) if parts is not None and len(parts) == 3 else None
     everything = frozenset(range(g.n))

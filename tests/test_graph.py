@@ -30,6 +30,7 @@ from qt2ec import (
     parse_graph6,
     to_dot,
 )
+from qt2ec.graph import reach
 from qt2ec.colouring import EdgeColouring
 from qt2ec.families import complete, complete_multipartite, cycle, figure_graph, path
 from qt2ec.oracle import enumerate_labeled_graphs
@@ -498,6 +499,38 @@ def test_is_connected_on_a_subset_rejects_foreign_vertices():
     for bad in ({0, 4}, {-1}, {2, -3}):
         with pytest.raises(ContractError):
             is_connected(g, bad)
+
+
+@st.composite
+def reach_cases(draw) -> tuple[list[int], int, int, int]:
+    """Random rows on n vertices (not necessarily symmetric), a seed and a
+    ``within`` set.  Complemented rows come with a finite ``within``, as
+    ``reach`` requires; plain rows also get ``within=-1``."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    full = (1 << n) - 1
+    rows = draw(st.lists(st.integers(min_value=0, max_value=full), min_size=n, max_size=n))
+    seed = draw(st.integers(min_value=0, max_value=full))
+    complemented = draw(st.booleans())
+    if complemented:
+        rows = [~row for row in rows]
+        within = draw(st.integers(min_value=0, max_value=full))
+    else:
+        within = draw(st.one_of(st.just(-1), st.integers(min_value=0, max_value=full)))
+    return rows, seed, within, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(reach_cases())
+def test_reach_matches_a_plain_bfs(case):
+    rows, seed, within, n = case
+    found = {v for v in range(n) if seed >> v & 1}
+    queue = list(found)
+    for v in queue:
+        for u in range(n):
+            if rows[v] >> u & 1 and within >> u & 1 and u not in found:
+                found.add(u)
+                queue.append(u)
+    assert reach(rows, seed, within) == sum(1 << v for v in found)
 
 
 def test_induced_subgraph_reads_off_adjacency():

@@ -1,11 +1,12 @@
-"""Differential test of the co-component forcing kernel.
+"""Differential tests of the star forcing kernel.
 
-The reference below is the definitional algorithm the kernel replaced: one
-parity union per induced P3, straight from ``induced_p3s``.  The kernel
-must reproduce its exact partition, its per-class consistency and its
-canonical orientations, on random graphs and on family graphs with
-hundreds of vertices; every orientation the fast path hands out must pass
-the definitional validity check.
+The first reference is the definitional algorithm: one parity union per
+induced P3, straight from ``induced_p3s``.  The kernel must reproduce its
+exact partition, its per-class consistency and its canonical orientations,
+on random graphs and on family graphs with hundreds of vertices; every
+orientation the fast path hands out must pass the definitional validity
+check.  The second is the link-list kernel that the star kernel replaced,
+kept here verbatim, on the benchmark's large graph shapes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from qt2ec import (
     partial_orientation,
 )
 from qt2ec.families import family_from_spec
+from qt2ec.graph import EdgePair, reach
 
 
 def p3_reference(g: Graph) -> tuple[tuple[tuple[int, ...], ...], list[bool], list[int]]:
@@ -159,3 +161,170 @@ def test_kernel_matches_p3_reference_on_dense_random_graphs(seed: int):
     p = compute_classes(g)
     assert p.k == 1 and p.contradictions[0] is not None
     check_against_reference(g, rng, enumeration_cap=0)
+
+
+# ---------------------------------------------------------------------------
+# the link-list kernel the star kernel replaced
+
+
+def link_list_kernel(g: Graph) -> tuple:
+    """The fields of ``g``'s partition after ``graph``, in declaration order."""
+    adj, edge_at = g._adj_bits, g._edge_at
+    co_adj = [~a for a in adj]
+    # links[e] lists the edges forced together with e, each as f << 1 | rel,
+    # where rel is bit(e) xor bit(f) and bit 0 orients an edge low->high.
+    links: list[list[int]] = [[] for _ in range(g.m)]
+
+    for v in range(g.n):
+        left = adj[v]
+        if left & (left - 1) == 0:  # fewer than two neighbours
+            continue
+        to_v = edge_at[v]
+        while left:
+            # Take the co-component of the least unvisited neighbour u0 and
+            # link each member's edge to vu0.  Edge vu has its head at v iff
+            # bit(vu) == (v < u), so member u has rel (v < u0) ^ (v < u).
+            low = left & -left
+            u0 = low.bit_length() - 1
+            e0, h0 = to_v[u0], v < u0
+            star = links[e0]
+            comp = reach(co_adj, low, left)
+            left ^= comp
+            comp ^= low
+            while comp:
+                y = comp & -comp
+                comp ^= y
+                u = y.bit_length() - 1
+                e, rel = to_v[u], h0 ^ (v < u)
+                star.append(e << 1 | rel)
+                links[e].append(e0 << 1 | rel)
+
+    # One BFS per class, started from its least edge with bit 0, so class
+    # ids follow least edges and bits come out canonical.  An edge reached
+    # again with the other bit is forced both ways: the class's contradiction.
+    class_of = [-1] * g.m
+    bits = [0] * g.m
+    members: list[list[int]] = []
+    contradictions: list[EdgePair | None] = []
+    for start in range(g.m):
+        if class_of[start] >= 0:
+            continue
+        cid = len(members)
+        class_of[start] = cid
+        clash = None
+        queue = [start]
+        for x in queue:
+            bit = bits[x]
+            for link in links[x]:
+                f = link >> 1
+                b = bit ^ (link & 1)
+                if class_of[f] < 0:
+                    class_of[f] = cid
+                    bits[f] = b
+                    queue.append(f)
+                elif bits[f] != b and clash is None:
+                    clash = f
+        queue.sort()
+        members.append(queue)
+        contradictions.append(None if clash is None else g.edge(clash))
+    pairs = g.edges
+    vertex_sets = tuple(frozenset([x for e in edges for x in pairs[e]]) for edges in members)
+    classes = tuple(tuple(edges) for edges in members)
+    return tuple(class_of), classes, vertex_sets, tuple(bits), tuple(contradictions)
+
+
+def p3_parity_reach(g: Graph, seed: int) -> list[set[int]]:
+    """Every bit each edge can take when ``seed`` has bit 0, by a BFS over
+    (edge, bit) states along the induced-P3 parity rule of ``p3_reference``."""
+    forced: list[list[tuple[int, int]]] = [[] for _ in range(g.m)]
+    for u, v, w in induced_p3s(g):
+        i, j = g.edge_index(u, v), g.edge_index(v, w)
+        rel = (v == g.edge(i)[1]) ^ (v == g.edge(j)[1])
+        forced[i].append((j, rel))
+        forced[j].append((i, rel))
+    reached: list[set[int]] = [set() for _ in range(g.m)]
+    reached[seed].add(0)
+    queue = [(seed, 0)]
+    for e, bit in queue:
+        for f, rel in forced[e]:
+            if bit ^ rel not in reached[f]:
+                reached[f].add(bit ^ rel)
+                queue.append((f, bit ^ rel))
+    return reached
+
+
+def check_against_link_list_kernel(g: Graph) -> None:
+    class_of, classes, vertex_sets, bits, contradictions = link_list_kernel(g)
+    p = compute_classes(g)
+    assert (p.class_of, p.classes, p.vertex_sets) == (class_of, classes, vertex_sets)
+    assert [c is None for c in p.contradictions] == [c is None for c in contradictions]
+    for cid, members in enumerate(p.classes):
+        clash = p.contradictions[cid]
+        if clash is None:
+            assert all(p.bits[e] == bits[e] for e in members)
+            continue
+        # The least edge of a class with no orientation is forced both ways
+        # from any seed in the class; the last edge serves as the seed here.
+        assert clash == g.edge(members[0])
+        assert p3_parity_reach(g, members[-1])[members[0]] == {0, 1}
+
+
+@given(graphs_and_rngs())
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_the_link_list_kernel_on_random_graphs(case: tuple[Graph, Random]):
+    check_against_link_list_kernel(case[0])
+
+
+def gnp(rng: Random, n: int, p: float) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def permutation_graph(rng: Random, n: int) -> Graph:
+    pi = list(range(n))
+    rng.shuffle(pi)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if pi[u] > pi[v]])
+
+
+def cograph(rng: Random, n: int) -> Graph:
+    """A random cotree on a shuffled vertex order: its root is a join, and
+    joins and unions alternate down it, with 2-3 children per node."""
+    edges: list[tuple[int, int]] = []
+
+    def build(vertices: list[int], join: bool) -> None:
+        if len(vertices) == 1:
+            return
+        parts = min(len(vertices), rng.choice((2, 2, 3)))
+        cuts = sorted(rng.sample(range(1, len(vertices)), parts - 1))
+        groups = [vertices[a:b] for a, b in zip([0] + cuts, cuts + [len(vertices)])]
+        for group in groups:
+            build(group, not join)
+        if join:
+            edges.extend(
+                (u, v) for i, a in enumerate(groups) for b in groups[i + 1:] for u in a for v in b
+            )
+
+    order = list(range(n))
+    rng.shuffle(order)
+    build(order, True)
+    return Graph(n, edges)
+
+
+# The shapes of the benchmark's kernel-large workload, at its largest sizes
+# and up to n = 200: dense and sparse G(n, p) (one class, no orientation),
+# and orientable graphs with many classes and many stars per centre.
+LARGE_SHAPES = {
+    "gnp-dense": lambda rng: gnp(rng, 70, 0.5),
+    "gnp-sparse": lambda rng: gnp(rng, 200, 8 / 200),
+    "permutation": lambda rng: permutation_graph(rng, 65),
+    "cograph": lambda rng: cograph(rng, 70),
+    "threshold": lambda rng: family_from_spec("threshold,200"),
+    "multipartite": lambda rng: family_from_spec("complete_multipartite,2,5,9,13,17,21,25,28"),
+    "double-path-apex": lambda rng: family_from_spec("double_path_apex,99"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LARGE_SHAPES))
+def test_kernel_matches_the_link_list_kernel_on_large_shapes(shape: str):
+    rng = Random(shape)
+    for _ in range(2):
+        check_against_link_list_kernel(LARGE_SHAPES[shape](rng))

@@ -9,6 +9,7 @@ import pytest
 from qt2ec import (
     CheckResult,
     ContractError,
+    EdgeClassPartition,
     Graph,
     RefusalError,
     SweepConfig,
@@ -202,6 +203,21 @@ def test_pendant_check_matches_the_set_union_definition():
             assert record.witness == (None if record.passed else f"pendant classes {pendant}")
             checked += not record.passed
     assert checked > 0
+
+
+def test_three_class_check_fails_on_a_tampered_partition_instead_of_raising():
+    # P4 has one class; a partition that claims three (one per edge) must
+    # be classified as handed, not recomputed, and fail as a record.
+    g = path(4)
+    fake = EdgeClassPartition(
+        g,
+        class_of=(0, 1, 2),
+        classes=((0,), (1,), (2,)),
+        vertex_sets=(frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
+    )
+    (record,) = ALL_CHECKS["three-class-classification"](g, fake)
+    assert not record.passed
+    assert record.witness == "neither complete tripartite nor spanning class"
 
 
 def test_sweep_check_selection():
