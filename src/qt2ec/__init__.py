@@ -1,7 +1,17 @@
 """Edge-equivalence classes, quasi-transitive 2-edge-colourings, and
-quasi-transitive orientations of undirected simple graphs."""
+quasi-transitive orientations of undirected simple graphs.
 
-from .classes import EdgeClassPartition, class_of_edge, compute_classes, verify_partition_laws
+The package has two halves.  The fast path (``graph``, ``classes``,
+``colouring``, ``orientation``, ``families``, ``errors`` and the CLI's
+module level) computes; the verification half (``oracle``, ``structure``,
+``report``) checks it.  Imports point one way: the verification half
+imports the fast path, never the reverse.  The verification names load
+on first access, so importing the package does not load the checks.
+"""
+
+from importlib import import_module
+
+from .classes import EdgeClassPartition, class_of_edge, compute_classes
 from .colouring import (
     Colourability,
     ColourabilityClass,
@@ -42,24 +52,6 @@ from .orientation import (
     orientability,
     partial_orientation,
     same_gamma_class,
-)
-from .oracle import (
-    SweepConfig,
-    brute_force_colouring_count,
-    brute_force_orientation_count,
-    enumerate_labeled_graphs,
-    sample_connected_graphs,
-    subset_witness_count,
-    theorem_sweep,
-)
-from .report import CheckResult, VerificationReport
-from .structure import (
-    ClassPairRelation,
-    ThreeClassOutcome,
-    check_crossing_lemmas,
-    check_tinylemma_instances,
-    class_pair_relation,
-    three_class_classification,
 )
 
 __version__ = "0.1.0"
@@ -118,3 +110,33 @@ __all__ = [
     "to_dot",
     "verify_partition_laws",
 ]
+
+# The verification half's public names and the modules that hold them.
+_LAZY_MODULE = {
+    "SweepConfig": "oracle",
+    "brute_force_colouring_count": "oracle",
+    "brute_force_orientation_count": "oracle",
+    "enumerate_labeled_graphs": "oracle",
+    "sample_connected_graphs": "oracle",
+    "subset_witness_count": "oracle",
+    "theorem_sweep": "oracle",
+    "CheckResult": "report",
+    "VerificationReport": "report",
+    "ClassPairRelation": "structure",
+    "ThreeClassOutcome": "structure",
+    "check_crossing_lemmas": "structure",
+    "check_tinylemma_instances": "structure",
+    "class_pair_relation": "structure",
+    "three_class_classification": "structure",
+    "verify_partition_laws": "structure",
+}
+
+
+def __getattr__(name: str) -> object:
+    """Load a verification-half name on first access and keep it (PEP 562)."""
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -262,10 +262,14 @@ def encode_graph6(g: Graph) -> str:
 _CLASS_STYLES = ("solid", "dashed", "dotted", "bold")
 
 
+# DOT reads these bare, in any case, as keywords rather than node names.
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
 def _dot_id(name: str) -> str:
-    if name and (name.isidentifier() or name.isdigit()):
+    if name and (name.isidentifier() or name.isdigit()) and name.lower() not in _DOT_KEYWORDS:
         return name
-    return '"' + name.replace('"', '\\"') + '"'
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(g: Graph, overlay: object = None) -> str:

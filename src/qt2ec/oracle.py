@@ -19,12 +19,7 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, Iterator
 
-from .classes import (
-    EdgeClassPartition,
-    compute_classes,
-    first_straddle,
-    verify_partition_laws,
-)
+from .classes import EdgeClassPartition, compute_classes
 from .colouring import (
     Colourability,
     classify_colourability,
@@ -42,6 +37,8 @@ from .structure import (
     check_tinylemma_instances,
     class_pair_relation,
     crossing_pairs,
+    first_straddle,
+    verify_partition_laws,
 )
 
 MASK_CAP_EDGES = 22
@@ -595,7 +592,8 @@ def theorem_sweep(
     names = sorted(cfg.checks) if cfg.checks is not None else sorted(table)
     for name in names:
         if name not in table:
-            raise ContractError(f"unknown check {name!r}")
+            valid = ", ".join(sorted(table))
+            raise ContractError(f"unknown check {name!r}; expected one of: {valid}")
 
     items = [
         (n, mask)

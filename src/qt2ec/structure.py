@@ -1,9 +1,12 @@
-"""Pairwise class-intersection analysis and the three-class classification.
+"""Pairwise class-intersection analysis, the three-class classification,
+and the structural laws every computed partition obeys.
 
 For two edge classes the vertex sets split into the two exclusive sides and
 the shared part; when all three pieces are nonempty ("crossing") strong
 structural laws apply, culminating in: a connected graph with exactly three
-classes is complete tripartite or has a class spanning all vertices.
+classes is complete tripartite or has a class spanning all vertices.  This
+module belongs to the verification half: the fast-path modules never import
+it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 from .classes import EdgeClassPartition, compute_classes
 from .errors import ContractError
-from .graph import Graph, is_complete_multipartite, is_connected, reach
+from .graph import Graph, induced_p3_edges, is_complete_multipartite, is_connected, reach
 from .report import CheckResult, VerificationReport
 
 DISJOINT = "disjoint"
@@ -207,6 +210,8 @@ def check_tinylemma_instances(
     order.  Crossing law (a) rules out the cf edge inside the shared part
     that the hypotheses need, so on a correct partition every graph has
     zero instances; the instance count is recorded in the result detail.
+    A test pins that implication: on seeded random groupings of the edges,
+    every partition with an instance also fails law (a).
     """
     roles = []  # (cf, ce, cf's exclusive side, shared part)
     for rel in crossing_pairs(g, p):
@@ -240,3 +245,63 @@ def check_tinylemma_instances(
         detail=f"instances={instances}; hypotheses: {TINY_LEMMA_HYPOTHESES}",
     )
     return VerificationReport([result])
+
+
+def first_straddle(g: Graph, p: EdgeClassPartition) -> tuple[int, int, int] | None:
+    """The first induced P3 u-v-w, in ``induced_p3s`` order, whose edges uv
+    and vw lie in different classes of ``p``; None when there is none."""
+    class_of = p.class_of
+    for u, v, w, i, j in induced_p3_edges(g):
+        if class_of[i] != class_of[j]:
+            return u, v, w
+    return None
+
+
+def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport:
+    """Check the structural laws every correctly computed partition obeys.
+
+    (a) each class spans a connected subgraph; (b) incident edges from
+    different classes close a triangle; (c) distinct classes have distinct
+    vertex sets; (d) no induced P3 straddles two classes.  (b) and (d) are
+    the same predicate, decided by one scan and reported under both names.
+    Failures carry a witness; an artificially tampered partition trips (d).
+    """
+    if p.graph != g or len(p.class_of) != g.m:
+        raise ContractError("partition does not belong to this graph")
+    results: list[CheckResult] = []
+
+    witness = None
+    for cid in range(p.k):
+        adj: dict[int, int] = {}
+        for u, v in p.class_edges(cid):
+            adj[u] = adj.get(u, 0) | 1 << v
+            adj[v] = adj.get(v, 0) | 1 << u
+        span = sum(1 << v for v in adj)
+        if reach(adj, span & -span) != span:
+            witness = f"class {cid} spans a disconnected subgraph"
+            break
+    results.append(CheckResult("partition-class-connected", witness is None, witness=witness))
+
+    # Checks (b) and (d) are one predicate: incident edges from different
+    # classes whose far ends are non-adjacent form a straddling induced P3.
+    straddle = first_straddle(g, p)
+    witness = None
+    if straddle is not None:
+        u, v, w = straddle
+        witness = f"edges {(u, v)} and {(v, w)} differ in class but {(u, w)} is a non-edge"
+    results.append(CheckResult("partition-cross-class-adjacency", witness is None, witness=witness))
+
+    # Distinct classes may share a vertex set only inside one component, so
+    # the global comparison is exactly the per-component law.
+    witness = None
+    seen: dict[frozenset[int], int] = {}
+    for cid, verts in enumerate(p.vertex_sets):
+        if verts in seen:
+            witness = f"classes {seen[verts]} and {cid} share vertex set {sorted(verts)}"
+            break
+        seen[verts] = cid
+    results.append(CheckResult("partition-distinct-vertex-sets", witness is None, witness=witness))
+
+    witness = None if straddle is None else f"induced P3 {straddle} straddles two classes"
+    results.append(CheckResult("partition-p3-same-class", witness is None, witness=witness))
+    return VerificationReport(results)

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qt2ec
 from qt2ec import encode_graph6
 from qt2ec.cli import build_parser, main
 from qt2ec.families import cycle, figure_graph
@@ -280,6 +285,12 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_unknown_check_names_the_valid_ones(capsys):
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--checks", "nope")
+    assert code == 2 and out == ""
+    assert f"unknown check 'nope'; expected one of: {', '.join(sorted(ALL_CHECKS))}\n" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -377,3 +388,64 @@ def test_help_leaves_the_shared_parser_usable(capsys):
     assert "--seed-arc" in capsys.readouterr().out
     code, out, _ = run(capsys, "classes", "--family", "path,3")
     assert code == 0 and out.startswith("k=1")
+
+
+# ---------------------------------------------------------------------------
+# the import boundary: the fast path never loads the verification half
+
+
+def fresh_python(code: str) -> str:
+    """The stdout of ``code`` run in a new interpreter on this package."""
+    src = str(Path(qt2ec.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return out.stdout
+
+
+def test_fast_path_subcommands_do_not_load_the_verification_half():
+    code = (
+        "import contextlib, io, sys\n"
+        "from qt2ec.cli import main\n"
+        "for command in ('classes', 'colour', 'classify', 'orient', 'witness'):\n"
+        "    for out in ('text', 'json'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert main([command, '--family', 'k4_minus_e', '--out', out]) == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qt2ec'))))\n"
+    )
+    assert fresh_python(code).split() == [
+        "qt2ec",
+        "qt2ec.classes",
+        "qt2ec.cli",
+        "qt2ec.colouring",
+        "qt2ec.errors",
+        "qt2ec.families",
+        "qt2ec.graph",
+        "qt2ec.orientation",
+    ]
+
+
+def test_every_public_name_resolves_in_a_fresh_interpreter():
+    code = (
+        "import sys, qt2ec\n"
+        "print(any(m in sys.modules for m in ('qt2ec.oracle', 'qt2ec.structure', 'qt2ec.report')))\n"
+        "print([n for n in qt2ec.__all__ if getattr(qt2ec, n) is not vars(qt2ec).get(n)])\n"
+        "namespace = {}\n"
+        "exec('from qt2ec import *', namespace)\n"
+        "print(sorted(set(qt2ec.__all__) - set(namespace)))\n"
+        "try:\n"
+        "    qt2ec.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert fresh_python(code).splitlines() == [
+        "False",
+        "[]",
+        "[]",
+        "module 'qt2ec' has no attribute 'nope'",
+    ]

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import qt2ec
 
 from qt2ec import (
     Colourability,
     ContractError,
+    RefusalError,
     classify_colourability,
     compute_classes,
     is_complete_multipartite,
@@ -128,3 +136,63 @@ def test_family_from_spec():
     for bad in ("unknown", "cycle", "cycle,a", "k4_minus_e,3", "threshold,1,2"):
         with pytest.raises(ContractError):
             family_from_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "k4_minus_e",
+        "fig1_left",
+        "fig1_right",
+        "threshold,2",
+        "threshold,200",
+        "triangle_tail,1",
+        "triangle_tail,7",
+        "double_path_apex,2",
+        "double_path_apex,150",
+        "path,1",
+        "path,9",
+        "cycle,3",
+        "complete,1",
+        "complete,30",
+        "complete_multipartite,40,50,60",
+        "complete_multipartite,3,1,2,5",
+        "join_k1:cycle,5",
+        "join_k1: join_k1:fig1_left",
+    ],
+)
+def test_family_spec_size_is_counted_exactly(spec, monkeypatch):
+    g = family_from_spec(spec)
+    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_SIZE", max(g.n, g.m))
+    assert family_from_spec(spec) == g
+    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_SIZE", max(g.n, g.m) - 1)
+    with pytest.raises(RefusalError):
+        family_from_spec(spec)
+
+
+def test_oversized_family_specs_refuse_before_building_an_edge():
+    # The child caps its own address space at 512 MiB, so a spec that did
+    # build its edges would die there of MemoryError, not exhaust the host.
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)); "
+        "from qt2ec.cli import main; "
+        "print([main(['family', '--family', spec]) for spec in sys.argv[1:]])"
+    )
+    specs = [
+        "complete,100000",
+        "cycle,1000000000",
+        "complete_multipartite,100000,100000",
+        "join_k1:complete,100000",
+        "complete_multipartite,1000000000",
+    ]
+    src = str(Path(qt2ec.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, *specs],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == str([3] * len(specs))
+    assert out.stderr.count("refused: family") == len(specs)

@@ -280,6 +280,43 @@ def test_to_dot_round_trips_edge_set(g: Graph):
     assert extracted == set(g.edges)
 
 
+# A DOT ID: a quoted string, in which a backslash takes the next character
+# with it, or a bare word.
+DOT_ID = r'"((?:[^"\\]|\\.)*)"|([^\s";\[\]{}-]+)'
+
+
+def _dot_labelled_edges(dot: str) -> list[tuple[str, str]]:
+    """Each edge line's two IDs, unquoted, with every escape undone; a
+    line that is not ``ID -- ID;`` fails the test."""
+    edges = []
+    for line in dot.splitlines()[1:-1]:
+        m = re.fullmatch(rf"  (?:{DOT_ID}) -- (?:{DOT_ID});", line)
+        assert m is not None, line
+        quoted_a, bare_a, quoted_b, bare_b = m.groups()
+        a = bare_a if quoted_a is None else re.sub(r"\\(.)", r"\1", quoted_a)
+        b = bare_b if quoted_b is None else re.sub(r"\\(.)", r"\1", quoted_b)
+        edges.append((a, b))
+    return edges
+
+
+@pytest.mark.parametrize("keyword", ["node", "edge", "graph", "digraph", "subgraph", "strict"])
+def test_to_dot_quotes_keyword_labels_in_any_case(keyword):
+    for label in (keyword, keyword.upper(), keyword.capitalize()):
+        g = parse_edge_list(f"{label} x\n")
+        assert to_dot(g) == f'graph {{\n  "{label}" -- x;\n}}\n'
+
+
+def test_to_dot_escapes_backslashes_before_quotes():
+    g = parse_edge_list('a\\ b\nb "q"\\\nnode\\\\ c"\n')
+    assert to_dot(g).splitlines()[1] == '  "a\\\\" -- b;'
+    assert _dot_labelled_edges(to_dot(g)) == [("a\\", "b"), ("b", '"q"\\'), ("node\\\\", 'c"')]
+
+
+def test_to_dot_leaves_other_labels_as_they_were():
+    g = parse_edge_list("nodes edges\nv1 42\n_x y-z\n")
+    assert to_dot(g) == 'graph {\n  nodes -- edges;\n  v1 -- 42;\n  _x -- "y-z";\n}\n'
+
+
 # ---------------------------------------------------------------------------
 # induced P3 enumeration
 
@@ -457,6 +494,45 @@ def test_only_graph_and_the_forcing_kernel_name_graph_private_fields():
                 offenders += [f"{source.name}:{line} {name}" for line, name in names]
     assert offenders == []
     assert kernel_reads > 0  # the scan does see the fields where they are read
+
+
+FAST_PATH = ("graph", "classes", "colouring", "orientation", "families", "errors", "cli")
+VERIFICATION_HALF = {"oracle", "structure", "report"}
+
+
+def _module_level_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) for every dotted part and imported name of each package
+    import that runs when the module is imported: everything outside
+    function bodies."""
+    found = []
+    stack: list[ast.AST] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level or parts[0] == "qt2ec":
+                found += [(node.lineno, name) for name in parts + [a.name for a in node.names]]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "qt2ec":
+                    found += [(node.lineno, name) for name in alias.name.split(".")]
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_fast_path_module_imports_the_verification_half_at_module_level():
+    package = Path(qt2ec.__file__).parent
+    offenders = []
+    seen = 0
+    for name in FAST_PATH:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        imports = _module_level_imports(tree)
+        seen += len(imports)
+        offenders += [f"{name}.py:{line} {target}" for line, target in imports if target in VERIFICATION_HALF]
+    assert offenders == []
+    assert seen > 0  # the scan does see the package imports
 
 
 # ---------------------------------------------------------------------------

@@ -527,6 +527,26 @@ def test_crossing_checks_on_random_groupings_of_four_and_five_vertex_graphs():
     assert fails["tinylemma-forced-edge"] == 41, fails
 
 
+def test_tinylemma_instances_occur_only_where_crossing_law_a_fails():
+    # The lemma's hypotheses put a cf edge inside the shared part, which
+    # crossing law (a) forbids: over the same 2,298 random groupings, every
+    # partition with an instance also fails law (a).
+    rng = Random(1)
+    with_instances = with_law_a_failing = 0
+    for n in (4, 5):
+        for g in enumerate_labeled_graphs(n):
+            for p in random_groupings(g, rng, 3):
+                (record,) = ALL_CHECKS["tinylemma"](g, p)
+                if record.detail.startswith("instances=0;"):
+                    continue
+                with_instances += 1
+                with_law_a_failing += any(
+                    r.check == "crossing-no-edge-inside-intersection" and not r.passed
+                    for r in ALL_CHECKS["crossing-lemmas"](g, p)
+                )
+    assert (with_instances, with_law_a_failing) == (55, 55)
+
+
 # The diamond 0-1-3-2 (diagonal 1-2) with a pendant edge 2-4, split by hand
 # into the crossing classes {02, 12, 24} and {01, 13, 23}: u=0, v=1, x=3,
 # y=2 meets the lemma's hypotheses, and its forced edge 0-3 is missing.
