@@ -27,9 +27,11 @@ neighbourhood is one co-component is one star: its upper edges get that
 id all at once, with no walk over the members, and only its edges to lower
 neighbours are linked one by one.  One BFS over the star graph from the
 low star of each unlabelled edge, in edge order, then labels the classes,
-and C-level maps over the low stars give every edge its class and bit.  ``Graph`` is immutable, so the partition is
-computed once per graph and memoised on it; the colouring, orientation and
-CLI paths all read that one result.
+and C-level maps over the low stars give every edge its class and bit.
+
+``Graph`` is immutable, so the partition is computed once per graph and
+memoised on it; the colouring, orientation and CLI paths all read that one
+result.
 """
 
 from __future__ import annotations

@@ -255,7 +255,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .oracle import SweepConfig, theorem_sweep
 
-    checks = frozenset(args.checks.split(",")) if args.checks else None
+    checks = frozenset(args.checks.split(",")) if args.checks is not None else None
     cfg = SweepConfig(
         max_n=args.max_n,
         checks=checks,

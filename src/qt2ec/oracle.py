@@ -20,20 +20,15 @@ from random import Random
 from typing import Callable, Iterator
 
 from .classes import EdgeClassPartition, compute_classes
-from .colouring import (
-    Colourability,
-    classify_colourability,
-    count_homogeneous_witness_classes,
-    find_homogeneous_witness,
-)
+from .colouring import count_homogeneous_witness_classes, find_homogeneous_witness
 from .errors import ContractError, RefusalError
 from .graph import Graph, encode_graph6, induced_p3_edges, is_connected, is_module_set, reach
-from .orientation import orientability
+from .orientation import OrientationFeasibility
 from .report import CheckResult, VerificationReport
 from .structure import (
     NESTED,
     _classify_three,
-    _crossing_laws,
+    check_crossing_lemmas,
     check_tinylemma_instances,
     class_pair_relation,
     crossing_pairs,
@@ -45,6 +40,10 @@ MASK_CAP_EDGES = 22
 MAX_CORPUS_N = 7
 MAX_SWEEP_THREADS = 64
 
+# A structural check judges the partition it is handed, not the graph's
+# memoised one, and returns its unkeyed records; a standalone call reads
+# them as they are, and only theorem_sweep keys them and gathers them into
+# a report.
 CheckFn = Callable[[Graph, EdgeClassPartition], list[CheckResult]]
 
 
@@ -258,7 +257,7 @@ def _check_colouring_count(g: Graph, p: EdgeClassPartition) -> list[CheckResult]
 
 def _check_orientation_count(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     brute = _orientation_count(g)
-    expected = orientability(g).count
+    expected = OrientationFeasibility(p).count
     ok = brute == expected
     return [
         CheckResult(
@@ -267,10 +266,6 @@ def _check_orientation_count(g: Graph, p: EdgeClassPartition) -> list[CheckResul
             witness=None if ok else f"brute={brute} expected={expected}",
         )
     ]
-
-
-def _check_partition_laws(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    return verify_partition_laws(g, p).results
 
 
 def _check_class_subgraph_single_class(
@@ -413,12 +408,8 @@ def _check_crossing_lemmas(g: Graph, p: EdgeClassPartition) -> list[CheckResult]
     return [
         r
         for rel in crossing_pairs(g, p)
-        for r in _crossing_laws(g, p, rel)
+        for r in check_crossing_lemmas(g, p, rel.first, rel.second)
     ] or _vacuous("crossing-lemmas", "no crossing pairs")
-
-
-def _check_tinylemma(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    return check_tinylemma_instances(g, p).results
 
 
 def _check_hf1f2_witness(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
@@ -461,7 +452,7 @@ def _check_final_equivalence(g: Graph, p: EdgeClassPartition) -> list[CheckResul
     brute = _orientation_count(g)
     if brute == 0:
         return _vacuous("final-equivalence", "not orientable, skipped")
-    trivial_only = classify_colourability(g).kind is Colourability.TRIVIAL_ONLY
+    trivial_only = p.k == 1
     ok = (brute == 2) == trivial_only
     return [
         CheckResult(
@@ -475,14 +466,14 @@ def _check_final_equivalence(g: Graph, p: EdgeClassPartition) -> list[CheckResul
 ALL_CHECKS: dict[str, CheckFn] = {
     "colouring-count": _check_colouring_count,
     "orientation-count": _check_orientation_count,
-    "partition-laws": _check_partition_laws,
+    "partition-laws": verify_partition_laws,
     "class-subgraph-single-class": _check_class_subgraph_single_class,
     "shortest-path-single-class": _check_shortest_paths,
     "pendant-class-bound": _check_pendant_classes,
     "two-class-nesting": _check_two_class_nesting,
     "three-class-classification": _check_three_class,
     "crossing-lemmas": _check_crossing_lemmas,
-    "tinylemma": _check_tinylemma,
+    "tinylemma": check_tinylemma_instances,
     "hf1f2-witness": _check_hf1f2_witness,
     "unique-hf1f2": _check_unique_hf1f2,
     "final-equivalence": _check_final_equivalence,
@@ -497,8 +488,9 @@ ALL_CHECKS: dict[str, CheckFn] = {
 class SweepConfig:
     """What the theorem sweep should cover: every connected labeled graph
     on 1..``max_n`` vertices, plus ``sample_n6`` seeded connected six-vertex
-    graphs when ``max_n`` < 6.  ``checks=None`` selects all.  The corpus
-    holds connected graphs only, and the checks rely on that."""
+    graphs, which only a ``max_n`` below 6 admits.  ``checks=None``
+    selects all.  The corpus holds connected graphs only, and the checks
+    rely on that."""
 
     max_n: int = 5
     checks: frozenset[str] | None = None
@@ -587,6 +579,8 @@ def theorem_sweep(
         raise ContractError(f"max_n must be 1..{MAX_CORPUS_N}, got {cfg.max_n}")
     if cfg.sample_n6 is not None and cfg.sample_n6 < 0:
         raise ContractError(f"sample_n6 must be 0 or more, got {cfg.sample_n6}")
+    if cfg.sample_n6 and cfg.max_n >= 6:
+        raise ContractError(f"sample_n6 needs max_n below 6, got max_n={cfg.max_n}")
     if not 1 <= cfg.threads <= MAX_SWEEP_THREADS:
         raise ContractError(f"threads must be 1..{MAX_SWEEP_THREADS}, got {cfg.threads}")
     names = sorted(cfg.checks) if cfg.checks is not None else sorted(table)
@@ -600,7 +594,7 @@ def theorem_sweep(
         for n in range(1, cfg.max_n + 1)
         for mask in _labeled_masks(n, connected_only=True)
     ]
-    if cfg.sample_n6 and cfg.max_n < 6:
+    if cfg.sample_n6:
         items.extend((6, mask) for mask in _sample_connected_masks(6, cfg.sample_n6, cfg.seed))
 
     graphs = [

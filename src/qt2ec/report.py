@@ -18,8 +18,8 @@ class CheckResult(NamedTuple):
     a graph in ``(check, witness)`` order and is None on the rest, so
     summing ``seconds`` counts each check's time once.  A record is a
     named tuple: immutable, hashable, and cheap to build, since a sweep
-    builds one per record;
-    ``tuple(r)`` gives the fields in declaration order.
+    builds one per verdict.  ``tuple(r)`` gives the fields in declaration
+    order.
     """
 
     check: str
@@ -32,7 +32,8 @@ class CheckResult(NamedTuple):
 
 @dataclass
 class VerificationReport:
-    """A bag of check results plus run metadata (seed, caps, check list)."""
+    """A theorem sweep's records plus its run metadata (seed, caps, check
+    list); ``theorem_sweep`` is the one place that builds one."""
 
     results: list[CheckResult] = field(default_factory=list)
     meta: dict[str, object] = field(default_factory=dict)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .classes import EdgeClassPartition, compute_classes
 from .errors import ContractError
 from .graph import Graph, induced_p3_edges, is_complete_multipartite, is_connected, reach
-from .report import CheckResult, VerificationReport
+from .report import CheckResult
 
 DISJOINT = "disjoint"
 NESTED = "nested"
@@ -82,7 +82,7 @@ def _induces_join(g: Graph, vertices: frozenset[int]) -> bool:
 
 def check_crossing_lemmas(
     g: Graph, p: EdgeClassPartition, c: int, d: int
-) -> VerificationReport:
+) -> list[CheckResult]:
     """Assert the five structural laws of a crossing class pair.
 
     (a) neither class has an edge inside the shared part; (b) each
@@ -93,13 +93,6 @@ def check_crossing_lemmas(
     rel = class_pair_relation(g, p, c, d)
     if rel.tag != CROSSING:
         raise ContractError(f"class pair ({c}, {d}) is {rel.tag}, not crossing")
-    return VerificationReport(_crossing_laws(g, p, rel))
-
-
-def _crossing_laws(g: Graph, p: EdgeClassPartition, rel: ClassPairRelation) -> list[CheckResult]:
-    """The records of :func:`check_crossing_lemmas` for the crossing
-    relation ``rel``, which the caller has already built."""
-    c, d = rel.first, rel.second
     shared, a_side, b_side = rel.shared, rel.only_first, rel.only_second
 
     inside = avoids = None
@@ -202,7 +195,7 @@ TINY_LEMMA_HYPOTHESES = (
 
 def check_tinylemma_instances(
     g: Graph, p: EdgeClassPartition
-) -> VerificationReport:
+) -> list[CheckResult]:
     """Scan every configuration matching the small adjacency lemma's
     hypotheses and assert the forced edge ux exists.
 
@@ -238,13 +231,14 @@ def check_tinylemma_instances(
                         instances += 1
                         if witness is None and not g.has_edge(u, x):
                             witness = f"u={u} v={v} x={x} y={y}: edge ({u}, {x}) missing"
-    result = CheckResult(
-        "tinylemma-forced-edge",
-        witness is None,
-        witness=witness,
-        detail=f"instances={instances}; hypotheses: {TINY_LEMMA_HYPOTHESES}",
-    )
-    return VerificationReport([result])
+    return [
+        CheckResult(
+            "tinylemma-forced-edge",
+            witness is None,
+            witness=witness,
+            detail=f"instances={instances}; hypotheses: {TINY_LEMMA_HYPOTHESES}",
+        )
+    ]
 
 
 def first_straddle(g: Graph, p: EdgeClassPartition) -> tuple[int, int, int] | None:
@@ -257,7 +251,7 @@ def first_straddle(g: Graph, p: EdgeClassPartition) -> tuple[int, int, int] | No
     return None
 
 
-def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport:
+def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     """Check the structural laws every correctly computed partition obeys.
 
     (a) each class spans a connected subgraph; (b) incident edges from
@@ -304,4 +298,4 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> VerificationReport
 
     witness = None if straddle is None else f"induced P3 {straddle} straddles two classes"
     results.append(CheckResult("partition-p3-same-class", witness is None, witness=witness))
-    return VerificationReport(results)
+    return results

@@ -291,15 +291,29 @@ def test_verify_unknown_check_names_the_valid_ones(capsys):
     assert f"unknown check 'nope'; expected one of: {', '.join(sorted(ALL_CHECKS))}\n" in err
 
 
+def test_verify_empty_checks_is_an_unknown_check(capsys):
+    # An empty --checks names the check "", not every check.
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--checks", "")
+    assert code == 2 and out == ""
+    assert "unknown check ''; expected one of: " in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["--max-n", "0"], "max_n must be 1"),
         (["--max-n", "-2"], "max_n must be 1"),
         (["--max-n", "2", "--sample-n6", "-5"], "sample_n6 must be 0 or more"),
+        (["--max-n", "6", "--sample-n6", "5"], "sample_n6 needs max_n below 6, got max_n=6"),
+        (["--max-n", "7", "--sample-n6", "1"], "sample_n6 needs max_n below 6, got max_n=7"),
     ],
 )
-def test_verify_refuses_empty_sweeps(capsys, argv, message):
+def test_verify_refuses_empty_sweeps(capsys, monkeypatch, argv, message):
+    # Each refusal comes before the corpus is built.
+    def no_corpus(*args):
+        raise AssertionError("corpus built before the refusal")
+
+    monkeypatch.setattr(qt2ec.oracle, "_labeled_masks", no_corpus)
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert message in err

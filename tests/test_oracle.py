@@ -262,6 +262,17 @@ def test_sweep_refuses_negative_sample():
         assert theorem_sweep(cfg).meta["graphs"] == 2
 
 
+def test_sweep_refuses_a_sample_it_would_not_run(monkeypatch):
+    # From max_n = 6 the corpus holds every six-vertex graph, so a sample
+    # would go unrun; 0 and None stay valid.  The corpus is stubbed empty.
+    monkeypatch.setattr(oracle, "_labeled_masks", lambda n, connected_only: iter(()))
+    for max_n in (6, 7):
+        with pytest.raises(ContractError, match=f"sample_n6 needs max_n below 6, got max_n={max_n}"):
+            theorem_sweep(SweepConfig(max_n=max_n, sample_n6=5))
+        for sample in (0, None):
+            assert theorem_sweep(SweepConfig(max_n=max_n, sample_n6=sample)).meta["graphs"] == 0
+
+
 def test_sweep_sample_n6_extends_corpus():
     cfg = SweepConfig(
         max_n=2, checks=frozenset({"colouring-count"}), sample_n6=5, seed=3

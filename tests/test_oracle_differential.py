@@ -5,7 +5,7 @@ its vertex-by-vertex module test, the two sweep checks decided by one
 scan or one kernel call against the per-class kernel loop and the full
 shortest-path listing, and the crossing-lemmas and tinylemma checks,
 which share one crossing-pair scan, against a crossing test per class
-pair."""
+pair; and a kill count per sweep check over tampered partitions."""
 
 from __future__ import annotations
 
@@ -561,7 +561,7 @@ def test_tinylemma_names_the_missing_forced_edge():
     g = Graph(5, TINY_GRAPH_EDGES)
     p = pair_classes(g, [(0, 2), (1, 2), (2, 4)], [(0, 1), (1, 3), (2, 3)])
     assert [(rel.first, rel.second) for rel in crossing_pairs(g, p)] == [(0, 1)]
-    (record,) = check_tinylemma_instances(g, p).results
+    (record,) = check_tinylemma_instances(g, p)
     assert not record.passed
     assert record.witness == "u=0 v=1 x=3 y=2: edge (0, 3) missing"
     assert record.detail.startswith("instances=1;")
@@ -570,7 +570,7 @@ def test_tinylemma_names_the_missing_forced_edge():
 def test_tinylemma_passes_once_the_forced_edge_is_there():
     g = Graph(5, TINY_GRAPH_EDGES + [(0, 3)])
     p = pair_classes(g, [(0, 2), (1, 2), (2, 4)], [(0, 1), (1, 3), (2, 3), (0, 3)])
-    (record,) = check_tinylemma_instances(g, p).results
+    (record,) = check_tinylemma_instances(g, p)
     assert record.passed and record.witness is None
     assert record.detail.startswith("instances=2;")
 
@@ -583,6 +583,49 @@ def test_tinylemma_names_the_witness_of_the_role_with_the_lower_cf():
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
     p = pair_classes(g, [(0, 4)], [(0, 2), (1, 4), (2, 4)], [(0, 1), (0, 3), (3, 4)])
     assert [(rel.first, rel.second) for rel in crossing_pairs(g, p)] == [(1, 2)]
-    (record,) = check_tinylemma_instances(g, p).results
+    (record,) = check_tinylemma_instances(g, p)
     assert record.witness == "u=1 v=4 x=2 y=0: edge (1, 2) missing"
     assert record.detail.startswith("instances=2;")
+
+
+# ---------------------------------------------------------------------------
+# every sweep check judges the partition it is handed
+
+# Of the 4,664 partitions from tampered_partitions on the 772 connected
+# labeled graphs with n <= 5, how many give each check a failing record.
+# The 772 true partitions give none.  No tampering meets the tiny lemma's
+# hypotheses; its kill is the 41 random groupings pinned above.
+KILLS = {
+    "colouring-count": 2929,
+    "orientation-count": 2929,
+    "partition-laws": 2152,
+    "class-subgraph-single-class": 1977,
+    "shortest-path-single-class": 1966,
+    "pendant-class-bound": 496,
+    "two-class-nesting": 721,
+    "three-class-classification": 592,
+    "crossing-lemmas": 2044,
+    "tinylemma": 0,
+    "hf1f2-witness": 1010,
+    "unique-hf1f2": 2015,
+    "final-equivalence": 986,
+}
+
+
+def test_every_check_fails_on_tampered_partitions_and_passes_on_true_ones():
+    kills: Counter = Counter()
+    partitions = 0
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            true, *tampered = tampered_partitions(g)
+            for name, check in ALL_CHECKS.items():
+                assert all(r.passed for r in check(g, true)), (name, g.edges)
+            for p in tampered:
+                kills.update(
+                    name
+                    for name, check in ALL_CHECKS.items()
+                    if not all(r.passed for r in check(g, p))
+                )
+            partitions += 1 + len(tampered)
+    assert partitions == 4664
+    assert {name: kills[name] for name in ALL_CHECKS} == KILLS

@@ -66,6 +66,12 @@ def test_conflicting_arcs_rejected():
         Orientation.from_arcs(path(3), [(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize("bits", [(5, 0), (0, -1), (None, 2), (0, "1")])
+def test_direction_bits_other_than_0_1_none_rejected(bits):
+    with pytest.raises(ContractError, match="invalid direction bit"):
+        Orientation(path(3), bits)
+
+
 def head_parity_verdict(g: Graph, o: Orientation) -> tuple[bool, tuple[int, int, int] | None]:
     """The validity check in its head-parity form: an edge's head parity
     at a centre is 0 when bit 0 points its head there, and the two edges

@@ -104,24 +104,24 @@ def test_crossing_pairs_are_the_crossing_relations_in_pair_order():
 def test_crossing_lemmas_pass_on_k4_minus_e():
     g = figure_graph("k4_minus_e")
     p = compute_classes(g)
-    report = check_crossing_lemmas(g, p, 1, 2)
-    assert report.passed, report.failures()
+    records = check_crossing_lemmas(g, p, 1, 2)
+    assert all(r.passed for r in records), records
     # the side-to-side edges form exactly the singleton class {0-1}
     assert p.class_of_pair(0, 1) == 0
 
 
 def test_standalone_verifiers_leave_records_unkeyed():
     # Only theorem_sweep keys records by graph6; a standalone call leaves
-    # the key empty and the report's meta unset.
+    # the key empty.
     g = figure_graph("k4_minus_e")
     p = compute_classes(g)
-    for report in (
+    for records in (
         check_crossing_lemmas(g, p, 1, 2),
         check_tinylemma_instances(g, p),
         verify_partition_laws(g, p),
     ):
-        assert report.results and report.meta == {}
-        assert all(r.graph_key == "" for r in report.results)
+        assert records
+        assert all(r.graph_key == "" for r in records)
 
 
 def test_crossing_lemmas_require_crossing_pair():
@@ -138,8 +138,8 @@ def test_crossing_lemmas_pass_over_corpus():
                 for d in range(c + 1, p.k):
                     if class_pair_relation(g, p, c, d).tag != CROSSING:
                         continue
-                    report = check_crossing_lemmas(g, p, c, d)
-                    assert report.passed, (g.edges, c, d, report.failures())
+                    records = check_crossing_lemmas(g, p, c, d)
+                    assert all(r.passed for r in records), (g.edges, c, d, records)
 
 
 def test_fabricated_partition_fails_touch_law():
@@ -154,10 +154,8 @@ def test_fabricated_partition_fails_touch_law():
     )
     rel = class_pair_relation(g, fake, 0, 2)
     assert rel.tag == CROSSING
-    report = check_crossing_lemmas(g, fake, 0, 2)
-    record = next(
-        r for r in report.results if r.check == "crossing-edges-touch-intersection"
-    )
+    records = check_crossing_lemmas(g, fake, 0, 2)
+    record = next(r for r in records if r.check == "crossing-edges-touch-intersection")
     assert not record.passed
     assert "(2, 3)" in record.witness
 
@@ -212,13 +210,13 @@ def test_three_class_theorem_over_corpus():
 
 def test_tinylemma_vacuous_on_simple_fixtures():
     for g in (figure_graph("k4_minus_e"), Graph(3), cycle(5)):
-        report = check_tinylemma_instances(g, compute_classes(g))
-        assert report.passed
-        assert "instances=0" in report.results[0].detail
+        (record,) = check_tinylemma_instances(g, compute_classes(g))
+        assert record.passed
+        assert "instances=0" in record.detail
 
 
 def test_tinylemma_holds_over_corpus():
     for n in range(2, 6):
         for g in enumerate_labeled_graphs(n, connected_only=True):
-            report = check_tinylemma_instances(g, compute_classes(g))
-            assert report.passed, (g.edges, report.failures())
+            (record,) = check_tinylemma_instances(g, compute_classes(g))
+            assert record.passed, (g.edges, record)
