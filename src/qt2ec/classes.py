@@ -61,8 +61,8 @@ class EdgeClassPartition:
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     vertex_sets: tuple[frozenset[int], ...]
-    bits: tuple[int, ...] = ()
-    contradictions: tuple[EdgePair | None, ...] = ()
+    bits: tuple[int, ...]
+    contradictions: tuple[EdgePair | None, ...]
 
     @property
     def k(self) -> int:

@@ -33,9 +33,9 @@ class EdgeColouring:
             raise ContractError(
                 f"colouring covers {len(self.colours)} edges, graph has {self.graph.m}"
             )
-        for c in self.colours:
-            if c not in (RED, BLUE):
-                raise ContractError(f"invalid colour {c!r}")
+        if not set(self.colours) <= {RED, BLUE}:
+            bad = next(c for c in self.colours if c not in (RED, BLUE))
+            raise ContractError(f"invalid colour {bad!r}")
 
     @classmethod
     def from_mapping(cls, g: Graph, mapping: Mapping[EdgePair, str]) -> "EdgeColouring":

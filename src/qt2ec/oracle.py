@@ -271,69 +271,14 @@ def _check_orientation_count(g: Graph, p: EdgeClassPartition) -> list[CheckResul
 def _check_class_subgraph_single_class(
     g: Graph, p: EdgeClassPartition
 ) -> list[CheckResult]:
-    """Each class is a single class as a graph of its own.
-
-    One kernel call decides it and names the witness: class c's edges go on
-    vertices ``c*n .. c*n+n-1`` of a disjoint union.  Edge classes never
-    cross components, so every class of the union lies in one block, and
-    block c holds as many classes as class c has as a graph of its own
-    (none for an empty class, which only a hand-built partition has).
-    """
-    n = g.n
-    shifted = [(a + c * n, b + c * n) for c in range(p.k) for a, b in p.class_edges(c)]
-    union = compute_classes(Graph(n * p.k, shifted))
-    counts = [0] * p.k
-    for members in union.classes:
-        counts[union.graph.edge(members[0])[0] // n] += 1
+    """Each class is a single class as a graph of its own."""
     witness = None
-    for cid, sub_k in enumerate(counts):
+    for cid in range(p.k):
+        sub_k = compute_classes(Graph(g.n, p.class_edges(cid))).k
         if sub_k != 1:
             witness = f"class {cid} splits into {sub_k} classes as its own graph"
             break
     return [CheckResult("class-subgraph-single-class", witness is None, witness=witness)]
-
-
-def _distances(g: Graph, x: int) -> dict[int, int]:
-    dist = {x: 0}
-    order = [x]
-    for v in order:
-        for w in g.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                order.append(w)
-    return dist
-
-
-def _all_shortest_paths(
-    g: Graph, dist: dict[int, int], x: int, y: int
-) -> Iterator[list[int]]:
-    """Every shortest x-y path, given the BFS distances ``dist`` from x."""
-    if y not in dist:
-        return
-    stack: list[list[int]] = [[y]]
-    while stack:
-        partial = stack.pop()
-        head = partial[-1]
-        if head == x:
-            yield partial[::-1]
-            continue
-        for u in g.neighbors(head):
-            if dist.get(u) == dist[head] - 1:
-                stack.append(partial + [u])
-
-
-def _shortest_path_witness(g: Graph, p: EdgeClassPartition) -> str | None:
-    for x in range(g.n):
-        dist = _distances(g, x)
-        for y in range(x + 1, g.n):
-            for path_vertices in _all_shortest_paths(g, dist, x, y):
-                cids = {
-                    p.class_of_pair(a, b)
-                    for a, b in zip(path_vertices, path_vertices[1:])
-                }
-                if len(cids) > 1:
-                    return f"shortest path {path_vertices} uses classes {sorted(cids)}"
-    return None
 
 
 def _check_shortest_paths(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
@@ -344,13 +289,15 @@ def _check_shortest_paths(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     shortest path form an induced P3, since an edge ac would make the path
     shorter; and every induced P3 u-v-w is itself a shortest u-w path.  So
     some shortest path uses two classes exactly when some induced P3
-    straddles two classes.  Only then are the shortest paths listed, to
-    name the same witness.
+    straddles two classes, and the first such P3 is the witness.
     """
-    if first_straddle(g, p) is None:
+    straddle = first_straddle(g, p)
+    if straddle is None:
         return [CheckResult("shortest-path-single-class", True)]
-    witness = _shortest_path_witness(g, p)
-    return [CheckResult("shortest-path-single-class", witness is None, witness=witness)]
+    u, v, w = straddle
+    cids = sorted((p.class_of_pair(u, v), p.class_of_pair(v, w)))
+    witness = f"shortest path {[u, v, w]} uses classes {cids}"
+    return [CheckResult("shortest-path-single-class", False, witness=witness)]
 
 
 def _check_pendant_classes(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:

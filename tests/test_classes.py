@@ -160,6 +160,8 @@ def test_partition_laws_catch_artificial_split():
         class_of=(0, 1),
         classes=((0,), (1,)),
         vertex_sets=(frozenset({0, 1}), frozenset({1, 2})),
+        bits=(0,) * g.m,
+        contradictions=(None,) * 2,
     )
     records = verify_partition_laws(g, fake)
     failed = {r.check for r in records if not r.passed}
@@ -175,6 +177,8 @@ def test_partition_laws_catch_disconnected_class():
         class_of=(0, 1, 0),
         classes=((0, 2), (1,)),
         vertex_sets=(frozenset({0, 1, 2, 3}), frozenset({1, 2})),
+        bits=(0,) * g.m,
+        contradictions=(None,) * 2,
     )
     failed = {r.check for r in verify_partition_laws(g, fake) if not r.passed}
     assert "partition-class-connected" in failed
@@ -189,6 +193,8 @@ def test_partition_laws_catch_duplicate_vertex_sets():
         class_of=(0, 1, 1, 0),
         classes=((0, 3), (1, 2)),
         vertex_sets=(full, full),
+        bits=(0,) * g.m,
+        contradictions=(None,) * 2,
     )
     failed = {r.check for r in verify_partition_laws(g, fake) if not r.passed}
     assert "partition-distinct-vertex-sets" in failed
@@ -197,6 +203,14 @@ def test_partition_laws_catch_duplicate_vertex_sets():
 def test_partition_laws_reject_foreign_partition():
     with pytest.raises(ContractError):
         verify_partition_laws(cycle(4), compute_classes(path(3)))
+
+
+def test_a_hand_built_partition_must_state_its_bits_and_contradictions():
+    # Without them C5's one class would read as orientable, with 2^k
+    # orientations, when it has none.
+    g = cycle(5)
+    with pytest.raises(TypeError, match="bits"):
+        EdgeClassPartition(g, (0,) * 5, (tuple(range(5)),), (frozenset(range(5)),))
 
 
 # ---------------------------------------------------------------------------

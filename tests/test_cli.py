@@ -216,6 +216,17 @@ def test_family_takes_only_a_spec_and_an_output_format(capsys, tmp_path):
     assert code == 0 and out.strip() == encode_graph6(cycle(4))
 
 
+def test_family_json_and_dot_outputs(capsys):
+    assert json_record(capsys, "family", "--family", "cycle,4") == {
+        "schema": "qt2ec/1",
+        "graph6": encode_graph6(cycle(4)),
+        "n": 4,
+        "edges": [[0, 1], [0, 3], [1, 2], [2, 3]],
+    }
+    code, out, _ = run(capsys, "family", "--family", "path,3", "--out", "dot")
+    assert code == 0 and out == "graph {\n  0 -- 1;\n  1 -- 2;\n}\n"
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "classes")
     assert code == 2 and "input source" in err
@@ -227,6 +238,30 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 
     code, _, err = run(capsys, "classes", "--family", "nope")
     assert code == 2 and "unknown family" in err
+
+
+def test_orient_argument_errors_exit_two(capsys):
+    code, out, err = run(capsys, "orient", "--family", "path,3", "--seed-arc", "0")
+    assert code == 2 and out == ""
+    assert "--seed-arc expects 'u,v', got '0'" in err
+    code, out, err = run(capsys, "orient", "--family", "path,3", "--out", "dot")
+    assert code == 2 and out == ""
+    assert "dot output for orient requires --seed-arc" in err
+
+
+def test_graph6_input_without_a_graph_exits_two(capsys, tmp_path):
+    blank = tmp_path / "blank.g6"
+    blank.write_text("\n   \n\n")
+    code, out, err = run(capsys, "classes", str(blank), "--in", "graph6")
+    assert code == 2 and out == ""
+    assert err == "error: no graph6 line found in input\n"
+
+
+def test_unreadable_input_exits_two(capsys, tmp_path):
+    for source in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run(capsys, "classes", str(source))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {source}: "), err
 
 
 def test_non_utf8_file_exits_two(capsys, tmp_path):
@@ -335,6 +370,12 @@ def test_oracle_subcommand(capsys):
     code, out, _ = run(capsys, "oracle", "--family", "cycle,5")
     assert code == 0
     assert out.strip().splitlines() == ["colourings=2", "orientations=0"]
+    assert json_record(capsys, "oracle", "--family", "cycle,5") == {
+        "schema": "qt2ec/1",
+        "graph6": encode_graph6(cycle(5)),
+        "colourings": 2,
+        "orientations": 0,
+    }
 
 
 def test_threads_default_from_environment(monkeypatch):

@@ -75,6 +75,26 @@ def test_partial_colouring_is_contract_error():
         is_quasi_transitive_colouring(path(3), EdgeColouring.monochromatic(cycle(4)))
 
 
+def test_colouring_of_the_wrong_length_is_contract_error():
+    with pytest.raises(ContractError, match="colouring covers 1 edges, graph has 2"):
+        EdgeColouring(path(3), ("R",))
+
+
+@pytest.mark.parametrize(
+    "colours, bad", [(("R", "G"), "'G'"), (("r", "B"), "'r'"), (("B", None), "None")]
+)
+def test_colours_other_than_r_and_b_are_named(colours, bad):
+    with pytest.raises(ContractError, match=f"invalid colour {bad}$"):
+        EdgeColouring(path(3), colours)
+
+
+def test_an_edge_given_two_colours_is_contract_error():
+    with pytest.raises(ContractError, match=r"edge \(0, 1\) coloured twice"):
+        EdgeColouring.from_mapping(path(3), {(0, 1): "R", (1, 0): "B", (1, 2): "R"})
+    same = EdgeColouring.from_mapping(path(3), {(0, 1): "R", (1, 0): "R", (1, 2): "B"})
+    assert same.colours == ("R", "B")
+
+
 def test_swapping_colours_preserves_validity():
     g = figure_graph("fig1_left")
     for colouring in enumerate_colourings(g):

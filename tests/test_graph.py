@@ -28,6 +28,7 @@ from qt2ec import (
     is_module_set,
     parse_edge_list,
     parse_graph6,
+    partial_orientation,
     to_dot,
 )
 from qt2ec.graph import reach
@@ -66,6 +67,28 @@ def test_constructor_rejects_bad_edges():
         Graph(2, [(0, 2)])
     with pytest.raises(ContractError):
         Graph(-1)
+
+
+def test_constructor_rejects_bad_labels():
+    with pytest.raises(ContractError, match="expected 2 labels, got 1"):
+        Graph(2, [(0, 1)], labels=["a"])
+    with pytest.raises(ContractError, match="vertex labels must be unique"):
+        Graph(2, [(0, 1)], labels=["a", "a"])
+
+
+def test_vertex_by_label_rejects_unknown_labels_and_ids():
+    labelled = Graph(2, [(0, 1)], labels=["a", "b"])
+    assert labelled.vertex_by_label("b") == 1
+    for label in ("c", "0"):
+        with pytest.raises(ContractError, match=f"unknown vertex label '{label}'"):
+            labelled.vertex_by_label(label)
+    plain = Graph(2, [(0, 1)])
+    assert plain.vertex_by_label("1") == 1
+    with pytest.raises(ContractError, match="unknown vertex label 'a'"):
+        plain.vertex_by_label("a")
+    for label in ("2", "-1"):
+        with pytest.raises(ContractError, match=rf"vertex {label} outside range 0\.\.1"):
+            plain.vertex_by_label(label)
 
 
 def test_unknown_edge_is_contract_error():
@@ -264,6 +287,18 @@ def test_to_dot_orientation_is_digraph():
     dot = to_dot(g, o)
     assert dot.startswith("digraph")
     assert "0 -> 1;" in dot and "2 -> 1;" in dot
+
+
+def test_to_dot_leaves_unoriented_edges_undirected():
+    g = complete(3)  # no induced P3, so the seed arc forces nothing
+    dot = to_dot(g, partial_orientation(g, (0, 1)))
+    assert dot.splitlines() == [
+        "digraph {",
+        "  0 -> 1;",
+        "  0 -> 2 [dir=none];",
+        "  1 -> 2 [dir=none];",
+        "}",
+    ]
 
 
 def test_to_dot_rejects_foreign_overlay():

@@ -214,10 +214,29 @@ def test_three_class_check_fails_on_a_tampered_partition_instead_of_raising():
         class_of=(0, 1, 2),
         classes=((0,), (1,), (2,)),
         vertex_sets=(frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
+        bits=(0,) * g.m,
+        contradictions=(None,) * 3,
     )
     (record,) = ALL_CHECKS["three-class-classification"](g, fake)
     assert not record.passed
     assert record.witness == "neither complete tripartite nor spanning class"
+
+
+def test_shortest_path_check_names_the_straddling_p3_and_its_classes():
+    # P3 split into {01} and {12}: the path 0-1-2 is a shortest 0-2 path
+    # and changes class at 1.
+    g = path(3)
+    fake = EdgeClassPartition(
+        g,
+        class_of=(0, 1),
+        classes=((0,), (1,)),
+        vertex_sets=(frozenset({0, 1}), frozenset({1, 2})),
+        bits=(0,) * g.m,
+        contradictions=(None,) * 2,
+    )
+    (record,) = ALL_CHECKS["shortest-path-single-class"](g, fake)
+    assert not record.passed
+    assert record.witness == "shortest path [0, 1, 2] uses classes [0, 1]"
 
 
 def test_sweep_check_selection():

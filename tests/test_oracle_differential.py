@@ -1,16 +1,18 @@
-"""Differential tests of the verification half against the definitions it
-replaced, kept here as references: the backtracking brute-force counters
-against the exhaustive 2^m mask loops, the subset witness oracle against
-its vertex-by-vertex module test, the two sweep checks decided by one
-scan or one kernel call against the per-class kernel loop and the full
-shortest-path listing, and the crossing-lemmas and tinylemma checks,
-which share one crossing-pair scan, against a crossing test per class
-pair; and a kill count per sweep check over tampered partitions."""
+"""Differential tests of the verification half against independent
+references: the backtracking brute-force counters against the exhaustive
+2^m mask loops; the subset witness oracle against its vertex-by-vertex
+module test; the class-subgraph check against a union-find over each
+class's own induced P3s, which runs no forcing kernel; the shortest-path
+check's verdict against the full shortest-path listing, and its witness
+against what a straddling P3 must be; the crossing-lemmas and tinylemma
+checks, which share one crossing-pair scan, against a crossing test per
+class pair; and a kill count per sweep check over tampered partitions."""
 
 from __future__ import annotations
 
 import os
 import pickle
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -35,7 +37,7 @@ from qt2ec import (
     theorem_sweep,
 )
 from qt2ec.families import complete
-from qt2ec.graph import induced_p3s, reach
+from qt2ec.graph import induced_p3_edges, induced_p3s, reach
 from qt2ec.oracle import (
     ALL_CHECKS,
     MASK_CAP_EDGES,
@@ -249,10 +251,22 @@ def test_worker_rows_do_not_pickle_report_objects():
 # class-subgraph-single-class and shortest-path-single-class
 
 
-def per_class_kernel_verdict(g: Graph, p: EdgeClassPartition) -> tuple[bool, str | None]:
-    """The kernel on each class as a graph of its own, one class at a time."""
+def per_class_union_find_verdict(g: Graph, p: EdgeClassPartition) -> tuple[bool, str | None]:
+    """Each class as a graph of its own, its edges joined by a union-find
+    over that graph's induced P3s, without the forcing kernel."""
     for cid in range(p.k):
-        sub_k = compute_classes(Graph(g.n, p.class_edges(cid))).k
+        h = Graph(g.n, p.class_edges(cid))
+        parent = list(range(h.m))
+
+        def find(e: int) -> int:
+            while parent[e] != e:
+                parent[e] = parent[parent[e]]
+                e = parent[e]
+            return e
+
+        for _, _, _, i, j in induced_p3_edges(h):
+            parent[find(i)] = find(j)
+        sub_k = sum(find(e) == e for e in range(h.m))
         if sub_k != 1:
             return False, f"class {cid} splits into {sub_k} classes as its own graph"
     return True, None
@@ -288,7 +302,8 @@ def shortest_path_listing_verdict(g: Graph, p: EdgeClassPartition) -> tuple[bool
 
 
 def partition_of(g: Graph, groups: list[list[int]]) -> EdgeClassPartition:
-    """A hand-built partition with class c holding the edge ids groups[c]."""
+    """A hand-built partition with class c holding the edge ids groups[c],
+    every class read as orientable with all its bits 0."""
     class_of = [0] * g.m
     for cid, group in enumerate(groups):
         for e in group:
@@ -298,6 +313,8 @@ def partition_of(g: Graph, groups: list[list[int]]) -> EdgeClassPartition:
         tuple(class_of),
         tuple(tuple(group) for group in groups),
         tuple(frozenset(x for e in group for x in g.edge(e)) for group in groups),
+        bits=(0,) * g.m,
+        contradictions=(None,) * len(groups),
     )
 
 
@@ -326,17 +343,37 @@ def verdict(g: Graph, p: EdgeClassPartition, name: str) -> tuple[bool, str | Non
     return record.passed, record.witness
 
 
+STRADDLE_WITNESS = re.compile(
+    r"shortest path \[(\d+), (\d+), (\d+)\] uses classes \[(\d+), (\d+)\]"
+)
+
+
+def assert_straddle_witness(g: Graph, p: EdgeClassPartition, witness: str) -> None:
+    """The witness names an induced P3 u-v-w whose two edges lie in
+    different classes of ``p``, and those two classes in order."""
+    match = STRADDLE_WITNESS.fullmatch(witness)
+    assert match, witness
+    u, v, w, a, b = map(int, match.groups())
+    assert g.has_edge(u, v) and g.has_edge(v, w) and u != w and not g.has_edge(u, w), witness
+    assert a < b and {a, b} == {p.class_of_pair(u, v), p.class_of_pair(v, w)}, witness
+
+
 def assert_rewritten_checks_agree(g: Graph, merges=None) -> tuple[int, int]:
     """Both checks against their references on every tampered partition;
     returns how many partitions failed each reference."""
     fails = [0, 0]
     for p in tampered_partitions(g, merges):
-        old = per_class_kernel_verdict(g, p)
-        assert verdict(g, p, "class-subgraph-single-class") == old, (g.edges, p.classes)
-        fails[0] += not old[0]
-        old = shortest_path_listing_verdict(g, p)
-        assert verdict(g, p, "shortest-path-single-class") == old, (g.edges, p.classes)
-        fails[1] += not old[0]
+        expected = per_class_union_find_verdict(g, p)
+        assert verdict(g, p, "class-subgraph-single-class") == expected, (g.edges, p.classes)
+        fails[0] += not expected[0]
+        passed, _ = shortest_path_listing_verdict(g, p)
+        new_passed, witness = verdict(g, p, "shortest-path-single-class")
+        assert new_passed == passed, (g.edges, p.classes)
+        if passed:
+            assert witness is None, (g.edges, p.classes)
+        else:
+            assert_straddle_witness(g, p, witness)
+        fails[1] += not passed
     return fails[0], fails[1]
 
 

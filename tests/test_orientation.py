@@ -72,6 +72,11 @@ def test_direction_bits_other_than_0_1_none_rejected(bits):
         Orientation(path(3), bits)
 
 
+def test_orientation_of_the_wrong_length_is_contract_error():
+    with pytest.raises(ContractError, match="orientation covers 3 edges, graph has 2"):
+        Orientation(path(3), (0, 1, None))
+
+
 def head_parity_verdict(g: Graph, o: Orientation) -> tuple[bool, tuple[int, int, int] | None]:
     """The validity check in its head-parity form: an edge's head parity
     at a centre is 0 when bit 0 points its head there, and the two edges

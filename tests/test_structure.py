@@ -151,6 +151,8 @@ def test_fabricated_partition_fails_touch_law():
         class_of=(0, 1, 2, 2),
         classes=((0,), (1,), (2, 3)),
         vertex_sets=(frozenset({0, 1}), frozenset({0, 3}), frozenset({1, 2, 3})),
+        bits=(0,) * g.m,
+        contradictions=(None,) * 3,
     )
     rel = class_pair_relation(g, fake, 0, 2)
     assert rel.tag == CROSSING
