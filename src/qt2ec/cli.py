@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -292,35 +291,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _thread_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer from --threads or QT2EC_THREADS, got {text!r}"
-        )
-    return count
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built on first use and then shared.
 
-    One parser serves every call in a process as long as ``QT2EC_THREADS``,
-    the only input it reads, stays the same; a changed value builds a new
-    one.  Callers share the returned object and must not mutate it.
-
-    Sharing saves work only when ``main`` runs more than once in one
-    process (the test suite, the benchmark's ``cli-mixed`` workload, or a
-    Python caller looping over graphs).  A one-shot ``qt2ec`` command
-    builds the parser once either way.
+    Callers share the returned object and must not mutate it.  Sharing
+    saves work only when ``main`` runs more than once in one process (the
+    test suite, the benchmark's ``cli-mixed`` workload, or a Python caller
+    looping over graphs).  A one-shot ``qt2ec`` command builds the parser
+    once either way.
     """
-    return _build_parser(os.environ.get("QT2EC_THREADS", "1"))
-
-
-@functools.lru_cache(maxsize=1)
-def _build_parser(threads_default: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qt2ec",
         description=(
@@ -365,14 +345,7 @@ def _build_parser(threads_default: str) -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--sample-n6", type=int, default=None)
     sub.add_argument("--checks", help="comma-separated check names (default all)")
-    # A string default goes through ``type`` only when ``verify`` is parsed,
-    # so a malformed QT2EC_THREADS cannot break the other subcommands.
-    sub.add_argument(
-        "--threads",
-        type=_thread_count,
-        default=threads_default,
-        help="sweep worker processes (default QT2EC_THREADS or 1)",
-    )
+    sub.add_argument("--threads", type=int, default=1, help="sweep worker processes (default 1)")
     _add_output_argument(sub, ("text", "json"))
     sub.set_defaults(fn=_cmd_verify)
 

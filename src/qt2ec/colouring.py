@@ -33,9 +33,14 @@ class EdgeColouring:
             raise ContractError(
                 f"colouring covers {len(self.colours)} edges, graph has {self.graph.m}"
             )
-        if not set(self.colours) <= {RED, BLUE}:
-            bad = next(c for c in self.colours if c not in (RED, BLUE))
-            raise ContractError(f"invalid colour {bad!r}")
+        try:
+            valid = set(self.colours) <= {RED, BLUE}
+        except TypeError:  # an unhashable value; the loop below names it
+            valid = False
+        if not valid:
+            for c in self.colours:
+                if c not in (RED, BLUE):
+                    raise ContractError(f"invalid colour {c!r}")
 
     @classmethod
     def from_mapping(cls, g: Graph, mapping: Mapping[EdgePair, str]) -> "EdgeColouring":

@@ -3,6 +3,7 @@ local structure queries the rest of the package builds on."""
 
 from __future__ import annotations
 
+import binascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, FormatError
@@ -11,6 +12,11 @@ VertexSet = Iterable[int]
 EdgePair = tuple[int, int]
 
 _GRAPH6_HEADER = ">>graph6<<"
+# graph6 writes six bits per character, as base64 does, but as the
+# characters chr(63)..chr(126) in place of base64's alphabet.
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 class Graph:
@@ -251,12 +257,11 @@ def encode_graph6(g: Graph) -> str:
     # Column j is pairs (0, j) .. (j - 1, j): row j's low j bits, reversed.
     adj = g._adj_bits
     bits = "".join([format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)])
-    nbits = len(bits)
-    pad = -nbits % 6
-    value = int(bits or "0", 2) << pad
-    return head + "".join(
-        chr((value >> shift & 63) + 63) for shift in range(nbits + pad - 6, -1, -6)
-    )
+    chars = -(-len(bits) // 6)
+    bits += "0" * (-len(bits) % 24)  # whole 3-byte groups, so no "=" padding
+    data = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    text = binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_GRAPH6)
+    return head + text[:chars].decode()
 
 
 _CLASS_STYLES = ("solid", "dashed", "dotted", "bold")

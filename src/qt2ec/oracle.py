@@ -479,9 +479,9 @@ def _run_checks(g: Graph, names: list[str], registry: dict[str, CheckFn]) -> lis
     return out
 
 
-def _sweep_worker(args: tuple[int, int, tuple[str, ...]]) -> list[Row]:
-    n, mask, names = args
-    return _run_checks(graph_from_mask(n, mask), list(names), ALL_CHECKS)
+def _sweep_worker(job: tuple[int, int, list[str], dict[str, CheckFn]]) -> list[Row]:
+    n, mask, names, table = job
+    return _run_checks(graph_from_mask(n, mask), names, table)
 
 
 def _sweep_rows(
@@ -489,17 +489,15 @@ def _sweep_rows(
 ) -> Iterator[list[Row]]:
     """Each corpus graph's rows, in corpus order, from a pool of
     ``threads`` worker processes or, with one thread, from this one."""
-    if threads > 1:
-        # Imported here: the module costs every CLI call tens of ms.
-        from concurrent.futures import ProcessPoolExecutor
+    jobs = [(n, mask, names, table) for n, mask in items]
+    if threads == 1:
+        yield from map(_sweep_worker, jobs)
+        return
+    # Imported here: the module costs every CLI call tens of ms.
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(
-                _sweep_worker, [(n, mask, tuple(names)) for n, mask in items], chunksize=64
-            )
-    else:
-        for n, mask in items:
-            yield _run_checks(graph_from_mask(n, mask), names, table)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(_sweep_worker, jobs, chunksize=64)
 
 
 def theorem_sweep(
@@ -517,10 +515,13 @@ def theorem_sweep(
     holds once each, so the records come out sorted by (graph6, check,
     witness or "") and multi-worker runs merge identically.  ``threads``
     must be 1..``MAX_SWEEP_THREADS``: a pool starts all its workers at
-    once.  ``registry`` is a test hook replacing the default check table
-    (serial execution only).
+    once.  ``registry`` is a test hook replacing the default check table;
+    it runs with ``cfg.threads`` like the default one.  The pool pickles
+    the table by reference, so its checks must be module-level functions:
+    with ``threads`` above 1 a closure fails at once, unpicklable
+    (``AttributeError: Can't pickle local object`` on CPython 3.11), and
+    never hangs.
     """
-    custom = registry is not None
     table = registry if registry is not None else ALL_CHECKS
     if not 1 <= cfg.max_n <= MAX_CORPUS_N:
         raise ContractError(f"max_n must be 1..{MAX_CORPUS_N}, got {cfg.max_n}")
@@ -546,7 +547,7 @@ def theorem_sweep(
 
     graphs = [
         list(map(CheckResult._make, rows))
-        for rows in _sweep_rows(items, names, table, 1 if custom else cfg.threads)
+        for rows in _sweep_rows(items, names, table, cfg.threads)
         if rows
     ]
     graphs.sort(key=lambda records: records[0].graph_key)

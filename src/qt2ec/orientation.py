@@ -34,9 +34,14 @@ class Orientation:
             raise ContractError(
                 f"orientation covers {len(self.bits)} edges, graph has {self.graph.m}"
             )
-        if not set(self.bits) <= {0, 1, None}:
-            bad = next(b for b in self.bits if b not in (0, 1, None))
-            raise ContractError(f"invalid direction bit {bad!r}")
+        try:
+            valid = set(self.bits) <= {0, 1, None}
+        except TypeError:  # an unhashable value; the loop below names it
+            valid = False
+        if not valid:
+            for b in self.bits:
+                if b not in (0, 1, None):
+                    raise ContractError(f"invalid direction bit {b!r}")
 
     @classmethod
     def from_arcs(cls, g: Graph, arcs: Iterable[tuple[int, int]]) -> "Orientation":

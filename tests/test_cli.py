@@ -354,16 +354,28 @@ def test_verify_refuses_empty_sweeps(capsys, monkeypatch, argv, message):
     assert message in err
 
 
-def test_verify_refuses_thread_counts_out_of_range(capsys):
-    # Both refusals come before any corpus graph is built or pool started.
-    code, out, err = run(capsys, "verify", "--max-n", "2", "--threads", "65")
-    assert code == 2 and out == ""
-    assert "threads must be 1..64, got 65" in err
-    for value in ("0", "-3"):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--max-n", "2", "--threads", value])
-        assert excinfo.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+def test_verify_refuses_thread_counts_out_of_range(capsys, monkeypatch):
+    # Each refusal comes before any corpus graph is built or pool started.
+    def no_corpus(*args):
+        raise AssertionError("corpus built before the refusal")
+
+    monkeypatch.setattr(qt2ec.oracle, "_labeled_masks", no_corpus)
+    for value in ("65", "0", "-3"):
+        code, out, err = run(capsys, "verify", "--max-n", "2", "--threads", value)
+        assert code == 2 and out == ""
+        assert f"threads must be 1..64, got {value}" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--max-n", "2", "--threads", "abc"])
+    assert excinfo.value.code == 2
+    assert "argument --threads: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_verify_reads_no_environment(capsys, monkeypatch):
+    monkeypatch.delenv("QT2EC_THREADS", raising=False)
+    expected = run(capsys, "verify", "--max-n", "3")
+    assert expected[0] == 0
+    monkeypatch.setenv("QT2EC_THREADS", "abc")
+    assert run(capsys, "verify", "--max-n", "3") == expected
 
 
 def test_oracle_subcommand(capsys):
@@ -376,29 +388,6 @@ def test_oracle_subcommand(capsys):
         "colourings": 2,
         "orientations": 0,
     }
-
-
-def test_threads_default_from_environment(monkeypatch):
-    monkeypatch.setenv("QT2EC_THREADS", "3")
-    args = build_parser().parse_args(["verify"])
-    assert args.threads == 3
-
-
-def test_malformed_threads_environment_only_affects_verify(capsys, monkeypatch):
-    monkeypatch.setenv("QT2EC_THREADS", "abc")
-    code, out, _ = run(capsys, "classes", "--family", "path,3")
-    assert code == 0 and out.startswith("k=1")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["classes", "--help"])
-    assert excinfo.value.code == 0
-    code, _, _ = run(capsys, "verify", "--max-n", "2", "--threads", "1")
-    assert code == 0
-    for value in ("abc", "0", "-1"):
-        monkeypatch.setenv("QT2EC_THREADS", value)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--max-n", "2"])
-        assert excinfo.value.code == 2
-        assert "QT2EC_THREADS" in capsys.readouterr().err
 
 
 def test_dot_output(capsys):
@@ -414,19 +403,10 @@ def test_dot_output(capsys):
 
 
 def test_parser_is_shared_while_environment_holds(monkeypatch):
-    monkeypatch.setenv("QT2EC_THREADS", "2")
-    assert build_parser() is build_parser()
-
-
-def test_changed_threads_environment_takes_effect(capsys, monkeypatch):
-    monkeypatch.setenv("QT2EC_THREADS", "2")
-    code, _, _ = run(capsys, "verify", "--max-n", "2", "--checks", "colouring-count")
-    assert code == 0
-    monkeypatch.setenv("QT2EC_THREADS", "abc")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--max-n", "2", "--checks", "colouring-count"])
-    assert excinfo.value.code == 2
-    assert "QT2EC_THREADS" in capsys.readouterr().err
+    # The parser reads no environment, so a change leaves it shared too.
+    parser = build_parser()
+    monkeypatch.setenv("COLUMNS", "40")
+    assert build_parser() is parser
 
 
 def test_flags_do_not_carry_over_between_calls(capsys):

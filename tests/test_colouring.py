@@ -81,7 +81,13 @@ def test_colouring_of_the_wrong_length_is_contract_error():
 
 
 @pytest.mark.parametrize(
-    "colours, bad", [(("R", "G"), "'G'"), (("r", "B"), "'r'"), (("B", None), "None")]
+    "colours, bad",
+    [
+        (("R", "G"), "'G'"),
+        (("r", "B"), "'r'"),
+        (("B", None), "None"),
+        ((["R"], "B"), r"\['R'\]"),  # unhashable
+    ],
 )
 def test_colours_other_than_r_and_b_are_named(colours, bad):
     with pytest.raises(ContractError, match=f"invalid colour {bad}$"):

@@ -103,6 +103,10 @@ def test_standard_generators():
     assert complete_multipartite(1, 1, 2) == figure_graph("k4_minus_e")
     with pytest.raises(ContractError):
         cycle(2)
+    with pytest.raises(ContractError, match="path needs k >= 1, got 0"):
+        path(0)
+    with pytest.raises(ContractError, match="complete needs n >= 1, got 0"):
+        complete(0)
     with pytest.raises(ContractError):
         complete_multipartite(1, 0)
 

@@ -7,6 +7,7 @@ import re
 from itertools import combinations
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -58,6 +59,7 @@ def test_constructor_canonicalizes_and_indexes():
     assert g.edge_index(2, 1) == 1
     assert g.neighbors(1) == (0, 2)
     assert g.degree(1) == 2 and g.degree(0) == 1
+    assert repr(g) == repr(path(3)) == "Graph(n=3, m=2)"
 
 
 def test_constructor_rejects_bad_edges():
@@ -222,9 +224,30 @@ def test_graph6_agrees_with_independent_codec(g: Graph):
     assert decoded.number_of_nodes() == g.n
 
 
+def _sparse_random_graph(n: int, p: float, seed: int) -> Graph:
+    rng = Random(seed)
+    return Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+
+
+@pytest.mark.parametrize(
+    "g", [path(3000), _sparse_random_graph(400, 0.01, seed=15)], ids=["path-3000", "gnp-400"]
+)
+def test_graph6_of_large_sparse_graphs_agrees_with_independent_decoder(g: Graph):
+    # An encoder quadratic in the bit count took 80 s on path(3000).
+    # networkx's encoder takes seconds here too, so its decoder checks the
+    # header and the edge bits, and the strict parser the zero padding.
+    ours = encode_graph6(g)
+    decoded = nx.from_graph6_bytes(ours.encode())
+    assert decoded.number_of_nodes() == g.n
+    assert {tuple(sorted(e)) for e in decoded.edges()} == set(g.edges)
+    assert parse_graph6(ours) == g
+
+
 def test_graph6_long_form_vertex_count():
     g = Graph(63, [(0, 62)])
     assert parse_graph6(encode_graph6(g)) == g
+    with pytest.raises(ContractError, match="at most 258047 vertices, got 258048"):
+        encode_graph6(Graph(258048))
 
 
 @pytest.mark.parametrize(
@@ -305,6 +328,9 @@ def test_to_dot_rejects_foreign_overlay():
     o = Orientation.from_arcs(path(3), [(0, 1)])
     with pytest.raises(ContractError):
         to_dot(cycle(4), o)
+    g = path(3)
+    with pytest.raises(ContractError, match="unsupported overlay type SimpleNamespace"):
+        to_dot(g, SimpleNamespace(graph=g))
 
 
 @given(graphs())

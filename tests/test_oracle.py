@@ -88,6 +88,8 @@ def test_sample_connected_graphs_seeded():
     assert first == second
     assert len({g.edges for g in first}) == 25
     assert sample_connected_graphs(6, 5, seed=1) != sample_connected_graphs(6, 5, seed=2)
+    with pytest.raises(RefusalError, match="fewer than 2 connected graphs exist at n=2"):
+        sample_connected_graphs(2, 2, 0)
 
 
 # ---------------------------------------------------------------------------

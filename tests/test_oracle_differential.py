@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import qt2ec
 from qt2ec import (
+    CheckResult,
     EdgeClassPartition,
     Graph,
     RefusalError,
@@ -139,6 +140,36 @@ def test_pool_sweep_matches_serial_sweep():
     assert shape(pooled) == shape(serial)
 
 
+# Module-level checks, so a pool can pickle them by reference.
+
+
+def class_count_parity(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
+    return [CheckResult("class-count-parity", p.k % 2 == 0, witness=f"k={p.k}")]
+
+
+def process_id(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
+    return [CheckResult("process-id", True, detail=str(os.getpid()))]
+
+
+def test_module_level_registry_runs_on_the_pool():
+    registry = {
+        "class-count-parity": class_count_parity,
+        "colouring-count": ALL_CHECKS["colouring-count"],
+    }
+    serial = theorem_sweep(SweepConfig(max_n=4, threads=1), registry)
+    pooled = theorem_sweep(SweepConfig(max_n=4, threads=2), registry)
+
+    def unstamped(report):
+        return [tuple(r)[:-1] for r in report.results]
+
+    assert pooled.meta == serial.meta
+    assert unstamped(pooled) == unstamped(serial)
+    assert {r.check for r in pooled.results} == set(registry)
+    assert not pooled.passed  # K1's zero classes pass, K2's one does not
+    where = theorem_sweep(SweepConfig(max_n=3, threads=2), {"process-id": process_id})
+    assert str(os.getpid()) not in {r.detail for r in where.results}
+
+
 def test_each_check_time_is_stamped_once_per_graph():
     report = theorem_sweep(SweepConfig(max_n=4))
     stamped: dict[str, int] = {}
@@ -241,8 +272,8 @@ def test_cli_import_does_not_load_the_process_pool():
 
 
 def test_worker_rows_do_not_pickle_report_objects():
-    names = tuple(sorted(ALL_CHECKS))
-    rows = _sweep_worker((4, 0b111111, names))  # K4
+    names = sorted(ALL_CHECKS)
+    rows = _sweep_worker((4, 0b111111, names, ALL_CHECKS))  # K4
     assert rows and all(type(row) is tuple and len(row) == 6 for row in rows)
     assert b"qt2ec.report" not in pickle.dumps(rows)
 

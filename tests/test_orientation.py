@@ -66,7 +66,7 @@ def test_conflicting_arcs_rejected():
         Orientation.from_arcs(path(3), [(0, 1), (1, 0)])
 
 
-@pytest.mark.parametrize("bits", [(5, 0), (0, -1), (None, 2), (0, "1")])
+@pytest.mark.parametrize("bits", [(5, 0), (0, -1), (None, 2), (0, "1"), ([0], 1)])
 def test_direction_bits_other_than_0_1_none_rejected(bits):
     with pytest.raises(ContractError, match="invalid direction bit"):
         Orientation(path(3), bits)
