@@ -20,14 +20,18 @@ and one link per edge.  The class is orientable iff its component is
 bipartite, and an edge's direction bit is the colour of the star at its
 low end.
 
-At each centre the kernel takes every co-component with
-:func:`qt2ec.graph.reach` over the complemented bitsets, bounded by the
-centre's unvisited neighbours, and gives it a star id.  A centre whose whole
-neighbourhood is one co-component is one star: its upper edges get that
-id all at once, with no walk over the members, and only its edges to lower
-neighbours are linked one by one.  One BFS over the star graph from the
-low star of each unlabelled edge, in edge order, then labels the classes,
-and C-level maps over the low stars give every edge its class and bit.
+At each centre the kernel first takes the co-component of the least
+neighbour with :func:`qt2ec.graph.reach` over the complemented bitsets.
+When that is the whole neighbourhood, the centre is one star: its upper
+edges get its id all at once, with no walk over the members, and only its
+edges to lower neighbours are linked one by one.  Otherwise the centre has
+several stars.  The kernel walks the members of the first one, then grows
+each later co-component from its least unvisited neighbour, adding each
+popped member's unvisited non-neighbours, and hands out its star id in
+that same walk, so every neighbour of the centre is visited once.  One BFS
+over the star graph from the low star of each unlabelled edge, in edge
+order, then labels the classes, and C-level maps over the low stars give
+every edge its class and bit.
 
 ``Graph`` is immutable, so the partition is computed once per graph and
 memoised on it; the colouring, orientation and CLI paths all read that one
@@ -122,18 +126,40 @@ def _forcing_kernel(g: Graph) -> tuple:
             links.append(down)
             low += [s] * (len(to_v) - len(down))
         else:
-            # Several stars: walk each co-component's members.  A member
-            # above v fills in its edge's low star, whose slot is reserved
-            # here; a member below v links the new star to its own.
+            # Several stars.  A member above v fills in its edge's low
+            # star, whose slot is reserved here; a member below v links
+            # the new star to its own.  reach found the first star, so its
+            # members are only walked.  Each later star grows from its
+            # least member as it is walked: a popped member adds its
+            # unvisited non-neighbours.
             low += [0] * (left >> v).bit_count()
-            while True:
+            left ^= comp
+            centre.append(v)
+            links.append([])
+            while comp:
+                y = comp & -comp
+                comp ^= y
+                u = y.bit_length() - 1
+                e = to_v[u]
+                if u > v:
+                    low[e] = s
+                else:
+                    a = low[e]
+                    links[a].append(s)
+                    links[s].append(a)
+            while left:
+                s += 1
                 centre.append(v)
                 links.append([])
+                comp = left & -left
                 left ^= comp
                 while comp:
                     y = comp & -comp
                     comp ^= y
                     u = y.bit_length() - 1
+                    grow = co_adj[u] & left
+                    comp |= grow
+                    left ^= grow
                     e = to_v[u]
                     if u > v:
                         low[e] = s
@@ -141,10 +167,6 @@ def _forcing_kernel(g: Graph) -> tuple:
                         a = low[e]
                         links[a].append(s)
                         links[s].append(a)
-                if not left:
-                    break
-                s += 1
-                comp = reach(co_adj, left & -left, left)
 
     # One BFS per class over the stars, started with colour 0 from the low
     # star of the least edge not yet labelled, so class ids follow least

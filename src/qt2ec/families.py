@@ -138,6 +138,13 @@ FAMILY_USAGE = (
 # about 15 s and peaks near 1 GB.
 MAX_FAMILY_SIZE = 1_000_000
 
+# The most vertices a family spec may ask for.  A Graph keeps one bitset
+# per vertex, and the kernel a complemented copy, so memory grows as n^2
+# even on a path.  At this cap, on a 2-vCPU VM, `classes` peaks at 376 MB
+# on path,50000 and at 768 MB on join_k1:join_k1:double_path_apex,24998,
+# whose apexes set a high bit in every row.
+MAX_FAMILY_VERTICES = 50_000
+
 _FIGURES = {"k4_minus_e": (4, 5), "fig1_left": (6, 12), "fig1_right": (6, 10)}
 
 # Each one-parameter family's builder, and its (vertices, edges) for a
@@ -156,8 +163,8 @@ def family_from_spec(spec: str) -> Graph:
     """Build a generator graph from a CLI spec string like ``cycle,5``.
 
     The spec's vertex and edge counts follow from its parameters, so a spec
-    asking for more than ``MAX_FAMILY_SIZE`` of either is refused before
-    any edge is built.
+    asking for more than ``MAX_FAMILY_SIZE`` of either, or for more than
+    ``MAX_FAMILY_VERTICES`` vertices, is refused before any edge is built.
     """
     whole = spec = spec.strip()
     joins = 0
@@ -196,6 +203,10 @@ def family_from_spec(spec: str) -> Graph:
         raise RefusalError(
             f"family {whole!r} has {n} vertices and {m} edges; "
             f"the cap is {MAX_FAMILY_SIZE} of each"
+        )
+    if n > MAX_FAMILY_VERTICES:
+        raise RefusalError(
+            f"family {whole!r} has {n} vertices; the cap is {MAX_FAMILY_VERTICES} vertices"
         )
     g = build()
     for _ in range(joins):

@@ -14,9 +14,12 @@ EdgePair = tuple[int, int]
 _GRAPH6_HEADER = ">>graph6<<"
 # graph6 writes six bits per character, as base64 does, but as the
 # characters chr(63)..chr(126) in place of base64's alphabet.
-_BASE64_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+# str.translate with this table deletes every graph6 character, so what is
+# left of a line is its invalid characters, in order.
+_GRAPH6_CHARS = dict.fromkeys(range(63, 127))
 
 
 class Graph:
@@ -28,9 +31,10 @@ class Graph:
     the workload.  The one edge map, ``_edge_at[u][v]``, gives the index
     of edge {u, v}; its keys come out ascending, so they are also the
     sorted neighbour lists.  Walks over the bitsets go through
-    :func:`reach`, the package's only bitset BFS, and induced P3s through
-    :func:`induced_p3_edges`.  External string labels, when present, map
-    one-to-one onto the dense ids.  Only the forcing kernel in
+    :func:`reach`, the package's one bitset BFS function (the forcing
+    kernel also grows co-components in its own star walk), and induced
+    P3s through :func:`induced_p3_edges`.  External string labels, when
+    present, map one-to-one onto the dense ids.  Only the forcing kernel in
     :mod:`qt2ec.classes` reads these fields outside this module, and
     ``compute_classes`` memoises its partition's fields in ``_partition``.
     """
@@ -45,13 +49,16 @@ class Graph:
     ):
         if n < 0:
             raise ContractError(f"vertex count must be non-negative, got {n}")
-        canonical: set[EdgePair] = set()
+        # A dict keeps the edges in input order.  The family generators and
+        # graph_from_mask give them mostly sorted, so the sort below runs in
+        # about linear time; a set would hand it the edges in hash order.
+        canonical: dict[EdgePair, None] = {}
         for u, v in edges:
             if u == v:
                 raise ContractError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ContractError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            canonical.add((u, v) if u < v else (v, u))
+            canonical[(u, v) if u < v else (v, u)] = None
         self.n = n
         self.edges: tuple[EdgePair, ...] = tuple(sorted(canonical))
         if labels is not None:
@@ -184,30 +191,25 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _graph6_values(text: str) -> list[int]:
-    values = []
-    for ch in text:
-        code = ord(ch)
-        if code < 63 or code > 126:
-            raise FormatError(f"invalid graph6 character {ch!r}")
-        values.append(code - 63)
-    return values
-
-
 def parse_graph6(text: str) -> Graph:
     """Decode one graph in graph6 format (basic variant).
 
     Layout: N(n) header, then the upper adjacency triangle read column by
     column, packed big-endian six bits per printable character offset 63.
     The header must use the shortest form that holds n, so accepted input
-    re-encodes to itself.
+    re-encodes to itself.  The bits are decoded as :func:`encode_graph6`
+    writes them, through base64, and then scanned for ones.
     """
     s = text.strip()
     if s.startswith(_GRAPH6_HEADER):
         s = s[len(_GRAPH6_HEADER):]
     if not s:
         raise FormatError("empty graph6 input")
-    values = _graph6_values(s)
+    bad = s.translate(_GRAPH6_CHARS)
+    if bad:
+        raise FormatError(f"invalid graph6 character {bad[0]!r}")
+    data = s.encode("ascii")
+    values = [c - 63 for c in data[:8]]
     if values[0] < 63:
         n, pos, least = values[0], 1, 0
     elif len(values) >= 2 and values[1] < 63:
@@ -225,23 +227,28 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError(f"graph6 vertex count {n} needs a shorter header")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    body = values[pos:]
+    body = data[pos:]
     if len(body) < need:
         raise FormatError(f"truncated graph6 bit stream: need {need} characters, got {len(body)}")
     if len(body) > need:
         raise FormatError("trailing data after graph6 bit stream")
 
+    # Zero characters fill the last 4-character base64 group.
+    body = body.translate(_GRAPH6_TO_BASE64) + b"A" * (-need % 4)
+    raw = binascii.a2b_base64(body)
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    if "1" in bits[nbits:]:
+        raise FormatError("nonzero padding bits in graph6 stream")
+    # Column j holds pairs (0, j) .. (j - 1, j) at bits end - j .. end - 1.
     edges = []
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (body[bit // 6] >> (5 - bit % 6)) & 1:
-                edges.append((i, j))
-            bit += 1
-    while bit < 6 * need:
-        if (body[bit // 6] >> (5 - bit % 6)) & 1:
-            raise FormatError("nonzero padding bits in graph6 stream")
-        bit += 1
+    j = end = 1
+    b = bits.find("1", 0, nbits)
+    while b >= 0:
+        while b >= end:
+            j += 1
+            end += j
+        edges.append((b - end + j, j))
+        b = bits.find("1", b + 1, nbits)
     return Graph(n, edges)
 
 
@@ -369,10 +376,12 @@ def reach(adj: Sequence[int] | Mapping[int, int], seed: int, within: int = -1) -
     along the adjacency bitsets ``adj``, never leaving the bitset
     ``within``.  ``adj`` only needs entries for the vertices visited.
 
-    This is the package's one bitset BFS.  It stops as soon as the
-    component fills ``within``.  A complemented row ``~a`` walks the
-    complement graph; it is negative, so it needs a finite (non-negative)
-    ``within`` to stay inside the vertex range.
+    This is the package's one bitset BFS function; the forcing kernel
+    also grows a centre's later co-components in the walk that hands out
+    their star ids.  It stops as soon as the component fills ``within``.
+    A complemented row ``~a`` walks the complement graph; it is negative,
+    so it needs a finite (non-negative) ``within`` to stay inside the
+    vertex range.
     """
     component = frontier = seed
     while frontier and component != within:

@@ -200,3 +200,37 @@ def test_oversized_family_specs_refuse_before_building_an_edge():
     )
     assert out.stdout.strip() == str([3] * len(specs))
     assert out.stderr.count("refused: family") == len(specs)
+
+
+def test_specs_over_the_vertex_cap_refuse_before_building_an_edge():
+    # These specs pass the million-edge cap.  path,1000000 would need tens
+    # of GB of adjacency bitsets; the child caps its own address space at
+    # 512 MiB, so a spec that did build would die of MemoryError there.
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)); "
+        "from qt2ec.cli import main; "
+        "print([main(['classes', '--family', spec]) for spec in sys.argv[1:]])"
+    )
+    specs = ["path,1000000", "cycle,50001", "join_k1:path,50000", "complete_multipartite,49999,2"]
+    src = str(Path(qt2ec.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, *specs],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == str([3] * len(specs))
+    assert "family 'path,1000000' has 1000000 vertices; the cap is 50000 vertices" in out.stderr
+    assert out.stderr.count("the cap is 50000 vertices") == len(specs)
+
+
+@pytest.mark.parametrize("spec", ["path,9", "threshold,12", "join_k1:cycle,5", "complete_multipartite,3,1,2"])
+def test_family_vertex_cap_counts_exactly(spec, monkeypatch):
+    g = family_from_spec(spec)
+    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_VERTICES", g.n)
+    assert family_from_spec(spec) == g
+    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_VERTICES", g.n - 1)
+    with pytest.raises(RefusalError, match=f"has {g.n} vertices; the cap is {g.n - 1} vertices"):
+        family_from_spec(spec)

@@ -62,6 +62,52 @@ def test_constructor_canonicalizes_and_indexes():
     assert repr(g) == repr(path(3)) == "Graph(n=3, m=2)"
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_constructor_output_does_not_depend_on_input_order(seed: int):
+    # Shuffled, with each edge in either orientation and some repeated.
+    rng = Random(seed)
+    n = rng.randrange(1, 30)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    given = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs]
+    given += rng.choices(given, k=len(given) // 3) + [(v, u) for u, v in given[: len(given) // 4]]
+    rng.shuffle(given)
+    g, ref = Graph(n, given), Graph(n, pairs)
+    assert g.edges == ref.edges == tuple(pairs)
+    assert [list(row.items()) for row in g._edge_at] == [list(row.items()) for row in ref._edge_at]
+    assert g._nbrs == ref._nbrs and g._adj_bits == ref._adj_bits
+    for v in range(n):
+        assert list(g._edge_at[v]) == sorted(g._edge_at[v])
+
+
+def test_constructor_names_the_first_bad_edge_in_input_order():
+    cases = [
+        ([(0, 1), (2, 2), (0, 5)], "self-loop at vertex 2"),
+        ([(0, 1), (0, 5), (2, 2)], r"edge \(0, 5\) outside vertex range 0\.\.2"),
+        ([(3, 1), (-1, 0)], r"edge \(3, 1\) outside vertex range 0\.\.2"),
+        ([(0, 1), (-1, 0)], r"edge \(-1, 0\) outside vertex range 0\.\.2"),
+        # A self-loop is named before a range error on the same edge.
+        ([(7, 7)], "self-loop at vertex 7"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            Graph(3, edges)
+    with pytest.raises(ContractError, match="^vertex count must be non-negative, got -1$"):
+        Graph(-1, [(0, 0)])
+
+
+def test_constructor_reads_a_one_shot_iterator_once():
+    pulled = []
+
+    def edges():
+        for e in [(1, 2), (0, 1), (2, 1)]:
+            pulled.append(e)
+            yield e
+
+    g = Graph(3, edges())
+    assert g.edges == ((0, 1), (1, 2))
+    assert pulled == [(1, 2), (0, 1), (2, 1)]
+
+
 def test_constructor_rejects_bad_edges():
     with pytest.raises(ContractError):
         Graph(3, [(1, 1)])

@@ -6,7 +6,11 @@ exact partition, its per-class consistency and its canonical orientations,
 on random graphs and on family graphs with hundreds of vertices; every
 orientation the fast path hands out must pass the definitional validity
 check.  The second is the link-list kernel that the star kernel replaced,
-kept here verbatim, on the benchmark's large graph shapes.
+kept here verbatim, on the benchmark's large graph shapes and on every
+labeled graph with at most six vertices.  It takes every co-component with
+``reach``, while the kernel walks each one after a centre's first itself.
+There, a set-based star search also gives the bits of the classes with no
+orientation, which the link-list kernel numbers its own way.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from qt2ec import (
 )
 from qt2ec.families import family_from_spec
 from qt2ec.graph import EdgePair, reach
+from qt2ec.oracle import enumerate_labeled_graphs
 
 
 def p3_reference(g: Graph) -> tuple[tuple[tuple[int, ...], ...], list[bool], list[int]]:
@@ -328,3 +333,67 @@ def test_kernel_matches_the_link_list_kernel_on_large_shapes(shape: str):
     rng = Random(shape)
     for _ in range(2):
         check_against_link_list_kernel(LARGE_SHAPES[shape](rng))
+
+
+def star_distance_bits(g: Graph) -> list[int]:
+    """Each edge's bit as the star kernel defines it, from stars found here
+    by a set-based search of each neighbourhood's complement: the parity of
+    the star-graph distance from the low star of the least edge of the
+    edge's class to the edge's own low star.  On an orientable class that
+    is the canonical orientation.  On the others it is the meaning of the
+    kernel's bits, which the link-list kernel does not share."""
+    star_at: dict[tuple[int, int], int] = {}  # (centre, member) -> star
+    stars = 0
+    for v in range(g.n):
+        todo = set(g.neighbors(v))
+        while todo:
+            comp = [min(todo)]
+            todo.remove(comp[0])
+            for u in comp:
+                apart = [w for w in todo if not g.has_edge(u, w)]
+                todo.difference_update(apart)
+                comp += apart
+            for u in comp:
+                star_at[v, u] = stars
+            stars += 1
+    links: list[list[int]] = [[] for _ in range(stars)]
+    for u, v in g.edges:
+        links[star_at[u, v]].append(star_at[v, u])
+        links[star_at[v, u]].append(star_at[u, v])
+    dist: dict[int, int] = {}
+    bits = []
+    for u, v in g.edges:
+        s = star_at[u, v]
+        if s not in dist:
+            # The least edge of a class not yet reached.
+            dist[s] = 0
+            queue = [s]
+            for x in queue:
+                for t in links[x]:
+                    if t not in dist:
+                        dist[t] = dist[x] + 1
+                        queue.append(t)
+        bits.append(dist[s] & 1)
+    return bits
+
+
+def test_kernel_matches_the_link_list_kernel_on_every_labeled_graph_up_to_six_vertices():
+    # All 2^15 labeled graphs at n = 6, disconnected ones included.
+    graphs = 0
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n, connected_only=False):
+            graphs += 1
+            class_of, classes, vertex_sets, ref_bits, clashes = link_list_kernel(g)
+            p = compute_classes(g)
+            assert (p.class_of, p.classes, p.vertex_sets) == (class_of, classes, vertex_sets)
+            # A class with no orientation names its least edge, wherever
+            # the reference found its clash.
+            assert p.contradictions == tuple(
+                None if clash is None else g.edge(members[0])
+                for clash, members in zip(clashes, classes)
+            )
+            assert list(p.bits) == star_distance_bits(g)
+            for members, clash in zip(classes, clashes):
+                if clash is None:
+                    assert all(p.bits[e] == ref_bits[e] for e in members)
+    assert graphs == 1 + 2 + 8 + 64 + 1024 + 2**15
