@@ -40,7 +40,7 @@ result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graph import EdgePair, Graph, reach
 
@@ -48,8 +48,9 @@ from .graph import EdgePair, Graph, reach
 DEFAULT_ENUMERATION_CAP = 20
 
 
-@dataclass(frozen=True)
-class EdgeClassPartition:
+class EdgeClassPartition(
+    namedtuple("EdgeClassPartition", "graph class_of classes vertex_sets bits contradictions")
+):
     """The edge classes of a graph, ids ordered by least contained edge index.
 
     ``bits[e]`` is edge e's direction (0 = low->high) in its class's
@@ -61,12 +62,7 @@ class EdgeClassPartition:
     carry no meaning.
     """
 
-    graph: Graph
-    class_of: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-    vertex_sets: tuple[frozenset[int], ...]
-    bits: tuple[int, ...]
-    contradictions: tuple[EdgePair | None, ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:

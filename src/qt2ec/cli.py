@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .classes import DEFAULT_ENUMERATION_CAP, compute_classes
 from .colouring import (

@@ -9,9 +9,8 @@ exhaustive checks live in :mod:`qt2ec.oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Iterator, Mapping
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 
 from .classes import DEFAULT_ENUMERATION_CAP, EdgeClassPartition, compute_classes
 from .errors import ContractError, RefusalError
@@ -21,26 +20,23 @@ RED = "R"
 BLUE = "B"
 
 
-@dataclass(frozen=True)
-class EdgeColouring:
+class EdgeColouring(namedtuple("EdgeColouring", "graph colours")):
     """A total map edge -> {R, B}, stored per dense edge index."""
 
-    graph: Graph
-    colours: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.colours) != self.graph.m:
-            raise ContractError(
-                f"colouring covers {len(self.colours)} edges, graph has {self.graph.m}"
-            )
+    def __new__(cls, graph: Graph, colours: tuple[str, ...]) -> EdgeColouring:
+        if len(colours) != graph.m:
+            raise ContractError(f"colouring covers {len(colours)} edges, graph has {graph.m}")
         try:
-            valid = set(self.colours) <= {RED, BLUE}
+            valid = set(colours) <= {RED, BLUE}
         except TypeError:  # an unhashable value; the loop below names it
             valid = False
         if not valid:
-            for c in self.colours:
+            for c in colours:
                 if c not in (RED, BLUE):
                     raise ContractError(f"invalid colour {c!r}")
+        return tuple.__new__(cls, (graph, colours))
 
     @classmethod
     def from_mapping(cls, g: Graph, mapping: Mapping[EdgePair, str]) -> "EdgeColouring":
@@ -65,19 +61,19 @@ class EdgeColouring:
         )
 
 
-class Colourability(Enum):
+class Colourability:
+    """The three classification buckets, as string constants."""
+
     TRIVIAL_ONLY = "TrivialOnly"
     UNIQUELY_COLOURABLE = "UniquelyColourable"
     PROPERLY_COLOURABLE = "ProperlyColourable"
 
 
-@dataclass(frozen=True)
-class ColourabilityClass:
-    """Classification bucket plus the class count k and the 2^k total."""
+class ColourabilityClass(namedtuple("ColourabilityClass", "kind class_count colouring_count")):
+    """Classification bucket (a :class:`Colourability` constant) plus the
+    class count k and the 2^k total."""
 
-    kind: Colourability
-    class_count: int
-    colouring_count: int
+    __slots__ = ()
 
     @property
     def properly_colourable(self) -> bool:

@@ -4,7 +4,8 @@ local structure queries the rest of the package builds on."""
 from __future__ import annotations
 
 import binascii
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
 
 from .errors import ContractError, FormatError
 
@@ -161,7 +162,9 @@ def parse_edge_list(text: str) -> Graph:
             labels.append(token)
         return index[token]
 
-    edges: set[EdgePair] = set()
+    # Graph collapses duplicates and keeps the input order, so a file
+    # written in pair order reaches its sort already sorted.
+    edges: list[EdgePair] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -176,7 +179,7 @@ def parse_edge_list(text: str) -> Graph:
         if tokens[0] == tokens[1]:
             raise FormatError(f"line {lineno}: self-loop on {tokens[0]!r}")
         u, v = vid(tokens[0]), vid(tokens[1])
-        edges.add((u, v) if u < v else (v, u))
+        edges.append((u, v))
     return Graph(len(labels), edges, labels=labels or None)
 
 
@@ -240,16 +243,19 @@ def parse_graph6(text: str) -> Graph:
     if "1" in bits[nbits:]:
         raise FormatError("nonzero padding bits in graph6 stream")
     # Column j holds pairs (0, j) .. (j - 1, j) at bits end - j .. end - 1.
-    edges = []
+    # Each pair goes to its row's list, so the rows joined in order hand
+    # Graph its edges in pair order.
+    rows: list[list[EdgePair]] = [[] for _ in range(n)]
     j = end = 1
     b = bits.find("1", 0, nbits)
     while b >= 0:
         while b >= end:
             j += 1
             end += j
-        edges.append((b - end + j, j))
+        i = b - end + j
+        rows[i].append((i, j))
         b = bits.find("1", b + 1, nbits)
-    return Graph(n, edges)
+    return Graph(n, chain.from_iterable(rows))
 
 
 def encode_graph6(g: Graph) -> str:

@@ -13,35 +13,32 @@ definitional validity check scans induced P3s itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .classes import DEFAULT_ENUMERATION_CAP, EdgeClassPartition, compute_classes
 from .errors import ContractError, InfeasibilityError, RefusalError
 from .graph import EdgePair, Graph, induced_p3_edges
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(namedtuple("Orientation", "graph bits")):
     """A partial or total arc assignment, one optional bit per edge index
     (0 = low->high, 1 = high->low, None = unoriented)."""
 
-    graph: Graph
-    bits: tuple[int | None, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.bits) != self.graph.m:
-            raise ContractError(
-                f"orientation covers {len(self.bits)} edges, graph has {self.graph.m}"
-            )
+    def __new__(cls, graph: Graph, bits: tuple[int | None, ...]) -> Orientation:
+        if len(bits) != graph.m:
+            raise ContractError(f"orientation covers {len(bits)} edges, graph has {graph.m}")
         try:
-            valid = set(self.bits) <= {0, 1, None}
+            valid = set(bits) <= {0, 1, None}
         except TypeError:  # an unhashable value; the loop below names it
             valid = False
         if not valid:
-            for b in self.bits:
+            for b in bits:
                 if b not in (0, 1, None):
                     raise ContractError(f"invalid direction bit {b!r}")
+        return tuple.__new__(cls, (graph, bits))
 
     @classmethod
     def from_arcs(cls, g: Graph, arcs: Iterable[tuple[int, int]]) -> "Orientation":
@@ -96,11 +93,11 @@ class Orientation:
         return "\n".join(f"{g.label(t)} -> {g.label(h)}" for t, h in self.arcs())
 
 
-@dataclass(frozen=True)
-class OrientationFeasibility:
-    """Per-class consistency verdicts; the total count is 2^k or 0."""
+class OrientationFeasibility(namedtuple("OrientationFeasibility", "partition")):
+    """Per-class consistency verdicts of an :class:`EdgeClassPartition`;
+    the total count is 2^k or 0."""
 
-    partition: EdgeClassPartition
+    __slots__ = ()
 
     @property
     def contradictions(self) -> tuple[EdgePair | None, ...]:

@@ -7,9 +7,14 @@ from itertools import combinations
 import pytest
 
 from qt2ec import (
+    Colourability,
+    ColourabilityClass,
     ContractError,
     EdgeClassPartition,
+    EdgeColouring,
     Graph,
+    Orientation,
+    OrientationFeasibility,
     class_of_edge,
     compute_classes,
     induced_p3s,
@@ -211,6 +216,57 @@ def test_a_hand_built_partition_must_state_its_bits_and_contradictions():
     g = cycle(5)
     with pytest.raises(TypeError, match="bits"):
         EdgeClassPartition(g, (0,) * 5, (tuple(range(5)),), (frozenset(range(5)),))
+
+
+# ---------------------------------------------------------------------------
+# record contracts: immutable tuples compared and hashed by their fields
+
+
+def _record_cases():
+    """(type, field names, fields, fields differing in one place)."""
+    g = path(3)
+    p = compute_classes(g)
+    fields = (g, p.class_of, p.classes, p.vertex_sets, p.bits, p.contradictions)
+    return [
+        (EdgeClassPartition, "graph class_of classes vertex_sets bits contradictions",
+         fields, fields[:4] + ((1, 0), fields[5])),
+        (EdgeColouring, "graph colours", (g, ("R", "R")), (g, ("R", "B"))),
+        (ColourabilityClass, "kind class_count colouring_count",
+         (Colourability.TRIVIAL_ONLY, 1, 2), (Colourability.UNIQUELY_COLOURABLE, 1, 2)),
+        (Orientation, "graph bits", (g, (0, 1)), (g, (1, 0))),
+        (OrientationFeasibility, "partition", (p,), (compute_classes(cycle(5)),)),
+    ]
+
+
+RECORD_CASES = pytest.mark.parametrize(
+    "cls, names, fields, other",
+    [pytest.param(*case, id=case[0].__name__) for case in _record_cases()],
+)
+
+
+@RECORD_CASES
+def test_record_fields_read_back_and_cannot_be_assigned(cls, names, fields, other):
+    record = cls(*fields)
+    assert tuple(record) == fields and len(record) == len(fields)
+    for name, value in zip(names.split(), fields):
+        assert getattr(record, name) is value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@RECORD_CASES
+def test_records_of_one_type_compare_and_hash_by_their_fields(cls, names, fields, other):
+    record = cls(*fields)
+    assert record == cls(*fields) and hash(record) == hash(cls(*fields)) == hash(fields)
+    assert record != cls(*other)
+
+
+@RECORD_CASES
+def test_a_record_missing_a_field_is_a_type_error(cls, names, fields, other):
+    with pytest.raises(TypeError):
+        cls(*fields[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import qt2ec
-from qt2ec import encode_graph6
+from qt2ec import Colourability, classify_colourability, encode_graph6
 from qt2ec.cli import build_parser, main
-from qt2ec.families import cycle, figure_graph
+from qt2ec.families import cycle, family_from_spec, figure_graph
 from qt2ec.oracle import ALL_CHECKS
 from qt2ec.report import CheckResult
 
@@ -39,6 +39,18 @@ def test_classes_family_k4_minus_e(capsys):
 def test_classify_fig1_right(capsys):
     code, out, _ = run(capsys, "classify", "--family", "fig1_right")
     assert code == 0 and out.strip() == "TrivialOnly"
+
+
+def test_classify_kinds_are_str_constants_named_as_before(capsys):
+    cases = [
+        ("fig1_right", Colourability.TRIVIAL_ONLY, "TrivialOnly"),
+        ("triangle_tail,3", Colourability.UNIQUELY_COLOURABLE, "Unique"),
+        ("double_path_apex,3", Colourability.PROPERLY_COLOURABLE, "Properly(3)"),
+    ]
+    for spec, kind, name in cases:
+        assert classify_colourability(family_from_spec(spec)).kind is kind
+        assert isinstance(kind, str)
+        assert run(capsys, "classify", "--family", spec) == (0, name + "\n", "")
 
 
 def test_classify_properly(capsys):
@@ -429,11 +441,12 @@ def test_help_leaves_the_shared_parser_usable(capsys):
 # the import boundary: the fast path never loads the verification half
 
 
-def fresh_python(code: str) -> str:
-    """The stdout of ``code`` run in a new interpreter on this package."""
+def fresh_python(code: str, *flags: str) -> str:
+    """The stdout of ``code`` run in a new interpreter on this package,
+    started with the interpreter options ``flags``."""
     src = str(Path(qt2ec.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         check=True,
@@ -463,6 +476,22 @@ def test_fast_path_subcommands_do_not_load_the_verification_half():
         "qt2ec.graph",
         "qt2ec.orientation",
     ]
+
+
+def test_the_fast_path_imports_without_dataclasses_inspect_or_typing():
+    # -S keeps site out: a .pth hook may import typing by itself.  enum
+    # comes with argparse, through re, so only the package is held to it.
+    code = (
+        "import sys\n"
+        "heavy = ('dataclasses', 'enum', 'inspect', 'typing')\n"
+        "import qt2ec\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "import qt2ec.cli\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    package, cli = fresh_python(code, "-S").splitlines()
+    assert package == "[]"
+    assert cli in ("[]", "['enum']")
 
 
 def test_every_public_name_resolves_in_a_fresh_interpreter():
