@@ -11,7 +11,7 @@ on first access, so importing the package does not load the checks.
 
 from importlib import import_module
 
-from .classes import EdgeClassPartition, class_of_edge, compute_classes
+from .classes import EdgeClassPartition, compute_classes
 from .colouring import (
     Colourability,
     ColourabilityClass,
@@ -51,7 +51,6 @@ from .orientation import (
     is_quasi_transitive_orientation,
     orientability,
     partial_orientation,
-    same_gamma_class,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +77,6 @@ __all__ = [
     "brute_force_orientation_count",
     "check_crossing_lemmas",
     "check_tinylemma_instances",
-    "class_of_edge",
     "class_pair_relation",
     "classify_colourability",
     "compute_classes",
@@ -102,7 +100,6 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "partial_orientation",
-    "same_gamma_class",
     "sample_connected_graphs",
     "subset_witness_count",
     "theorem_sweep",

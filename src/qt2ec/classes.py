@@ -201,8 +201,3 @@ def _forcing_kernel(g: Graph) -> tuple:
         classes = tuple(map(tuple, members))
     bits = tuple(map(colour.__getitem__, low))
     return class_of, classes, tuple(vertex_sets), bits, tuple(contradictions)
-
-
-def class_of_edge(p: EdgeClassPartition, e: EdgePair) -> tuple[EdgePair, ...]:
-    """The full class containing edge ``e``, as sorted canonical pairs."""
-    return p.class_edges(p.class_of_pair(*e))

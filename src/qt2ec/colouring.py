@@ -10,11 +10,11 @@ exhaustive checks live in :mod:`qt2ec.oracle`.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 
 from .classes import DEFAULT_ENUMERATION_CAP, EdgeClassPartition, compute_classes
 from .errors import ContractError, RefusalError
-from .graph import EdgePair, Graph, induced_p3_edges, is_connected, is_module_set
+from .graph import Graph, induced_p3_edges, is_connected, is_module_set
 
 RED = "R"
 BLUE = "B"
@@ -38,28 +38,6 @@ class EdgeColouring(namedtuple("EdgeColouring", "graph colours")):
                     raise ContractError(f"invalid colour {c!r}")
         return tuple.__new__(cls, (graph, colours))
 
-    @classmethod
-    def from_mapping(cls, g: Graph, mapping: Mapping[EdgePair, str]) -> "EdgeColouring":
-        colours: list[str | None] = [None] * g.m
-        for (u, v), colour in mapping.items():
-            idx = g.edge_index(u, v)
-            if colours[idx] is not None and colours[idx] != colour:
-                raise ContractError(f"edge {g.edge(idx)} coloured twice")
-            colours[idx] = colour
-        if any(c is None for c in colours):
-            missing = g.edge(colours.index(None))
-            raise ContractError(f"partial colouring: edge {missing} has no colour")
-        return cls(g, tuple(colours))  # type: ignore[arg-type]
-
-    @classmethod
-    def monochromatic(cls, g: Graph, colour: str = RED) -> "EdgeColouring":
-        return cls(g, (colour,) * g.m)
-
-    def swapped(self) -> "EdgeColouring":
-        return EdgeColouring(
-            self.graph, tuple(BLUE if c == RED else RED for c in self.colours)
-        )
-
 
 class Colourability:
     """The three classification buckets, as string constants."""
@@ -74,10 +52,6 @@ class ColourabilityClass(namedtuple("ColourabilityClass", "kind class_count colo
     class count k and the 2^k total."""
 
     __slots__ = ()
-
-    @property
-    def properly_colourable(self) -> bool:
-        return self.class_count >= 2
 
 
 def is_quasi_transitive_colouring(
@@ -108,8 +82,11 @@ def enumerate_colourings(
     """Yield all valid colourings in class-bitmask order.
 
     Bit i of the mask is the colour of class i (0 = R), so the first item
-    is all-R and the stream has exactly 2^k entries.
+    is all-R and the stream has exactly 2^k entries.  Refuses k above the
+    cap; a negative cap is a contract error.
     """
+    if cap < 0:
+        raise ContractError(f"enumeration cap must be at least 0, got {cap}")
     p = compute_classes(g)
     if p.k > cap:
         raise RefusalError(f"enumeration cap exceeded: {p.k} classes > cap {cap}")

@@ -291,10 +291,9 @@ def _dot_id(name: str) -> str:
 
 
 def to_dot(g: Graph, overlay: object = None) -> str:
-    """Render DOT text, optionally styled by a class partition, an edge
-    colouring (R dotted, B solid), or an orientation (directed arcs)."""
+    """Render DOT text, optionally styled by a class partition or an
+    orientation (directed arcs)."""
     from .classes import EdgeClassPartition
-    from .colouring import EdgeColouring
     from .orientation import Orientation
 
     if overlay is not None and getattr(overlay, "graph", None) != g:
@@ -311,9 +310,6 @@ def to_dot(g: Graph, overlay: object = None) -> str:
             lines.append(f"  {a} -- {b};")
         elif isinstance(overlay, EdgeClassPartition):
             style = _CLASS_STYLES[overlay.class_of[idx] % len(_CLASS_STYLES)]
-            lines.append(f"  {a} -- {b} [style={style}];")
-        elif isinstance(overlay, EdgeColouring):
-            style = "dotted" if overlay.colours[idx] == "R" else "solid"
             lines.append(f"  {a} -- {b} [style={style}];")
         elif directed:
             bit = overlay.bits[idx]

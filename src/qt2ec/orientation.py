@@ -14,11 +14,11 @@ definitional validity check scans induced P3s itself.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from .classes import DEFAULT_ENUMERATION_CAP, EdgeClassPartition, compute_classes
 from .errors import ContractError, InfeasibilityError, RefusalError
-from .graph import EdgePair, Graph, induced_p3_edges
+from .graph import Graph, induced_p3_edges
 
 
 class Orientation(namedtuple("Orientation", "graph bits")):
@@ -40,17 +40,6 @@ class Orientation(namedtuple("Orientation", "graph bits")):
                     raise ContractError(f"invalid direction bit {b!r}")
         return tuple.__new__(cls, (graph, bits))
 
-    @classmethod
-    def from_arcs(cls, g: Graph, arcs: Iterable[tuple[int, int]]) -> "Orientation":
-        bits: list[int | None] = [None] * g.m
-        for tail, head in arcs:
-            idx = g.edge_index(tail, head)
-            bit = 0 if (tail, head) == g.edge(idx) else 1
-            if bits[idx] is not None and bits[idx] != bit:
-                raise ContractError(f"edge {g.edge(idx)} oriented both ways")
-            bits[idx] = bit
-        return cls(g, tuple(bits))
-
     @property
     def is_total(self) -> bool:
         return all(b is not None for b in self.bits)
@@ -68,24 +57,9 @@ class Orientation(namedtuple("Orientation", "graph bits")):
             out.append((u, v) if b == 0 else (v, u))
         return out
 
-    def arc_of(self, u: int, v: int) -> tuple[int, int] | None:
-        idx = self.graph.edge_index(u, v)
-        b = self.bits[idx]
-        if b is None:
-            return None
-        a, c = self.graph.edge(idx)
-        return (a, c) if b == 0 else (c, a)
-
     def reversed(self) -> "Orientation":
         return Orientation(
             self.graph, tuple(None if b is None else 1 - b for b in self.bits)
-        )
-
-    def restricted_to(self, edge_indices: Iterable[int]) -> "Orientation":
-        keep = set(edge_indices)
-        return Orientation(
-            self.graph,
-            tuple(b if i in keep else None for i, b in enumerate(self.bits)),
         )
 
     def format_arcs(self) -> str:
@@ -100,23 +74,19 @@ class OrientationFeasibility(namedtuple("OrientationFeasibility", "partition")):
     __slots__ = ()
 
     @property
-    def contradictions(self) -> tuple[EdgePair | None, ...]:
-        return self.partition.contradictions
-
-    @property
     def k(self) -> int:
         return self.partition.k
 
     @property
     def orientable(self) -> bool:
-        return all(w is None for w in self.contradictions)
+        return all(w is None for w in self.partition.contradictions)
 
     @property
     def count(self) -> int:
         return (1 << self.k) if self.orientable else 0
 
     def class_consistent(self, class_id: int) -> bool:
-        return self.contradictions[class_id] is None
+        return self.partition.contradictions[class_id] is None
 
 
 def is_quasi_transitive_orientation(
@@ -178,8 +148,10 @@ def enumerate_orientations(
 
     Per class the canonical choice orients the class's least edge
     low->high; mask bit i = 1 reverses class i.  Refuses non-orientable
-    graphs and k above the cap.
+    graphs and k above the cap; a negative cap is a contract error.
     """
+    if cap < 0:
+        raise ContractError(f"enumeration cap must be at least 0, got {cap}")
     feas = orientability(g)
     if not feas.orientable:
         raise RefusalError("graph has no quasi-transitive orientation")
@@ -195,17 +167,3 @@ def _orientation_stream(g: Graph, p: EdgeClassPartition) -> Iterator[Orientation
             tuple(p.bits[e] ^ ((mask >> p.class_of[e]) & 1) for e in range(g.m)),
         )
 
-
-def same_gamma_class(g: Graph, e: EdgePair, f: EdgePair) -> bool:
-    """True iff the partial orientations generated from ``e`` and ``f``
-    orient the same edge set, i.e. the edges share a class."""
-    feas = orientability(g)
-    ce = feas.partition.class_of_pair(*e)
-    cf = feas.partition.class_of_pair(*f)
-    for cid in (ce, cf):
-        if not feas.class_consistent(cid):
-            raise InfeasibilityError(
-                f"class of edge {g.edge(feas.partition.classes[cid][0])} admits no orientation",
-                edge=feas.contradictions[cid],
-            )
-    return ce == cf

@@ -15,7 +15,6 @@ from qt2ec import (
     Graph,
     Orientation,
     OrientationFeasibility,
-    class_of_edge,
     compute_classes,
     induced_p3s,
     induced_subgraph,
@@ -105,7 +104,7 @@ def test_figure_one_left_classes():
     assert p.k == 4
     assert sorted(len(c) for c in p.classes) == [1, 2, 3, 6]
     # brute-confirmed golden: the six-edge class generated by edge v1v2
-    assert class_of_edge(p, (0, 1)) == (
+    assert p.class_edges(p.class_of_pair(0, 1)) == (
         (0, 1), (0, 3), (1, 2), (1, 5), (2, 3), (3, 5),
     )
 
@@ -117,16 +116,16 @@ def test_cycle_five_single_class():
 
 def test_class_of_edge_singletons_and_errors():
     p = compute_classes(complete(3))
-    assert class_of_edge(p, (0, 2)) == ((0, 2),)
+    assert p.class_edges(p.class_of_pair(0, 2)) == ((0, 2),)
     with pytest.raises(ContractError):
-        class_of_edge(p, (0, 3))
+        p.class_of_pair(0, 3)
 
 
 def test_triangle_with_tail_apex_edge_is_singleton():
     g = triangle_with_tail(3)
     p = compute_classes(g)
     u, v = g.vertex_by_label("u"), g.vertex_by_label("v")
-    assert class_of_edge(p, (u, v)) == ((min(u, v), max(u, v)),)
+    assert p.class_edges(p.class_of_pair(u, v)) == ((min(u, v), max(u, v)),)
     assert p.k == 2
 
 
@@ -317,4 +316,4 @@ def test_homogeneous_subgraph_confines_classes():
                         if u in inside and v in inside
                     }
                     for u, v in inner_edges:
-                        assert set(class_of_edge(p, (u, v))) <= inner_edges
+                        assert set(p.class_edges(p.class_of_pair(u, v))) <= inner_edges

@@ -251,6 +251,11 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "classes", "--family", "nope")
     assert code == 2 and "unknown family" in err
 
+    for sub in ("colour", "orient"):
+        code, out, err = run(capsys, sub, "--family", "path,4", "--enumerate", "--cap", "-1")
+        assert (code, out) == (2, ""), sub
+        assert "enumeration cap must be at least 0, got -1" in err, sub
+
 
 def test_orient_argument_errors_exit_two(capsys):
     code, out, err = run(capsys, "orient", "--family", "path,3", "--seed-arc", "0")
@@ -303,6 +308,11 @@ def test_refusals_exit_three(capsys, tmp_path):
 
     code, _, err = run(capsys, "orient", "--family", "cycle,5", "--seed-arc", "0,1")
     assert code == 3 and "forced both ways" in err
+
+    for sub in ("colour", "orient"):
+        code, out, err = run(capsys, sub, "--family", "path,4", "--enumerate", "--cap", "0")
+        assert (code, out) == (3, ""), sub
+        assert "1 classes > cap 0" in err, sub
 
 
 def test_verify_small_sweep(capsys):

@@ -36,11 +36,13 @@ from qt2ec.oracle import (
     subset_witness_count,
 )
 
-# Figure-fixture colouring: the dotted edge set is R, the solid set B.
+# Figure-fixture colouring: the dotted edge set is R, the solid set B, and
+# its colours in edge order.
 _FIG1_LEFT_RED = [
     (0, 1), (1, 2), (1, 5), (3, 4), (0, 3), (1, 4), (2, 3), (3, 5),
 ]
 _FIG1_LEFT_BLUE = [(0, 4), (2, 4), (0, 5), (4, 5)]
+_FIG1_LEFT_COLOURS = tuple("RRBBRRRRBRRB")
 
 
 # ---------------------------------------------------------------------------
@@ -49,30 +51,31 @@ _FIG1_LEFT_BLUE = [(0, 4), (2, 4), (0, 5), (4, 5)]
 
 def test_bichromatic_p3_is_invalid_with_witness():
     g = path(3)
-    c = EdgeColouring.from_mapping(g, {(0, 1): "R", (1, 2): "B"})
+    c = EdgeColouring(g, ("R", "B"))
     ok, witness = is_quasi_transitive_colouring(g, c)
     assert not ok and witness == (0, 1, 2)
 
 
 def test_monochromatic_always_valid():
     for g in (path(4), cycle(5), figure_graph("fig1_right"), Graph(3)):
-        ok, witness = is_quasi_transitive_colouring(g, EdgeColouring.monochromatic(g))
+        ok, witness = is_quasi_transitive_colouring(g, EdgeColouring(g, ("R",) * g.m))
         assert ok and witness is None
 
 
 def test_figure_one_left_colouring_is_valid():
     g = figure_graph("fig1_left")
-    mapping = {e: "R" for e in _FIG1_LEFT_RED}
-    mapping.update({e: "B" for e in _FIG1_LEFT_BLUE})
-    ok, _ = is_quasi_transitive_colouring(g, EdgeColouring.from_mapping(g, mapping))
+    c = EdgeColouring(g, _FIG1_LEFT_COLOURS)
+    for colour, edges in (("R", _FIG1_LEFT_RED), ("B", _FIG1_LEFT_BLUE)):
+        assert {e for e, x in zip(g.edges, c.colours) if x == colour} == set(edges)
+    ok, _ = is_quasi_transitive_colouring(g, c)
     assert ok
 
 
 def test_partial_colouring_is_contract_error():
-    with pytest.raises(ContractError, match="partial"):
-        EdgeColouring.from_mapping(path(3), {(0, 1): "R"})
-    with pytest.raises(ContractError):
-        is_quasi_transitive_colouring(path(3), EdgeColouring.monochromatic(cycle(4)))
+    with pytest.raises(ContractError, match="invalid colour None"):
+        EdgeColouring(path(3), ("R", None))
+    with pytest.raises(ContractError, match="different graph"):
+        is_quasi_transitive_colouring(path(3), EdgeColouring(cycle(4), ("R",) * 4))
 
 
 def test_colouring_of_the_wrong_length_is_contract_error():
@@ -94,17 +97,14 @@ def test_colours_other_than_r_and_b_are_named(colours, bad):
         EdgeColouring(path(3), colours)
 
 
-def test_an_edge_given_two_colours_is_contract_error():
-    with pytest.raises(ContractError, match=r"edge \(0, 1\) coloured twice"):
-        EdgeColouring.from_mapping(path(3), {(0, 1): "R", (1, 0): "B", (1, 2): "R"})
-    same = EdgeColouring.from_mapping(path(3), {(0, 1): "R", (1, 0): "R", (1, 2): "B"})
-    assert same.colours == ("R", "B")
-
-
 def test_swapping_colours_preserves_validity():
+    # the enumerated colourings are closed under swapping R and B
     g = figure_graph("fig1_left")
-    for colouring in enumerate_colourings(g):
-        ok, _ = is_quasi_transitive_colouring(g, colouring.swapped())
+    stream = {c.colours for c in enumerate_colourings(g)}
+    swapped = {tuple("B" if x == "R" else "R" for x in colours) for colours in stream}
+    assert swapped == stream
+    for colours in swapped:
+        ok, _ = is_quasi_transitive_colouring(g, EdgeColouring(g, colours))
         assert ok
 
 
@@ -167,6 +167,15 @@ def test_enumerate_cap_refusal_reports_class_count():
     assert len(list(enumerate_colourings(complete(3), cap=3))) == 8
 
 
+def test_a_negative_enumeration_cap_is_a_contract_error():
+    with pytest.raises(ContractError, match="cap must be at least 0, got -1"):
+        enumerate_colourings(path(4), cap=-1)
+    # cap 0 stays valid: it admits k = 0 and refuses k = 1
+    assert [c.colours for c in enumerate_colourings(Graph(3), cap=0)] == [()]
+    with pytest.raises(RefusalError, match="1 classes > cap 0"):
+        enumerate_colourings(path(4), cap=0)
+
+
 def test_valid_iff_constant_on_classes_small_corpus():
     for n in range(1, 5):
         for g in enumerate_labeled_graphs(n, connected_only=True):
@@ -194,7 +203,6 @@ def test_classify_examples():
     result = classify_colourability(double_path_apex(3))
     assert result.kind is Colourability.PROPERLY_COLOURABLE
     assert result.class_count == 3
-    assert result.properly_colourable
 
 
 def test_classify_refusals():

@@ -332,14 +332,6 @@ def test_to_dot_plain_k2():
     assert re.sub(r"\s+", " ", dot).strip() == "graph { 0 -- 1; }"
 
 
-def test_to_dot_colouring_styles():
-    g = path(3)
-    c = EdgeColouring.from_mapping(g, {(0, 1): "R", (1, 2): "B"})
-    dot = to_dot(g, c)
-    assert "0 -- 1 [style=dotted];" in dot
-    assert "1 -- 2 [style=solid];" in dot
-
-
 def test_to_dot_class_overlay_cycles_styles():
     g = figure_graph("k4_minus_e")
     from qt2ec import compute_classes
@@ -352,7 +344,7 @@ def test_to_dot_class_overlay_cycles_styles():
 
 def test_to_dot_orientation_is_digraph():
     g = path(3)
-    o = Orientation.from_arcs(g, [(0, 1), (2, 1)])
+    o = Orientation(g, (0, 1))
     dot = to_dot(g, o)
     assert dot.startswith("digraph")
     assert "0 -> 1;" in dot and "2 -> 1;" in dot
@@ -371,12 +363,14 @@ def test_to_dot_leaves_unoriented_edges_undirected():
 
 
 def test_to_dot_rejects_foreign_overlay():
-    o = Orientation.from_arcs(path(3), [(0, 1)])
+    o = Orientation(path(3), (0, None))
     with pytest.raises(ContractError):
         to_dot(cycle(4), o)
     g = path(3)
     with pytest.raises(ContractError, match="unsupported overlay type SimpleNamespace"):
         to_dot(g, SimpleNamespace(graph=g))
+    with pytest.raises(ContractError, match="unsupported overlay type EdgeColouring"):
+        to_dot(g, EdgeColouring(g, ("R", "B")))
 
 
 @given(graphs())
@@ -640,6 +634,26 @@ def test_no_fast_path_module_imports_the_verification_half_at_module_level():
         offenders += [f"{name}.py:{line} {target}" for line, target in imports if target in VERIFICATION_HALF]
     assert offenders == []
     assert seen > 0  # the scan does see the package imports
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export, so it is left out.
+    package = Path(qt2ec.__file__).parent
+    unused = []
+    for source in sorted(package.glob("*.py")):
+        if source.name == "__init__.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{source.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 # ---------------------------------------------------------------------------

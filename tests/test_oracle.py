@@ -15,6 +15,7 @@ from qt2ec import (
     SweepConfig,
     compute_classes,
     encode_graph6,
+    induced_subgraph,
     is_connected,
     parse_graph6,
     theorem_sweep,
@@ -57,6 +58,25 @@ def test_brute_force_edge_cap():
         brute_force_colouring_count(big)
     with pytest.raises(RefusalError, match="28"):
         brute_force_orientation_count(big)
+
+
+def test_orientability_is_hereditary_on_every_labeled_graph_up_to_five_vertices():
+    # The paper's contrast: comparability graphs (Ghouila-Houri) are closed
+    # under deleting a vertex, so they admit a forbidden induced-subgraph
+    # characterisation.  The corpus holds every labeled graph with n <= 5,
+    # so one-vertex deletions cover every induced subgraph there.
+    graphs = deletions = 0
+    for n in range(2, 6):
+        for g in enumerate_labeled_graphs(n, connected_only=False):
+            if brute_force_orientation_count(g) == 0:
+                continue
+            graphs += 1
+            for v in range(n):
+                sub = induced_subgraph(g, set(range(n)) - {v})
+                assert brute_force_orientation_count(sub) > 0, (g.edges, v)
+                deletions += 1
+    # All 1,098 graphs but the 12 labeled five-cycles are orientable.
+    assert (graphs, deletions) == (1086, 5344)
 
 
 # ---------------------------------------------------------------------------

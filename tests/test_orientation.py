@@ -16,17 +16,18 @@ from qt2ec import (
     is_quasi_transitive_orientation,
     orientability,
     partial_orientation,
-    same_gamma_class,
 )
 from qt2ec.families import complete, cycle, figure_graph, path
 from qt2ec.graph import Graph, induced_p3s
 from qt2ec.oracle import brute_force_orientation_count, enumerate_labeled_graphs
 
-# The twelve arcs of the full figure orientation (dense v_i -> i-1).
+# The twelve arcs of the full figure orientation (dense v_i -> i-1), and
+# its direction bits in edge order.
 _FIG_FULL_ARCS = [
     (5, 1), (4, 3), (0, 3), (2, 1), (2, 3), (5, 3),
     (0, 1), (4, 1), (0, 4), (2, 4), (0, 5), (5, 4),
 ]
+_FIG_FULL_BITS = (0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1)
 # The six arcs of the partial orientation generated by v1 -> v2.
 _FIG_GAMMA_ARCS = [(0, 1), (2, 1), (5, 1), (0, 3), (2, 3), (5, 3)]
 
@@ -37,19 +38,20 @@ _FIG_GAMMA_ARCS = [(0, 1), (2, 1), (5, 1), (0, 3), (2, 3), (5, 3)]
 
 def test_common_head_p3_is_valid():
     g = path(3)
-    ok, witness = is_quasi_transitive_orientation(g, Orientation.from_arcs(g, [(0, 1), (2, 1)]))
+    ok, witness = is_quasi_transitive_orientation(g, Orientation(g, (0, 1)))
     assert ok and witness is None
 
 
 def test_directed_two_path_is_invalid():
     g = path(3)
-    ok, witness = is_quasi_transitive_orientation(g, Orientation.from_arcs(g, [(0, 1), (1, 2)]))
+    ok, witness = is_quasi_transitive_orientation(g, Orientation(g, (0, 0)))
     assert not ok and witness == (0, 1, 2)
 
 
 def test_figure_orientation_is_valid():
     g = figure_graph("fig1_left")
-    o = Orientation.from_arcs(g, _FIG_FULL_ARCS)
+    o = Orientation(g, _FIG_FULL_BITS)
+    assert sorted(o.arcs()) == sorted(_FIG_FULL_ARCS)
     assert o.is_total
     ok, _ = is_quasi_transitive_orientation(g, o)
     assert ok
@@ -58,12 +60,7 @@ def test_figure_orientation_is_valid():
 def test_partial_orientation_is_contract_error_for_validity():
     g = path(3)
     with pytest.raises(ContractError, match="total"):
-        is_quasi_transitive_orientation(g, Orientation.from_arcs(g, [(0, 1)]))
-
-
-def test_conflicting_arcs_rejected():
-    with pytest.raises(ContractError, match="both ways"):
-        Orientation.from_arcs(path(3), [(0, 1), (1, 0)])
+        is_quasi_transitive_orientation(g, Orientation(g, (0, None)))
 
 
 @pytest.mark.parametrize("bits", [(5, 0), (0, -1), (None, 2), (0, "1"), ([0], 1)])
@@ -155,7 +152,7 @@ def test_gamma_reversal_pairs_small_corpus():
 def test_orientability_examples():
     c5 = orientability(cycle(5))
     assert not c5.orientable and c5.count == 0 and c5.k == 1
-    assert c5.contradictions[0] is not None
+    assert c5.partition.contradictions[0] is not None
 
     c4 = orientability(cycle(4))
     assert c4.orientable and c4.k == 1 and c4.count == 2
@@ -206,19 +203,33 @@ def test_enumerate_refusals():
         enumerate_orientations(complete(7), cap=20)
 
 
+def test_a_negative_enumeration_cap_is_a_contract_error():
+    # the malformed cap is named before the graph is refused
+    for g in (path(4), cycle(5)):
+        with pytest.raises(ContractError, match="cap must be at least 0, got -1"):
+            enumerate_orientations(g, cap=-1)
+    # cap 0 stays valid: it admits k = 0 and refuses k = 1
+    assert [o.bits for o in enumerate_orientations(Graph(2), cap=0)] == [()]
+    with pytest.raises(RefusalError, match="1 classes > cap 0"):
+        enumerate_orientations(path(4), cap=0)
+
+
 def test_restriction_coherence_small_corpus():
-    # any full orientation restricted to a class equals the partial
-    # orientation seeded with its direction of any class edge
+    # any full orientation masked to a class equals the partial
+    # orientation seeded with its own arc on any class edge
     for n in range(2, 5):
         for g in enumerate_labeled_graphs(n, connected_only=True):
             if not orientability(g).orientable:
                 continue
             p = compute_classes(g)
             for o in enumerate_orientations(g):
-                for u, v in g.edges:
-                    cid = p.class_of_pair(u, v)
-                    seeded = partial_orientation(g, o.arc_of(u, v))
-                    assert seeded == o.restricted_to(p.classes[cid])
+                for e, (u, v) in enumerate(g.edges):
+                    cid = p.class_of[e]
+                    arc = (u, v) if o.bits[e] == 0 else (v, u)
+                    masked = tuple(
+                        b if p.class_of[f] == cid else None for f, b in enumerate(o.bits)
+                    )
+                    assert partial_orientation(g, arc) == Orientation(g, masked)
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +237,16 @@ def test_restriction_coherence_small_corpus():
 
 
 def test_same_gamma_class():
+    # two edges share a class iff the partial orientations they generate
+    # orient the same edge set
+    def domain(g: Graph, seed: tuple[int, int]) -> tuple[int, ...]:
+        return partial_orientation(g, seed).domain
+
     g = figure_graph("fig1_left")
-    assert same_gamma_class(g, (0, 1), (2, 3))
+    assert domain(g, (0, 1)) == domain(g, (2, 3))
     k4e = figure_graph("k4_minus_e")
-    assert not same_gamma_class(k4e, (0, 1), (0, 2))
-    assert same_gamma_class(path(3), (0, 1), (1, 2))
-
-
-def test_same_gamma_class_infeasible():
-    with pytest.raises(InfeasibilityError):
-        same_gamma_class(cycle(5), (0, 1), (1, 2))
+    assert domain(k4e, (0, 1)) != domain(k4e, (0, 2))
+    assert domain(path(3), (0, 1)) == domain(path(3), (1, 2))
 
 
 def test_arc_serialization():
