@@ -35,13 +35,18 @@ every edge its class and bit.
 
 ``Graph`` is immutable, so the partition is computed once per graph and
 memoised on it; the colouring, orientation and CLI paths all read that one
-result.
+result.  Both enumerations are maps over :func:`class_choices`, the one
+walk over the 2^k choices of one bit per class.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
+from itertools import product
+from operator import itemgetter, xor
 
+from .errors import ContractError, RefusalError
 from .graph import EdgePair, Graph, reach
 
 # The most classes an enumeration of the 2^k colourings or orientations takes.
@@ -88,6 +93,27 @@ def compute_classes(g: Graph) -> EdgeClassPartition:
     if g._partition is None:
         g._partition = _forcing_kernel(g)
     return EdgeClassPartition(g, *g._partition)
+
+
+def class_choices(p: EdgeClassPartition, cap: int, oriented: bool = False) -> Iterator[tuple]:
+    """For each mask 0..2^k-1 in turn, each edge's class's bit of it (bit i
+    is class i's), or with ``oriented`` the edge's canonical bit flipped by
+    it.  Raises when called, in order: a negative cap, with ``oriented`` a
+    class that has no orientation, and more than ``cap`` classes."""
+    if cap < 0:
+        raise ContractError(f"enumeration cap must be at least 0, got {cap}")
+    if oriented and any(w is not None for w in p.contradictions):
+        raise RefusalError("graph has no quasi-transitive orientation")
+    if p.k > cap:
+        raise RefusalError(f"enumeration cap exceeded: {p.k} classes > cap {cap}")
+    # product varies its last place fastest: place k-1-i is mask bit i.
+    # itemgetter gives a tuple only when it picks two places or more.
+    places = [p.k - 1 - c for c in p.class_of]
+    pick = itemgetter(*places) if len(places) > 1 else lambda mask: tuple(mask[i] for i in places)
+    masks = product((0, 1), repeat=p.k)
+    if oriented:
+        return (tuple(map(xor, p.bits, pick(mask))) for mask in masks)
+    return map(pick, masks)
 
 
 def _forcing_kernel(g: Graph) -> tuple:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .classes import DEFAULT_ENUMERATION_CAP, compute_classes
 from .colouring import (
@@ -112,8 +113,37 @@ def _json_header(g: Graph) -> dict[str, object]:
     return record
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") or not text else text + "\n")
+class _OutputError(Exception):
+    """A write to stdout, or its flush, failed."""
+
+
+def _emit(out: str | dict, listing: Iterable | None = None, field: str = "") -> None:
+    """Write text, or a record as JSON with sorted keys, and flush.  The items
+    of ``listing`` are written as they are made: lines after the text, or
+    the list ``field`` in its sorted place in the record."""
+    write = sys.stdout.write
+    try:
+        if isinstance(out, str):
+            tail = out
+            write(out)
+            for line in listing or ():
+                tail = "\n" + line
+                write(tail)
+            if tail and not tail.endswith("\n"):
+                write("\n")
+        elif listing is None:
+            write(json.dumps(out, sort_keys=True) + "\n")
+        else:
+            # The key occurs once: quotes inside a string value are escaped.
+            key = json.dumps(field) + ": ["
+            head, _, rest = json.dumps({**out, field: []}, sort_keys=True).partition(key + "]")
+            write(head + key)
+            for i, item in enumerate(listing):
+                write((", " if i else "") + json.dumps(item))
+            write("]" + rest + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputError(f"cannot write output: {exc}") from exc
 
 
 def _cmd_classes(args: argparse.Namespace) -> int:
@@ -123,15 +153,12 @@ def _cmd_classes(args: argparse.Namespace) -> int:
         record = _json_header(g)
         record["k"] = p.k
         record["classes"] = [[list(e) for e in p.class_edges(c)] for c in range(p.k)]
-        _emit(json.dumps(record, sort_keys=True))
+        _emit(record)
     elif args.out_format == "dot":
         _emit(to_dot(g, p))
     else:
-        lines = [f"k={p.k}"]
-        for cid in range(p.k):
-            edges = " ".join(_edge_text(g, e) for e in p.classes[cid])
-            lines.append(f"class {cid}: {edges}")
-        _emit("\n".join(lines))
+        edges = (" ".join(_edge_text(g, e) for e in members) for members in p.classes)
+        _emit(f"k={p.k}", (f"class {cid}: {text}" for cid, text in enumerate(edges)))
     return EXIT_OK
 
 
@@ -140,20 +167,17 @@ def _cmd_colour(args: argparse.Namespace) -> int:
     count = count_colourings(g)
     colourings = None
     if args.enumerate:
-        colourings = ["".join(c.colours) for c in enumerate_colourings(g, cap=args.cap)]
+        colourings = ("".join(c.colours) for c in enumerate_colourings(g, cap=args.cap))
     if args.out_format == "json":
         record = _json_header(g)
         record["count"] = count
         record["edges"] = [list(e) for e in g.edges]
-        if colourings is not None:
-            record["colourings"] = colourings
-        _emit(json.dumps(record, sort_keys=True))
+        _emit(record, colourings, "colourings")
     else:
-        lines = [f"count={count}"]
+        text = f"count={count}"
         if colourings is not None:
-            lines.append("edges: " + " ".join(_edge_text(g, i) for i in range(g.m)))
-            lines.extend(colourings)
-        _emit("\n".join(lines))
+            text += "\nedges: " + " ".join(_edge_text(g, i) for i in range(g.m))
+        _emit(text, colourings)
     return EXIT_OK
 
 
@@ -172,7 +196,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 "count": result.colouring_count,
             }
         )
-        _emit(json.dumps(record, sort_keys=True))
+        _emit(record)
     else:
         _emit(name)
     return EXIT_OK
@@ -184,7 +208,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if args.out_format == "json":
         record = _json_header(g)
         record["witness"] = sorted(witness) if witness is not None else None
-        _emit(json.dumps(record, sort_keys=True))
+        _emit(record)
     else:
         if witness is None:
             _emit("none")
@@ -208,30 +232,26 @@ def _cmd_orient(args: argparse.Namespace) -> int:
         gamma = partial_orientation(g, _parse_seed_arc(g, args.seed_arc))
     orientations = None
     if args.enumerate:
-        orientations = [o.arcs() for o in enumerate_orientations(g, cap=args.cap)]
+        orientations = enumerate_orientations(g, cap=args.cap)
     if args.out_format == "json":
         record = _json_header(g)
         record.update({"orientable": feas.orientable, "k": feas.k, "count": feas.count})
         if gamma is not None:
             record["gamma"] = [list(arc) for arc in gamma.arcs()]
-        if orientations is not None:
-            record["orientations"] = [[list(a) for a in arcs] for arcs in orientations]
-        _emit(json.dumps(record, sort_keys=True))
+        arcs = None if orientations is None else ([list(a) for a in o.arcs()] for o in orientations)
+        _emit(record, arcs, "orientations")
     elif args.out_format == "dot":
         if gamma is None:
             raise ContractError("dot output for orient requires --seed-arc")
         _emit(to_dot(g, gamma))
     else:
         if feas.orientable:
-            lines = [f"orientable, k={feas.k}, count={feas.count}"]
+            text = f"orientable, k={feas.k}, count={feas.count}"
         else:
-            lines = ["not orientable, count=0"]
+            text = "not orientable, count=0"
         if gamma is not None:
-            lines.append(gamma.format_arcs())
-        if orientations is not None:
-            for arcs in orientations:
-                lines.append("; ".join(f"{g.label(t)} -> {g.label(h)}" for t, h in arcs))
-        _emit("\n".join(lines))
+            text += "\n" + gamma.format_arcs()
+        _emit(text, None if orientations is None else (o.format_arcs("; ") for o in orientations))
     return EXIT_OK
 
 
@@ -245,7 +265,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
         record = _json_header(g)
         record["n"] = g.n
         record["edges"] = [list(e) for e in g.edges]
-        _emit(json.dumps(record, sort_keys=True))
+        _emit(record)
     else:
         _emit(format_edge_list(g))
     return EXIT_OK
@@ -285,7 +305,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.out_format == "json":
         record = _json_header(g)
         record.update({"colourings": colourings, "orientations": orientations})
-        _emit(json.dumps(record, sort_keys=True))
+        _emit(record)
     else:
         _emit(f"colourings={colourings}\norientations={orientations}")
     return EXIT_OK
@@ -332,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(sub, out_choices=("text", "json", "dot"))
     sub.add_argument("--seed-arc", metavar="U,V", help="emit the partial orientation generated by arc u->v")
     sub.add_argument("--enumerate", action="store_true")
-    sub.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    sub.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="class-count cap for enumeration")
     sub.set_defaults(fn=_cmd_orient)
 
     sub = subparsers.add_parser("family", help="emit a generator graph")
@@ -367,6 +387,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # Point stdout at the null device, so that the flush at exit does
+        # not fail on the same buffered bytes and report it again.
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # a stdout with no file descriptor
+            return EXIT_USAGE
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .classes import DEFAULT_ENUMERATION_CAP, EdgeClassPartition, compute_classes
+from .classes import DEFAULT_ENUMERATION_CAP, class_choices, compute_classes
 from .errors import ContractError, RefusalError
-from .graph import Graph, induced_p3_edges, is_connected, is_module_set
+from .graph import Graph, check_edge_record, induced_p3_edges, is_connected, is_module_set
 
 RED = "R"
 BLUE = "B"
@@ -26,16 +26,7 @@ class EdgeColouring(namedtuple("EdgeColouring", "graph colours")):
     __slots__ = ()
 
     def __new__(cls, graph: Graph, colours: tuple[str, ...]) -> EdgeColouring:
-        if len(colours) != graph.m:
-            raise ContractError(f"colouring covers {len(colours)} edges, graph has {graph.m}")
-        try:
-            valid = set(colours) <= {RED, BLUE}
-        except TypeError:  # an unhashable value; the loop below names it
-            valid = False
-        if not valid:
-            for c in colours:
-                if c not in (RED, BLUE):
-                    raise ContractError(f"invalid colour {c!r}")
+        check_edge_record(graph, colours, (RED, BLUE), "colouring", "colour")
         return tuple.__new__(cls, (graph, colours))
 
 
@@ -79,26 +70,10 @@ def count_colourings(g: Graph) -> int:
 def enumerate_colourings(
     g: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[EdgeColouring]:
-    """Yield all valid colourings in class-bitmask order.
-
-    Bit i of the mask is the colour of class i (0 = R), so the first item
-    is all-R and the stream has exactly 2^k entries.  Refuses k above the
-    cap; a negative cap is a contract error.
-    """
-    if cap < 0:
-        raise ContractError(f"enumeration cap must be at least 0, got {cap}")
-    p = compute_classes(g)
-    if p.k > cap:
-        raise RefusalError(f"enumeration cap exceeded: {p.k} classes > cap {cap}")
-    return _colouring_stream(g, p)
-
-
-def _colouring_stream(g: Graph, p: EdgeClassPartition) -> Iterator[EdgeColouring]:
-    for mask in range(1 << p.k):
-        colours = tuple(
-            BLUE if (mask >> p.class_of[e]) & 1 else RED for e in range(g.m)
-        )
-        yield EdgeColouring(g, colours)
+    """The 2^k colourings, each class blue where :func:`class_choices` gives
+    it bit 1 (so all-R first); valid by construction, they skip the check."""
+    colour = (RED, BLUE).__getitem__
+    return (EdgeColouring._make((g, tuple(map(colour, c)))) for c in class_choices(compute_classes(g), cap))
 
 
 def classify_colourability(g: Graph) -> ColourabilityClass:

@@ -141,6 +141,20 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def check_edge_record(g: Graph, values: tuple, allowed: tuple, record: str, value: str) -> None:
+    """Raise ContractError unless ``values`` holds one of ``allowed`` per edge."""
+    if len(values) != g.m:
+        raise ContractError(f"{record} covers {len(values)} edges, graph has {g.m}")
+    try:
+        valid = set(values).issubset(allowed)
+    except TypeError:  # an unhashable value; the loop below names it
+        valid = False
+    if not valid:
+        for x in values:
+            if x not in allowed:
+                raise ContractError(f"invalid {value} {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # text formats
 
@@ -298,8 +312,10 @@ def to_dot(g: Graph, overlay: object = None) -> str:
 
     if overlay is not None and getattr(overlay, "graph", None) != g:
         raise ContractError("overlay refers to edges of a different graph")
-
     directed = isinstance(overlay, Orientation)
+    if not (overlay is None or directed or isinstance(overlay, EdgeClassPartition)):
+        raise ContractError(f"unsupported overlay type {type(overlay).__name__}")
+
     lines = ["digraph {" if directed else "graph {"]
     for v in range(g.n):
         if g.degree(v) == 0:
@@ -308,9 +324,6 @@ def to_dot(g: Graph, overlay: object = None) -> str:
         a, b = _dot_id(g.label(u)), _dot_id(g.label(v))
         if overlay is None:
             lines.append(f"  {a} -- {b};")
-        elif isinstance(overlay, EdgeClassPartition):
-            style = _CLASS_STYLES[overlay.class_of[idx] % len(_CLASS_STYLES)]
-            lines.append(f"  {a} -- {b} [style={style}];")
         elif directed:
             bit = overlay.bits[idx]
             if bit is None:
@@ -320,7 +333,8 @@ def to_dot(g: Graph, overlay: object = None) -> str:
             else:
                 lines.append(f"  {b} -> {a};")
         else:
-            raise ContractError(f"unsupported overlay type {type(overlay).__name__}")
+            style = _CLASS_STYLES[overlay.class_of[idx] % len(_CLASS_STYLES)]
+            lines.append(f"  {a} -- {b} [style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

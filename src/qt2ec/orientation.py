@@ -16,9 +16,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .classes import DEFAULT_ENUMERATION_CAP, EdgeClassPartition, compute_classes
-from .errors import ContractError, InfeasibilityError, RefusalError
-from .graph import Graph, induced_p3_edges
+from .classes import DEFAULT_ENUMERATION_CAP, class_choices, compute_classes
+from .errors import ContractError, InfeasibilityError
+from .graph import Graph, check_edge_record, induced_p3_edges
 
 
 class Orientation(namedtuple("Orientation", "graph bits")):
@@ -28,16 +28,7 @@ class Orientation(namedtuple("Orientation", "graph bits")):
     __slots__ = ()
 
     def __new__(cls, graph: Graph, bits: tuple[int | None, ...]) -> Orientation:
-        if len(bits) != graph.m:
-            raise ContractError(f"orientation covers {len(bits)} edges, graph has {graph.m}")
-        try:
-            valid = set(bits) <= {0, 1, None}
-        except TypeError:  # an unhashable value; the loop below names it
-            valid = False
-        if not valid:
-            for b in bits:
-                if b not in (0, 1, None):
-                    raise ContractError(f"invalid direction bit {b!r}")
+        check_edge_record(graph, bits, (0, 1, None), "orientation", "direction bit")
         return tuple.__new__(cls, (graph, bits))
 
     @property
@@ -62,9 +53,9 @@ class Orientation(namedtuple("Orientation", "graph bits")):
             self.graph, tuple(None if b is None else 1 - b for b in self.bits)
         )
 
-    def format_arcs(self) -> str:
+    def format_arcs(self, sep: str = "\n") -> str:
         g = self.graph
-        return "\n".join(f"{g.label(t)} -> {g.label(h)}" for t, h in self.arcs())
+        return sep.join(f"{g.label(t)} -> {g.label(h)}" for t, h in self.arcs())
 
 
 class OrientationFeasibility(namedtuple("OrientationFeasibility", "partition")):
@@ -144,26 +135,7 @@ def orientability(g: Graph) -> OrientationFeasibility:
 def enumerate_orientations(
     g: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[Orientation]:
-    """Yield all quasi-transitive orientations in class-bitmask order.
-
-    Per class the canonical choice orients the class's least edge
-    low->high; mask bit i = 1 reverses class i.  Refuses non-orientable
-    graphs and k above the cap; a negative cap is a contract error.
-    """
-    if cap < 0:
-        raise ContractError(f"enumeration cap must be at least 0, got {cap}")
-    feas = orientability(g)
-    if not feas.orientable:
-        raise RefusalError("graph has no quasi-transitive orientation")
-    if feas.k > cap:
-        raise RefusalError(f"enumeration cap exceeded: {feas.k} classes > cap {cap}")
-    return _orientation_stream(g, feas.partition)
-
-
-def _orientation_stream(g: Graph, p: EdgeClassPartition) -> Iterator[Orientation]:
-    for mask in range(1 << p.k):
-        yield Orientation(
-            g,
-            tuple(p.bits[e] ^ ((mask >> p.class_of[e]) & 1) for e in range(g.m)),
-        )
-
+    """The 2^k orientations, each class reversed from its canonical one where
+    :func:`class_choices` gives it bit 1 (which refuses a graph with no
+    orientation); valid by construction, they skip the check."""
+    return (Orientation._make((g, bits)) for bits in class_choices(compute_classes(g), cap, oriented=True))

@@ -15,6 +15,7 @@ from qt2ec import (
     Graph,
     Orientation,
     OrientationFeasibility,
+    RefusalError,
     compute_classes,
     induced_p3s,
     induced_subgraph,
@@ -22,6 +23,7 @@ from qt2ec import (
     is_module_set,
     verify_partition_laws,
 )
+from qt2ec.classes import class_choices
 from qt2ec.families import (
     complete,
     cycle,
@@ -145,6 +147,34 @@ def test_empty_and_disconnected_graphs():
 def test_determinism_across_runs():
     g = figure_graph("fig1_left")
     assert compute_classes(g) == compute_classes(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(3), path(2), path(4), figure_graph("k4_minus_e"), cycle(5), complete(4), threshold_alternating(8)],
+)
+def test_class_choices_come_in_class_bitmask_order(g):
+    # Mask by mask, each edge reads its class's bit of the mask; oriented,
+    # that bit flips the edge's canonical bit.
+    p = compute_classes(g)
+    want = [tuple((mask >> c) & 1 for c in p.class_of) for mask in range(1 << p.k)]
+    assert list(class_choices(p, p.k)) == want
+    if all(w is None for w in p.contradictions):
+        flipped = [tuple(b ^ x for b, x in zip(p.bits, choice)) for choice in want]
+        assert list(class_choices(p, p.k, oriented=True)) == flipped
+
+
+def test_class_choices_check_the_cap_when_called():
+    # No choice is drawn: each error comes from the call itself, a negative
+    # cap first, then a class with no orientation, then the class count.
+    p = compute_classes(cycle(5))
+    with pytest.raises(ContractError, match="enumeration cap must be at least 0, got -1"):
+        class_choices(p, -1, oriented=True)
+    with pytest.raises(RefusalError, match="graph has no quasi-transitive orientation"):
+        class_choices(p, 0, oriented=True)
+    with pytest.raises(RefusalError, match="enumeration cap exceeded: 1 classes > cap 0"):
+        class_choices(p, 0)
+    assert len(list(class_choices(p, 1))) == 2
 
 
 # ---------------------------------------------------------------------------

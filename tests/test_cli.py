@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,13 @@ def test_refusals_exit_three(capsys, tmp_path):
         assert (code, out) == (3, ""), sub
         assert "1 classes > cap 0" in err, sub
 
+    # C5 has one class and no orientation, which is refused before the cap
+    # and before the header line that orient prints without --enumerate.
+    for argv in (["--out", "text"], ["--out", "json"], ["--cap", "0"]):
+        code, out, err = run(capsys, "orient", "--family", "cycle,5", "--enumerate", *argv)
+        assert (code, out) == (3, ""), argv
+        assert "no quasi-transitive orientation" in err, argv
+
 
 def test_verify_small_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "3")
@@ -445,6 +453,73 @@ def test_help_leaves_the_shared_parser_usable(capsys):
     assert "--seed-arc" in capsys.readouterr().out
     code, out, _ = run(capsys, "classes", "--family", "path,3")
     assert code == 0 and out.startswith("k=1")
+
+
+# ---------------------------------------------------------------------------
+# enumerations are written as they are made, and a stdout that cannot be
+# written exits 2
+
+
+def cli_command(*argv: str) -> tuple[list[str], dict[str, str]]:
+    """The command line and environment that run the CLI on this package."""
+    src = str(Path(qt2ec.__file__).resolve().parents[1])
+    return [sys.executable, "-m", "qt2ec.cli", *argv], {**os.environ, "PYTHONPATH": src}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orient", "--enumerate"],
+        ["orient", "--enumerate", "--out", "json"],
+        ["colour", "--enumerate"],
+    ],
+)
+def test_an_enumeration_of_16_classes_runs_in_128_mib(argv, tmp_path):
+    # K5 + K3 + 3K2: 16 edges, each its own class.  The child caps its own
+    # address space at 128 MiB; a CLI that kept the 2^16 orientations in a
+    # list before writing them dies of MemoryError there.
+    edges = [*combinations(range(5), 2), *combinations(range(5, 8), 2), (8, 9), (10, 11), (12, 13)]
+    graph = tmp_path / "k16.txt"
+    graph.write_text("".join(f"{a} {b}\n" for a, b in edges))
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27)); "
+        "from qt2ec.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    _, env = cli_command()
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv, str(graph)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    if "json" in argv:
+        records = json.loads(out.stdout)["orientations"]
+    else:
+        records = out.stdout.splitlines()[1 if argv[0] == "orient" else 2 :]
+    assert len(records) == 1 << 16
+
+
+def _assert_one_write_error(code: int, err: str) -> None:
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write output: "), err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_two_with_one_error_line():
+    command, env = cli_command("classes", "--family", "k4_minus_e")
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+    _assert_one_write_error(out.returncode, out.stderr)
+
+
+def test_a_stdout_closed_early_exits_two_with_one_error_line():
+    # K6 has 15 classes: 32,768 lines, far more than a pipe buffer holds.
+    command, env = cli_command("orient", "--family", "complete,6", "--enumerate")
+    child = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    assert child.stdout.readline().startswith("orientable, k=15")
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    _assert_one_write_error(child.wait(timeout=60), err)
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,8 @@ def test_to_dot_rejects_foreign_overlay():
         to_dot(g, SimpleNamespace(graph=g))
     with pytest.raises(ContractError, match="unsupported overlay type EdgeColouring"):
         to_dot(g, EdgeColouring(g, ("R", "B")))
+    with pytest.raises(ContractError, match="unsupported overlay type EdgeColouring"):
+        to_dot(Graph(3), EdgeColouring(Graph(3), ()))
 
 
 @given(graphs())
