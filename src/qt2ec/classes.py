@@ -74,7 +74,7 @@ class EdgeClassPartition(
         return len(self.classes)
 
     def class_edges(self, class_id: int) -> tuple[EdgePair, ...]:
-        return tuple(self.graph.edge(i) for i in self.classes[class_id])
+        return tuple(map(self.graph.edges.__getitem__, self.classes[class_id]))
 
     def class_of_pair(self, u: int, v: int) -> int:
         return self.class_of[self.graph.edge_index(u, v)]

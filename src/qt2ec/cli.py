@@ -6,6 +6,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage or format error,
 The module imports only the fast path.  ``verify`` and ``oracle`` import
 the verification half when they run, so the other subcommands never load
 it.
+
+Listings are assembled from strings made once per call: the vertex names,
+and each edge's ``u-v`` text or its two arcs (:func:`arc_formatter`), so a
+record is a join over them.  The one writer, :func:`_emit`, writes a
+listing's items as they come, and in JSON output each item is already
+JSON text.
 """
 
 from __future__ import annotations
@@ -35,7 +41,13 @@ from .graph import (
     parse_graph6,
     to_dot,
 )
-from .orientation import enumerate_orientations, orientability, partial_orientation
+from .orientation import (
+    ARC_TEXT,
+    arc_formatter,
+    enumerate_orientations,
+    orientability,
+    partial_orientation,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -101,9 +113,10 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     return parse_edge_list(text)
 
 
-def _edge_text(g: Graph, index: int) -> str:
-    u, v = g.edge(index)
-    return f"{g.label(u)}-{g.label(v)}"
+def _edge_texts(g: Graph) -> list[str]:
+    """Each edge as ``u-v`` over the vertex names, in edge-index order."""
+    names = g.vertex_names()
+    return [f"{names[u]}-{names[v]}" for u, v in g.edges]
 
 
 def _json_header(g: Graph) -> dict[str, object]:
@@ -114,13 +127,14 @@ def _json_header(g: Graph) -> dict[str, object]:
 
 
 class _OutputError(Exception):
-    """A write to stdout, or its flush, failed."""
+    """A write to stdout, or its flush, failed; it reads as the OSError."""
 
 
-def _emit(out: str | dict, listing: Iterable | None = None, field: str = "") -> None:
+def _emit(out: str | dict, listing: Iterable[str] | None = None, field: str = "") -> None:
     """Write text, or a record as JSON with sorted keys, and flush.  The items
-    of ``listing`` are written as they are made: lines after the text, or
-    the list ``field`` in its sorted place in the record."""
+    of ``listing`` are written as they are made: lines after the text, or,
+    each already JSON text, the list ``field`` in its sorted place in the
+    record."""
     write = sys.stdout.write
     try:
         if isinstance(out, str):
@@ -139,11 +153,11 @@ def _emit(out: str | dict, listing: Iterable | None = None, field: str = "") -> 
             head, _, rest = json.dumps({**out, field: []}, sort_keys=True).partition(key + "]")
             write(head + key)
             for i, item in enumerate(listing):
-                write((", " if i else "") + json.dumps(item))
+                write((", " if i else "") + item)
             write("]" + rest + "\n")
         sys.stdout.flush()
     except OSError as exc:
-        raise _OutputError(f"cannot write output: {exc}") from exc
+        raise _OutputError(exc) from exc
 
 
 def _cmd_classes(args: argparse.Namespace) -> int:
@@ -157,8 +171,9 @@ def _cmd_classes(args: argparse.Namespace) -> int:
     elif args.out_format == "dot":
         _emit(to_dot(g, p))
     else:
-        edges = (" ".join(_edge_text(g, e) for e in members) for members in p.classes)
-        _emit(f"k={p.k}", (f"class {cid}: {text}" for cid, text in enumerate(edges)))
+        edges = _edge_texts(g)
+        lines = (f"class {cid}: " + " ".join(map(edges.__getitem__, members)) for cid, members in enumerate(p.classes))
+        _emit(f"k={p.k}", lines)
     return EXIT_OK
 
 
@@ -172,11 +187,12 @@ def _cmd_colour(args: argparse.Namespace) -> int:
         record = _json_header(g)
         record["count"] = count
         record["edges"] = [list(e) for e in g.edges]
-        _emit(record, colourings, "colourings")
+        # The letters are R and B only, so quoting makes each a JSON string.
+        _emit(record, None if colourings is None else ('"' + c + '"' for c in colourings), "colourings")
     else:
         text = f"count={count}"
         if colourings is not None:
-            text += "\nedges: " + " ".join(_edge_text(g, i) for i in range(g.m))
+            text += "\nedges: " + " ".join(_edge_texts(g))
         _emit(text, colourings)
     return EXIT_OK
 
@@ -230,16 +246,21 @@ def _cmd_orient(args: argparse.Namespace) -> int:
     gamma = None
     if args.seed_arc:
         gamma = partial_orientation(g, _parse_seed_arc(g, args.seed_arc))
-    orientations = None
+    listing = None
     if args.enumerate:
         orientations = enumerate_orientations(g, cap=args.cap)
+        if args.out_format == "json":
+            arcs = arc_formatter(g, [str(v) for v in range(g.n)], "[{}, {}]", ", ")
+            listing = ("[" + arcs(o.bits) + "]" for o in orientations)
+        else:
+            arcs = arc_formatter(g, g.vertex_names(), ARC_TEXT, "; ")
+            listing = (arcs(o.bits) for o in orientations)
     if args.out_format == "json":
         record = _json_header(g)
         record.update({"orientable": feas.orientable, "k": feas.k, "count": feas.count})
         if gamma is not None:
             record["gamma"] = [list(arc) for arc in gamma.arcs()]
-        arcs = None if orientations is None else ([list(a) for a in o.arcs()] for o in orientations)
-        _emit(record, arcs, "orientations")
+        _emit(record, listing, "orientations")
     elif args.out_format == "dot":
         if gamma is None:
             raise ContractError("dot output for orient requires --seed-arc")
@@ -251,7 +272,7 @@ def _cmd_orient(args: argparse.Namespace) -> int:
             text = "not orientable, count=0"
         if gamma is not None:
             text += "\n" + gamma.format_arcs()
-        _emit(text, None if orientations is None else (o.format_arcs("; ") for o in orientations))
+        _emit(text, listing)
     return EXIT_OK
 
 
@@ -311,6 +332,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that writes its help through :func:`_emit`, so a
+    help that cannot be written is reported; argparse drops write errors."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _emit(self.format_help())
+        else:
+            super().print_help(file)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built on first use and then shared.
@@ -321,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     looping over graphs).  A one-shot ``qt2ec`` command builds the parser
     once either way.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qt2ec",
         description=(
             "Edge classes, quasi-transitive 2-edge-colourings, and "
@@ -378,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except (FormatError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -388,7 +420,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except _OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         # Point stdout at the null device, so that the flush at exit does
         # not fail on the same buffered bytes and report it again.
         try:

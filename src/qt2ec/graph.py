@@ -113,6 +113,11 @@ class Graph:
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
+    def vertex_names(self) -> tuple[str, ...]:
+        """Every vertex's :meth:`label`, in id order.  Nothing is kept on the
+        graph: a writer takes the names once per call and indexes them."""
+        return self.labels if self.labels is not None else tuple(map(str, range(self.n)))
+
     def vertex_by_label(self, label: str) -> int:
         if self.labels is not None:
             try:
@@ -167,44 +172,33 @@ def parse_edge_list(text: str) -> Graph:
     ``vertices: a b c`` declares vertices up front (isolated ones included).
     Duplicate edge lines collapse to a single edge.
     """
-    labels: list[str] = []
     index: dict[str, int] = {}
-
-    def vid(token: str) -> int:
-        if token not in index:
-            index[token] = len(labels)
-            labels.append(token)
-        return index[token]
-
     # Graph collapses duplicates and keeps the input order, so a file
     # written in pair order reaches its sort already sorted.
     edges: list[EdgePair] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        if line.startswith("vertices:"):
-            for token in line[len("vertices:"):].split():
-                vid(token)
+        if tokens[0].startswith("vertices:"):
+            for token in raw.strip()[len("vertices:"):].split():
+                index.setdefault(token, len(index))
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise FormatError(f"line {lineno}: expected 'u v', got {raw!r}")
-        if tokens[0] == tokens[1]:
-            raise FormatError(f"line {lineno}: self-loop on {tokens[0]!r}")
-        u, v = vid(tokens[0]), vid(tokens[1])
-        edges.append((u, v))
-    return Graph(len(labels), edges, labels=labels or None)
+        a, b = tokens
+        if a == b:
+            raise FormatError(f"line {lineno}: self-loop on {a!r}")
+        edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+    return Graph(len(index), edges, labels=list(index) or None)
 
 
 def format_edge_list(g: Graph) -> str:
     """Inverse of :func:`parse_edge_list`; the full ``vertices:`` header
     pins first-appearance order so dense ids round-trip exactly."""
-    lines = []
-    if g.n:
-        lines.append("vertices: " + " ".join(g.label(v) for v in range(g.n)))
-    for u, v in g.edges:
-        lines.append(f"{g.label(u)} {g.label(v)}")
+    names = g.vertex_names()
+    lines = ["vertices: " + " ".join(names)] if g.n else []
+    lines += [f"{names[u]} {names[v]}" for u, v in g.edges]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -316,12 +310,13 @@ def to_dot(g: Graph, overlay: object = None) -> str:
     if not (overlay is None or directed or isinstance(overlay, EdgeClassPartition)):
         raise ContractError(f"unsupported overlay type {type(overlay).__name__}")
 
+    ids = [_dot_id(name) for name in g.vertex_names()]
     lines = ["digraph {" if directed else "graph {"]
     for v in range(g.n):
         if g.degree(v) == 0:
-            lines.append(f"  {_dot_id(g.label(v))};")
+            lines.append(f"  {ids[v]};")
     for idx, (u, v) in enumerate(g.edges):
-        a, b = _dot_id(g.label(u)), _dot_id(g.label(v))
+        a, b = ids[u], ids[v]
         if overlay is None:
             lines.append(f"  {a} -- {b};")
         elif directed:

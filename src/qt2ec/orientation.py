@@ -14,7 +14,7 @@ definitional validity check scans induced P3s itself.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 
 from .classes import DEFAULT_ENUMERATION_CAP, class_choices, compute_classes
 from .errors import ContractError, InfeasibilityError
@@ -55,7 +55,34 @@ class Orientation(namedtuple("Orientation", "graph bits")):
 
     def format_arcs(self, sep: str = "\n") -> str:
         g = self.graph
-        return sep.join(f"{g.label(t)} -> {g.label(h)}" for t, h in self.arcs())
+        return arc_formatter(g, g.vertex_names(), ARC_TEXT, sep)(self.bits)
+
+
+# An arc as text: its tail's name, then its head's.
+ARC_TEXT = "{} -> {}"
+
+
+def arc_formatter(
+    g: Graph, names: Sequence[str], template: str, sep: str
+) -> Callable[[tuple[int | None, ...]], str]:
+    """A function from an orientation's bits to its arcs joined by ``sep``,
+    each arc ``template`` filled with the names of its tail and its head.
+
+    Each edge's two arc strings are made here, once, so a listing of many
+    orientations only picks one string per edge by its bit and joins them.
+    The unoriented edges of a partial orientation are skipped.
+    """
+    fill = template.format
+    pairs = [(fill(names[u], names[v]), fill(names[v], names[u])) for u, v in g.edges]
+    pick = tuple.__getitem__
+
+    def format_bits(bits: tuple[int | None, ...]) -> str:
+        try:
+            return sep.join(map(pick, pairs, bits))
+        except TypeError:  # a None bit cannot pick: a partial orientation
+            return sep.join([pair[b] for pair, b in zip(pairs, bits) if b is not None])
+
+    return format_bits
 
 
 class OrientationFeasibility(namedtuple("OrientationFeasibility", "partition")):

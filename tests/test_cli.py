@@ -511,6 +511,20 @@ def test_a_full_stdout_exits_two_with_one_error_line():
     _assert_one_write_error(out.returncode, out.stderr)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["orient", "-h"], ["-h"]], ids=" ".join)
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_help_to_a_full_stdout_exits_two_with_one_error_line(argv, unbuffered):
+    # argparse writes the help itself and drops write errors: when stdout
+    # is unbuffered, the write fails inside argparse; otherwise the flush.
+    command, env = cli_command(*argv)
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(
+            command, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60, env={**env, "PYTHONUNBUFFERED": unbuffered}
+        )
+    _assert_one_write_error(out.returncode, out.stderr)
+
+
 def test_a_stdout_closed_early_exits_two_with_one_error_line():
     # K6 has 15 classes: 32,768 lines, far more than a pipe buffer holds.
     command, env = cli_command("orient", "--family", "complete,6", "--enumerate")

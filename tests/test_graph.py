@@ -196,6 +196,77 @@ def test_parse_edge_list_header_and_comments():
     assert g.degree(2) == 0
 
 
+def _reference_parse_edge_list(text: str) -> Graph:
+    """The parser as first written: one closure call per token, and each
+    line stripped, tested and split on its own."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+
+    def vid(token: str) -> int:
+        if token not in index:
+            index[token] = len(labels)
+            labels.append(token)
+        return index[token]
+
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("vertices:"):
+            for token in line[len("vertices:"):].split():
+                vid(token)
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise FormatError(f"line {lineno}: expected 'u v', got {raw!r}")
+        if tokens[0] == tokens[1]:
+            raise FormatError(f"line {lineno}: self-loop on {tokens[0]!r}")
+        edges.append((vid(tokens[0]), vid(tokens[1])))
+    return Graph(len(labels), edges, labels=labels or None)
+
+
+def _parsed(parse, text: str) -> tuple:
+    try:
+        g = parse(text)
+    except FormatError as exc:
+        return ("FormatError", str(exc))
+    return (g.n, g.edges, g.labels)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a\tb\r\nb\t c\r\n",
+        "  # indented comment\n\t#tab comment\na b\n #\n",
+        "vertices:a b\nb c\n",
+        "vertices:\nvertices: \na b\n",
+        "  vertices:  x   y\ty\n",
+        "vertices:# not a comment\n",
+        "a b\nb a\na b\nc a\na c\n",
+        "a b\nc c\n",
+        "a\n",
+        "a b c\n",
+        "a b\n\n   \n\x0c\nlone\n",
+        "x y\x1cy z z w\x85w x\n",
+        "a b\n# vertices: late\nvertices: late a\nlate b\n",
+        "",
+        "\n\r\n",
+    ],
+)
+def test_parse_edge_list_matches_the_reference_on_tricky_text(text):
+    assert _parsed(parse_edge_list, text) == _parsed(_reference_parse_edge_list, text)
+
+
+_EDGE_LIST_PIECES = ["a", "b", "é", "#", "vertices:", " ", "\t", "\n", "\r\n", "\r", "\x0b", "\x1c", " "]
+
+
+@given(st.lists(st.sampled_from(_EDGE_LIST_PIECES), max_size=40).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_parse_edge_list_matches_the_reference(text):
+    assert _parsed(parse_edge_list, text) == _parsed(_reference_parse_edge_list, text)
+
+
 def test_edge_list_round_trip_keeps_isolated_vertices():
     g = parse_edge_list("vertices: a b c d\nb c")
     assert parse_edge_list(format_edge_list(g)) == g
