@@ -119,7 +119,10 @@ def class_choices(p: EdgeClassPartition, cap: int, oriented: bool = False) -> It
 def _forcing_kernel(g: Graph) -> tuple:
     """The fields of ``g``'s partition after ``graph``, in declaration order."""
     adj, edge_at = g._adj_bits, g._edge_at
-    co_adj = [~a for a in adj]
+    # Complement rows masked to the vertex range: CPython's bitwise
+    # operations are slower on negative ints, which ~a would give.
+    full = (1 << g.n) - 1
+    co_adj = [full ^ a for a in adj]
     # Star s is one co-component of the neighbourhood of centre[s].
     # links[s] holds the star at the far end of each of s's edges, and
     # low[e] the star at edge e's low end.  A vertex's upper edges have
@@ -180,8 +183,9 @@ def _forcing_kernel(g: Graph) -> tuple:
                     comp ^= y
                     u = y.bit_length() - 1
                     grow = co_adj[u] & left
-                    comp |= grow
-                    left ^= grow
+                    if grow:
+                        comp |= grow
+                        left ^= grow
                     e = to_v[u]
                     if u > v:
                         low[e] = s

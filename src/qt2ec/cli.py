@@ -86,6 +86,15 @@ def _add_input_arguments(
     _add_output_argument(sub, out_choices)
 
 
+def _add_cap_argument(sub: argparse.ArgumentParser) -> None:
+    # No default here: an explicit --cap must be told apart from none.
+    sub.add_argument(
+        "--cap",
+        type=int,
+        help=f"class-count cap for --enumerate (default {DEFAULT_ENUMERATION_CAP})",
+    )
+
+
 def _read_graph(args: argparse.Namespace) -> Graph:
     if (args.input is None) == (args.family is None):
         raise ContractError("exactly one input source required: a file/'-' or --family")
@@ -177,12 +186,23 @@ def _cmd_classes(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _enumeration_cap(args: argparse.Namespace) -> int:
+    """The ``--cap`` of an ``--enumerate`` call, or its default; a ``--cap``
+    without ``--enumerate`` would be ignored, so it is a usage error."""
+    if args.cap is None:
+        return DEFAULT_ENUMERATION_CAP
+    if not args.enumerate:
+        raise ContractError("--cap needs --enumerate")
+    return args.cap
+
+
 def _cmd_colour(args: argparse.Namespace) -> int:
+    cap = _enumeration_cap(args)
     g = _read_graph(args)
     count = count_colourings(g)
     colourings = None
     if args.enumerate:
-        colourings = ("".join(c.colours) for c in enumerate_colourings(g, cap=args.cap))
+        colourings = ("".join(c.colours) for c in enumerate_colourings(g, cap=cap))
     if args.out_format == "json":
         record = _json_header(g)
         record["count"] = count
@@ -241,6 +261,9 @@ def _parse_seed_arc(g: Graph, text: str) -> tuple[int, int]:
 
 
 def _cmd_orient(args: argparse.Namespace) -> int:
+    cap = _enumeration_cap(args)
+    if args.enumerate and args.out_format == "dot":
+        raise ContractError("--enumerate has no dot output; use --out text or --out json")
     g = _read_graph(args)
     feas = orientability(g)
     gamma = None
@@ -248,7 +271,7 @@ def _cmd_orient(args: argparse.Namespace) -> int:
         gamma = partial_orientation(g, _parse_seed_arc(g, args.seed_arc))
     listing = None
     if args.enumerate:
-        orientations = enumerate_orientations(g, cap=args.cap)
+        orientations = enumerate_orientations(g, cap=cap)
         if args.out_format == "json":
             arcs = arc_formatter(g, [str(v) for v in range(g.n)], "[{}, {}]", ", ")
             listing = ("[" + arcs(o.bits) + "]" for o in orientations)
@@ -369,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("colour", help="count (and enumerate) colourings")
     _add_input_arguments(sub)
     sub.add_argument("--enumerate", action="store_true")
-    sub.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="class-count cap for enumeration")
+    _add_cap_argument(sub)
     sub.set_defaults(fn=_cmd_colour)
 
     sub = subparsers.add_parser("classify", help="TrivialOnly | Unique | Properly(k)")
@@ -384,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(sub, out_choices=("text", "json", "dot"))
     sub.add_argument("--seed-arc", metavar="U,V", help="emit the partial orientation generated by arc u->v")
     sub.add_argument("--enumerate", action="store_true")
-    sub.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="class-count cap for enumeration")
+    _add_cap_argument(sub)
     sub.set_defaults(fn=_cmd_orient)
 
     sub = subparsers.add_parser("family", help="emit a generator graph")

@@ -8,7 +8,10 @@ so the work follows the number of answers rather than 2^m.  The counters
 never consult the class partition whose counting laws they validate.  The
 sweep runs every named structural check over the labeled-graph corpus and
 reports one record per (graph, check) with a reproducible witness on
-failure.  The sweep's corpus holds connected graphs only.
+failure.  The sweep's corpus holds connected graphs only.  The sweep calls
+the forcing kernel once per graph, for the partition under test; no check
+calls it again, and ``class-subgraph-single-class`` decides every class's
+own class count in one union-find over the graph's edges.
 """
 
 from __future__ import annotations
@@ -271,10 +274,44 @@ def _check_orientation_count(g: Graph, p: EdgeClassPartition) -> list[CheckResul
 def _check_class_subgraph_single_class(
     g: Graph, p: EdgeClassPartition
 ) -> list[CheckResult]:
-    """Each class is a single class as a graph of its own."""
+    """Each class is a single class as a graph of its own.
+
+    One union-find over g's edge indices decides every class at once.  At
+    each centre v, edges uv and vw are joined when both lie in one class c
+    and uw is not an edge of c: either not an edge of g, or an edge of
+    another class.  Those pairs are exactly the induced P3s of c's own
+    graph, so the roots among c's edges count c's classes as a graph of
+    its own, and the first class whose count is not 1 is the witness.  It
+    reads only ``Graph``'s public API, builds no ``Graph`` and calls no
+    kernel.
+    """
+    class_of = p.class_of
+    parent = list(range(g.m))
+
+    def find(e: int) -> int:
+        while parent[e] != e:
+            parent[e] = e = parent[parent[e]]
+        return e
+
+    # at[v][u] is the index of edge vu.
+    at = [{u: g.edge_index(v, u) for u in g.neighbors(v)} for v in range(g.n)]
+    for row in at:
+        ends = list(row.items())
+        for a, (u, i) in enumerate(ends, 1):
+            c = class_of[i]
+            across = at[u]
+            for w, j in ends[a:]:
+                if class_of[j] == c:
+                    closing = across.get(w)
+                    if closing is None or class_of[closing] != c:
+                        parent[find(i)] = find(j)
+    # A root is its own parent.
+    sub_ks = [0] * p.k
+    for e, root in enumerate(parent):
+        if root == e:
+            sub_ks[class_of[e]] += 1
     witness = None
-    for cid in range(p.k):
-        sub_k = compute_classes(Graph(g.n, p.class_edges(cid))).k
+    for cid, sub_k in enumerate(sub_ks):
         if sub_k != 1:
             witness = f"class {cid} splits into {sub_k} classes as its own graph"
             break

@@ -267,6 +267,23 @@ def test_orient_argument_errors_exit_two(capsys):
     assert "dot output for orient requires --seed-arc" in err
 
 
+def test_an_option_that_would_be_ignored_exits_two(capsys):
+    # Each of these exited 0 (or 3, by a cap on an enumeration it never
+    # wrote) and dropped an option without a word.
+    cases = [
+        (["colour", "--family", "path,4", "--cap", "3"], "error: --cap needs --enumerate\n"),
+        (["orient", "--family", "path,4", "--cap", "3"], "error: --cap needs --enumerate\n"),
+        (["orient", "--family", "path,4", "--cap", "20"], "error: --cap needs --enumerate\n"),
+    ]
+    dot = ["orient", "--family", "complete,6", "--out", "dot", "--enumerate", "--seed-arc", "0,1"]
+    no_dot = "error: --enumerate has no dot output; use --out text or --out json\n"
+    for extra in ([], ["--cap", "3"], ["--cap", "20"]):
+        cases.append((dot + extra, no_dot))
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message), argv
+
+
 def test_graph6_input_without_a_graph_exits_two(capsys, tmp_path):
     blank = tmp_path / "blank.g6"
     blank.write_text("\n   \n\n")

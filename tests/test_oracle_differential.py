@@ -1,12 +1,14 @@
 """Differential tests of the verification half against independent
 references: the backtracking brute-force counters against the exhaustive
 2^m mask loops; the subset witness oracle against its vertex-by-vertex
-module test; the class-subgraph check against a union-find over each
-class's own induced P3s, which runs no forcing kernel; the shortest-path
-check's verdict against the full shortest-path listing, and its witness
-against what a straddling P3 must be; the crossing-lemmas and tinylemma
-checks, which share one crossing-pair scan, against a crossing test per
-class pair; and a kill count per sweep check over tampered partitions."""
+module test; the class-subgraph check, one union-find over the whole
+graph's edges, against two per-class references, a union-find over each
+class's own induced P3s and the forcing kernel run on each class as a
+graph of its own; the shortest-path check's verdict against the full
+shortest-path listing, and its witness against what a straddling P3 must
+be; the crossing-lemmas and tinylemma checks, which share one
+crossing-pair scan, against a crossing test per class pair; and a kill
+count per sweep check over tampered partitions."""
 
 from __future__ import annotations
 
@@ -303,6 +305,24 @@ def per_class_union_find_verdict(g: Graph, p: EdgeClassPartition) -> tuple[bool,
     return True, None
 
 
+def per_class_kernel_verdict(g: Graph, p: EdgeClassPartition) -> tuple[bool, str | None]:
+    """Each class as a graph of its own, its class count from the forcing
+    kernel: one kernel call per class."""
+    for cid in range(p.k):
+        sub_k = compute_classes(Graph(g.n, p.class_edges(cid))).k
+        if sub_k != 1:
+            return False, f"class {cid} splits into {sub_k} classes as its own graph"
+    return True, None
+
+
+def assert_class_subgraph_check_agrees(g: Graph, p: EdgeClassPartition) -> bool:
+    """The check against both per-class references; returns whether it passed."""
+    expected = per_class_union_find_verdict(g, p)
+    assert per_class_kernel_verdict(g, p) == expected, (g.edges, p.classes)
+    assert verdict(g, p, "class-subgraph-single-class") == expected, (g.edges, p.classes)
+    return expected[0]
+
+
 def shortest_path_listing_verdict(g: Graph, p: EdgeClassPartition) -> tuple[bool, str | None]:
     """Every shortest x-y path, x < y, listed from one BFS per source."""
     for x in range(g.n):
@@ -394,9 +414,7 @@ def assert_rewritten_checks_agree(g: Graph, merges=None) -> tuple[int, int]:
     returns how many partitions failed each reference."""
     fails = [0, 0]
     for p in tampered_partitions(g, merges):
-        expected = per_class_union_find_verdict(g, p)
-        assert verdict(g, p, "class-subgraph-single-class") == expected, (g.edges, p.classes)
-        fails[0] += not expected[0]
+        fails[0] += not assert_class_subgraph_check_agrees(g, p)
         passed, _ = shortest_path_listing_verdict(g, p)
         new_passed, witness = verdict(g, p, "shortest-path-single-class")
         assert new_passed == passed, (g.edges, p.classes)
@@ -435,6 +453,67 @@ def gnp_and_merges(draw, max_n: int = 10) -> tuple[Graph, list[tuple[int, int]]]
 def test_rewritten_checks_on_random_graphs(case):
     g, merges = case
     assert_rewritten_checks_agree(g, merges)
+
+
+def triangle_closed_by_another_class(g: Graph, p: EdgeClassPartition) -> bool:
+    """Some class holds edges uv and vw whose triangle is closed by an edge
+    uw of another class, so u-v-w is an induced P3 of that class's own
+    graph but not of g."""
+    return any(
+        p.class_of_pair(u, v) == p.class_of_pair(v, w) != p.class_of_pair(u, w)
+        for v in range(g.n)
+        for u, w in combinations(g.neighbors(v), 2)
+        if g.has_edge(u, w)
+    )
+
+
+def test_class_subgraph_check_on_random_groupings_of_six_vertex_graphs():
+    rng = Random(21)
+    closed = passed = 0
+    for g in sample_connected_graphs(6, 300, seed=21):
+        for p in random_groupings(g, rng, 3):
+            closed += triangle_closed_by_another_class(g, p)
+            passed += assert_class_subgraph_check_agrees(g, p)
+    # Of the 900 groupings, 721 hold a triangle closed by another class's
+    # edge, and 233 have every class a single class of its own.
+    assert (closed, passed) == (721, 233)
+
+
+def test_class_subgraph_check_builds_no_graph_and_enters_no_kernel(monkeypatch):
+    cases = [
+        (g, p)
+        for n in range(1, 6)
+        for g in enumerate_labeled_graphs(n)
+        for p in tampered_partitions(g)
+    ]
+    rng = Random(22)
+    cases += [
+        (g, p)
+        for g in sample_connected_graphs(6, 60, seed=22)
+        for p in random_groupings(g, rng, 3)
+    ]
+    expected = [per_class_union_find_verdict(g, p) for g, p in cases]
+    kernel_calls = 0
+    kernel = qt2ec.classes._forcing_kernel
+
+    def counted_kernel(g):
+        nonlocal kernel_calls
+        kernel_calls += 1
+        return kernel(g)
+
+    def no_graph(self, *args, **kwargs):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(qt2ec.classes, "_forcing_kernel", counted_kernel)
+    monkeypatch.setattr(Graph, "__init__", no_graph)
+    assert [verdict(g, p, "class-subgraph-single-class") for g, p in cases] == expected
+    assert kernel_calls == 0
+    monkeypatch.undo()
+    # The patched kernel is live: a sweep runs it once per graph, for the
+    # partition under test, and no check runs it again.
+    monkeypatch.setattr(qt2ec.classes, "_forcing_kernel", counted_kernel)
+    report = theorem_sweep(SweepConfig(max_n=4))
+    assert kernel_calls == report.meta["graphs"] == 44
 
 
 # ---------------------------------------------------------------------------
