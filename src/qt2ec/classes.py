@@ -25,9 +25,10 @@ neighbour with :func:`qt2ec.graph.reach` over the complemented bitsets.
 When that is the whole neighbourhood, the centre is one star: its upper
 edges get its id all at once, with no walk over the members, and only its
 edges to lower neighbours are linked one by one.  Otherwise the centre has
-several stars.  The kernel walks the members of the first one, then grows
-each later co-component from its least unvisited neighbour, adding each
-popped member's unvisited non-neighbours, and hands out its star id in
+several stars, and one walk numbers them all.  It starts from the
+co-component that ``reach`` returned, which has nothing left to grow, then
+grows each later one from its least unvisited neighbour, adding each
+popped member's unvisited non-neighbours, and hands out the star id in
 that same walk, so every neighbour of the centre is visited once.  One BFS
 over the star graph from the low star of each unlabelled edge, in edge
 order, then labels the classes, and C-level maps over the low stars give
@@ -153,31 +154,16 @@ def _forcing_kernel(g: Graph) -> tuple:
         else:
             # Several stars.  A member above v fills in its edge's low
             # star, whose slot is reserved here; a member below v links
-            # the new star to its own.  reach found the first star, so its
-            # members are only walked.  Each later star grows from its
-            # least member as it is walked: a popped member adds its
-            # unvisited non-neighbours.
+            # the new star to its own.  Each star grows from its seed as
+            # it is walked: a popped member adds its unvisited
+            # non-neighbours.  The first star's seed is the whole
+            # co-component that reach found, so it has none left to add;
+            # each later star's seed is its least member.
             low += [0] * (left >> v).bit_count()
-            left ^= comp
-            centre.append(v)
-            links.append([])
-            while comp:
-                y = comp & -comp
-                comp ^= y
-                u = y.bit_length() - 1
-                e = to_v[u]
-                if u > v:
-                    low[e] = s
-                else:
-                    a = low[e]
-                    links[a].append(s)
-                    links[s].append(a)
             while left:
-                s += 1
+                left ^= comp
                 centre.append(v)
                 links.append([])
-                comp = left & -left
-                left ^= comp
                 while comp:
                     y = comp & -comp
                     comp ^= y
@@ -193,6 +179,8 @@ def _forcing_kernel(g: Graph) -> tuple:
                         a = low[e]
                         links[a].append(s)
                         links[s].append(a)
+                s += 1
+                comp = left & -left
 
     # One BFS per class over the stars, started with colour 0 from the low
     # star of the least edge not yet labelled, so class ids follow least

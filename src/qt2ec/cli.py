@@ -76,11 +76,11 @@ def _add_input_arguments(
 ) -> None:
     sub.add_argument("input", nargs="?", help="graph file, or '-' for stdin")
     sub.add_argument("--family", metavar="SPEC", help=f"generator spec: {FAMILY_USAGE}")
+    # No default here: an explicit --in must be told apart from none.
     sub.add_argument(
         "--in",
         dest="in_format",
         choices=["edgelist", "graph6"],
-        default="edgelist",
         help="input format (default edgelist)",
     )
     _add_output_argument(sub, out_choices)
@@ -99,6 +99,8 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     if (args.input is None) == (args.family is None):
         raise ContractError("exactly one input source required: a file/'-' or --family")
     if args.family is not None:
+        if args.in_format is not None:
+            raise ContractError("--in applies to a file or '-', not to --family")
         return family_from_spec(args.family)
     source = "stdin" if args.input == "-" else args.input
     try:
@@ -318,12 +320,15 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .oracle import SweepConfig, theorem_sweep
 
+    # The seed only picks the sampled six-vertex graphs.
+    if args.seed is not None and not args.sample_n6:
+        raise ContractError("--seed needs a positive --sample-n6")
     checks = frozenset(args.checks.split(",")) if args.checks is not None else None
     cfg = SweepConfig(
         max_n=args.max_n,
         checks=checks,
         sample_n6=args.sample_n6,
-        seed=args.seed,
+        seed=SweepConfig.seed if args.seed is None else args.seed,
         threads=args.threads,
     )
     report = theorem_sweep(cfg)
@@ -417,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("verify", help="run the theorem sweep")
     sub.add_argument("--max-n", type=int, default=5)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int)
     sub.add_argument("--sample-n6", type=int, default=None)
     sub.add_argument("--checks", help="comma-separated check names (default all)")
     sub.add_argument("--threads", type=int, default=1, help="sweep worker processes (default 1)")

@@ -30,8 +30,9 @@ class Graph:
     in lexicographic pair order.  Adjacency is kept as one int bitset per
     vertex because neighbour-pair scans (induced-P3 enumeration) dominate
     the workload.  The one edge map, ``_edge_at[u][v]``, gives the index
-    of edge {u, v}; its keys come out ascending, so they are also the
-    sorted neighbour lists.  Walks over the bitsets go through
+    of edge {u, v}; its keys come out ascending, and they are the one
+    neighbour list, which :meth:`neighbors`, :meth:`degree` and
+    :func:`induced_p3_edges` read.  Walks over the bitsets go through
     :func:`reach`, the package's one bitset BFS function (the forcing
     kernel also grows co-components in its own star walk), and induced
     P3s through :func:`induced_p3_edges`.  External string labels, when
@@ -40,7 +41,7 @@ class Graph:
     ``compute_classes`` memoises its partition's fields in ``_partition``.
     """
 
-    __slots__ = ("n", "edges", "labels", "_adj_bits", "_nbrs", "_edge_at", "_partition")
+    __slots__ = ("n", "edges", "labels", "_adj_bits", "_edge_at", "_partition")
 
     def __init__(
         self,
@@ -81,7 +82,6 @@ class Graph:
             edge_at[v][u] = i
         self._adj_bits = tuple(adj)
         self._edge_at = tuple(edge_at)
-        self._nbrs = tuple(tuple(row) for row in edge_at)
         self._partition = None
 
     @property
@@ -89,13 +89,13 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._nbrs[v]
+        return tuple(self._edge_at[v])
 
     def adjacency_bits(self, v: int) -> int:
         return self._adj_bits[v]
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return len(self._edge_at[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self._edge_at[u]
@@ -344,9 +344,9 @@ def induced_p3_edges(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
     and ``j`` that of vw, both read from the centre's edge-map row.  Since
     ``u < w`` and the edges are indexed in pair order, ``i < j`` whether
     v lies below, between or above u and w."""
-    adj, nbrs_of, edge_at = g._adj_bits, g._nbrs, g._edge_at
-    for v in range(g.n):
-        nbrs, to_v = nbrs_of[v], edge_at[v]
+    adj = g._adj_bits
+    for v, to_v in enumerate(g._edge_at):
+        nbrs = tuple(to_v)
         for a, u in enumerate(nbrs):
             row, i = adj[u], to_v[u]
             for w in nbrs[a + 1:]:
@@ -390,9 +390,6 @@ def reach(adj: Sequence[int] | Mapping[int, int], seed: int, within: int = -1) -
     This is the package's one bitset BFS function; the forcing kernel
     also grows a centre's later co-components in the walk that hands out
     their star ids.  It stops as soon as the component fills ``within``.
-    A complemented row ``~a`` walks the complement graph; it is negative,
-    so it needs a finite (non-negative) ``within`` to stay inside the
-    vertex range.
     """
     component = frontier = seed
     while frontier and component != within:

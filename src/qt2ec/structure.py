@@ -76,7 +76,7 @@ def _induces_join(g: Graph, vertices: frozenset[int]) -> bool:
     if len(vertices) < 2:
         return False
     inside = sum(1 << v for v in vertices)
-    co_adj = {v: ~g.adjacency_bits(v) for v in vertices}
+    co_adj = {v: inside ^ (inside & g.adjacency_bits(v)) for v in vertices}
     return reach(co_adj, inside & -inside, inside) != inside
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -279,9 +280,98 @@ def test_an_option_that_would_be_ignored_exits_two(capsys):
     no_dot = "error: --enumerate has no dot output; use --out text or --out json\n"
     for extra in ([], ["--cap", "3"], ["--cap", "20"]):
         cases.append((dot + extra, no_dot))
+    no_in = "error: --in applies to a file or '-', not to --family\n"
+    for fmt in ("graph6", "edgelist"):
+        cases.append((["classes", "--family", "path,3", "--in", fmt], no_in))
+    for sample in ([], ["--sample-n6", "0"]):
+        cases.append((["verify", "--max-n", "2", "--seed", "9", *sample], "error: --seed needs a positive --sample-n6\n"))
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", message), argv
+
+
+# The parser walk.  Each case is (subcommand, option, the call without the
+# option, what the option adds); "FILE" stands for an edge-list file.  The
+# call with the option must differ from the one without in stdout or exit
+# code, and when it exits 2 it says why in one error line.
+INPUT_SUBCOMMANDS = ("classes", "colour", "classify", "witness", "orient", "oracle")
+OPTION_CASES = [
+    *[(sub, "--family", [], ["--family", "k4_minus_e"]) for sub in INPUT_SUBCOMMANDS],
+    *[(sub, "--in", ["FILE"], ["--in", "graph6"]) for sub in INPUT_SUBCOMMANDS],
+    *[(sub, "--in", ["--family", "path,3"], ["--in", "graph6"]) for sub in INPUT_SUBCOMMANDS],
+    *[(sub, "--out", ["--family", "k4_minus_e"], ["--out", "json"]) for sub in INPUT_SUBCOMMANDS],
+    *[(sub, "--enumerate", ["--family", "path,4"], ["--enumerate"]) for sub in ("colour", "orient")],
+    *[(sub, "--cap", ["--family", "path,4", "--enumerate"], ["--cap", "0"]) for sub in ("colour", "orient")],
+    *[(sub, "--cap", ["--family", "path,4"], ["--cap", "3"]) for sub in ("colour", "orient")],
+    ("orient", "--enumerate", ["--family", "complete,6", "--out", "dot", "--seed-arc", "0,1"], ["--enumerate"]),
+    ("orient", "--seed-arc", ["--family", "path,4"], ["--seed-arc", "0,1"]),
+    ("family", "--family", [], ["--family", "cycle,4"]),
+    ("family", "--out", ["--family", "cycle,4"], ["--out", "graph6"]),
+    ("verify", "--max-n", ["--checks", "tinylemma"], ["--max-n", "2"]),
+    ("verify", "--seed", ["--max-n", "2"], ["--seed", "9"]),
+    ("verify", "--seed", ["--max-n", "2", "--sample-n6", "1", "--checks", "crossing-lemmas"], ["--seed", "2"]),
+    ("verify", "--sample-n6", ["--max-n", "2"], ["--sample-n6", "1"]),
+    ("verify", "--checks", ["--max-n", "2"], ["--checks", "tinylemma"]),
+    ("verify", "--out", ["--max-n", "2"], ["--out", "json"]),
+]
+# Options that change neither stdout nor the exit code by design, each with
+# the calls that show it and the reason.
+NO_OP_CASES = [
+    (
+        "verify",
+        "--threads",
+        ["--max-n", "3", "--checks", "colouring-count"],
+        ["--threads", "2"],
+        "a pool sweep gives the serial sweep's records; it only spreads the work",
+    ),
+]
+
+
+def call_exit(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """``run``, with argparse's exit read as the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_parser_walk_covers_every_declared_option():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        (name, option)
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+    walked = {case[:2] for case in OPTION_CASES + NO_OP_CASES}
+    assert walked == declared
+
+
+@pytest.mark.parametrize(
+    ("sub", "option", "base", "extra"),
+    OPTION_CASES,
+    ids=[" ".join([sub, *base, "+", *extra]) for sub, _, base, extra in OPTION_CASES],
+)
+def test_no_option_is_silently_ignored(capsys, tmp_path, sub, option, base, extra):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("a b\nb c\n")
+    base = [str(graph) if arg == "FILE" else arg for arg in base]
+    without = call_exit(capsys, [sub, *base])
+    code, out, err = call_exit(capsys, [sub, *base, *extra])
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
+    else:
+        assert (code, out) != without[:2], option
+
+
+@pytest.mark.parametrize(("sub", "option", "base", "extra", "reason"), NO_OP_CASES)
+def test_listed_no_op_options_change_nothing(capsys, sub, option, base, extra, reason):
+    without = call_exit(capsys, [sub, *base])
+    assert without[0] == 0
+    assert call_exit(capsys, [sub, *base, *extra])[:2] == without[:2], reason
 
 
 def test_graph6_input_without_a_graph_exits_two(capsys, tmp_path):

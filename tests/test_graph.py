@@ -74,7 +74,8 @@ def test_constructor_output_does_not_depend_on_input_order(seed: int):
     g, ref = Graph(n, given), Graph(n, pairs)
     assert g.edges == ref.edges == tuple(pairs)
     assert [list(row.items()) for row in g._edge_at] == [list(row.items()) for row in ref._edge_at]
-    assert g._nbrs == ref._nbrs and g._adj_bits == ref._adj_bits
+    assert g._adj_bits == ref._adj_bits
+    assert [g.neighbors(v) for v in range(n)] == [ref.neighbors(v) for v in range(n)]
     for v in range(n):
         assert list(g._edge_at[v]) == sorted(g._edge_at[v])
 
@@ -633,7 +634,7 @@ def test_is_complete_multipartite_matches_the_complement_components():
 # ---------------------------------------------------------------------------
 # Graph's private fields
 
-PRIVATE_FIELDS = {"_adj_bits", "_edge_at", "_nbrs", "_partition"}
+PRIVATE_FIELDS = {"_adj_bits", "_edge_at", "_partition"}
 KERNEL_READERS = {"compute_classes", "_forcing_kernel"}
 
 
