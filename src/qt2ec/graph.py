@@ -266,8 +266,40 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, chain.from_iterable(rows))
 
 
+# encode_graph6 writes a larger bit stream in blocks of about this many bits.
+_GRAPH6_BLOCK_BITS = 1 << 18
+
+
+def _graph6_columns(adj: Sequence[int], start: int, stop: int) -> str:
+    """The bits of columns ``start`` .. ``stop - 1`` of the upper triangle.
+
+    Column j is pairs (0, j) .. (j - 1, j): row j's low j bits, reversed.
+    Bit j, set above them, makes format write all j; the reversal drops it.
+    """
+    return "".join(
+        [format(adj[j] & ((1 << j) - 1) | 1 << j, "b")[:0:-1] for j in range(start, stop)]
+    )
+
+
+def _graph6_chars(bits: str) -> bytes:
+    """The graph6 characters of ``bits``, a whole number of 24-bit groups,
+    so base64 writes them with no "=" padding."""
+    data = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_GRAPH6)
+
+
 def encode_graph6(g: Graph) -> str:
-    """Encode a graph in graph6 format; exact inverse of :func:`parse_graph6`."""
+    """Encode a graph in graph6 format; exact inverse of :func:`parse_graph6`.
+
+    The upper triangle goes out column by column, padded with zeros to a
+    whole number of 24-bit groups.  A triangle of more than
+    ``_GRAPH6_BLOCK_BITS`` bits (n above 724) goes out in blocks of
+    columns: each block is encoded up to its last whole 24-bit group, and
+    the bits left over open the next block.  So the characters are those
+    of the whole triangle encoded at once, while the memory beyond the
+    output (built as bytes, then decoded once) stays one block's worth
+    however large n is.
+    """
     n = g.n
     if n <= 62:
         head = chr(n + 63)
@@ -275,14 +307,23 @@ def encode_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise ContractError(f"graph6 supports at most 258047 vertices, got {n}")
-    # Column j is pairs (0, j) .. (j - 1, j): row j's low j bits, reversed.
     adj = g._adj_bits
-    bits = "".join([format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)])
-    chars = -(-len(bits) // 6)
-    bits += "0" * (-len(bits) % 24)  # whole 3-byte groups, so no "=" padding
-    data = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
-    text = binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_GRAPH6)
-    return head + text[:chars].decode()
+    nbits = n * (n - 1) // 2
+    chars = -(-nbits // 6)
+    pad = "0" * (-nbits % 24)
+    if nbits <= _GRAPH6_BLOCK_BITS:
+        return head + _graph6_chars(_graph6_columns(adj, 1, n) + pad)[:chars].decode()
+    out = bytearray(head, "ascii")
+    step = _GRAPH6_BLOCK_BITS // n + 1
+    bits = ""
+    for start in range(1, n, step):
+        bits += _graph6_columns(adj, start, min(start + step, n))
+        cut = len(bits) - len(bits) % 24
+        out += _graph6_chars(bits[:cut])
+        bits = bits[cut:]
+    out += _graph6_chars(bits + pad)
+    del out[len(head) + chars:]
+    return out.decode()
 
 
 _CLASS_STYLES = ("solid", "dashed", "dotted", "bold")

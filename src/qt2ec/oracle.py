@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, wraps
 from random import Random
 from typing import Callable, Iterator
 
@@ -54,7 +54,26 @@ CheckFn = Callable[[Graph, EdgeClassPartition], list[CheckResult]]
 # brute-force counters
 
 
-@lru_cache(maxsize=1)
+def _last_graph_memo(fn: Callable[[Graph], object]) -> Callable[[Graph], object]:
+    """``fn`` with its answer for the last graph kept and matched by
+    identity.  A sweep hands every check the same ``Graph``, and a
+    ``Graph`` never changes, so a second call on it costs one ``is``,
+    where an ``lru_cache`` would hash the whole edge tuple each time."""
+    last: tuple = (None, None)
+
+    @wraps(fn)
+    def memo(g: Graph):
+        nonlocal last
+        seen, answer = last
+        if seen is not g:
+            answer = fn(g)
+            last = (g, answer)
+        return answer
+
+    return memo
+
+
+@_last_graph_memo
 def _p3_parity_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(need, odd)`` of the graph under test, built from one induced-P3
     scan and shared by the two counters: ``need[j]`` has bit i set for
@@ -122,7 +141,7 @@ def brute_force_orientation_count(g: Graph) -> int:
     return _count_parity_solutions(g, orient=True)
 
 
-@lru_cache(maxsize=1)
+@_last_graph_memo
 def _orientation_count(g: Graph) -> int:
     """The brute-force orientation count of the graph under test, shared by
     the two checks that need it."""
@@ -202,6 +221,18 @@ def sample_connected_graphs(n: int, count: int, seed: int) -> list[Graph]:
 # subset oracle for the unique-witness theorem
 
 
+@lru_cache(maxsize=None)
+def _subset_steps(n: int) -> tuple[tuple[int, int, int], ...]:
+    """``(mask, rest, low vertex)`` for each nonempty vertex subset of n
+    vertices in increasing mask order, ``rest`` being the mask minus its
+    lowest vertex."""
+    steps = []
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        steps.append((mask, mask ^ low, low.bit_length() - 1))
+    return tuple(steps)
+
+
 def subset_witness_count(g: Graph) -> int:
     """Exhaustively count vertex subsets that qualify as homogeneous
     witnesses: size 2..n-1, module, connected induced subgraph.
@@ -211,24 +242,23 @@ def subset_witness_count(g: Graph) -> int:
     order, so each mask's two running intersections come from the mask
     minus its lowest vertex: ``common`` holds the vertices adjacent to all
     of the mask and ``apart`` those adjacent to none of it.  The mask is a
-    module iff every vertex outside it lies in one of the two.
+    module iff every vertex outside it lies in one of the two, that is iff
+    the mask and the two cover every vertex.
     """
     n = g.n
     if n > MAX_CORPUS_N:
         raise RefusalError(f"subset brute force capped at n = {MAX_CORPUS_N}, graph has {n}")
     adj = [g.adjacency_bits(v) for v in range(n)]
     full = (1 << n) - 1
+    co_adj = [full ^ row for row in adj]
     common = [full] * (1 << n)
     apart = [full] * (1 << n)
     count = 0
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        rest = mask ^ low
-        row = adj[low.bit_length() - 1]
-        common[mask] = both = common[rest] & row
-        apart[mask] = neither = apart[rest] & ~row
-        if rest and mask != full and (full ^ mask) & ~(both | neither) == 0:
-            count += reach(adj, low, mask) == mask
+    for mask, rest, v in _subset_steps(n):
+        common[mask] = both = common[rest] & adj[v]
+        apart[mask] = neither = apart[rest] & co_adj[v]
+        if rest and mask != full and both | neither | mask == full:
+            count += reach(adj, mask ^ rest, mask) == mask
     return count
 
 
@@ -293,8 +323,12 @@ def _check_class_subgraph_single_class(
             parent[e] = e = parent[parent[e]]
         return e
 
-    # at[v][u] is the index of edge vu.
-    at = [{u: g.edge_index(v, u) for u in g.neighbors(v)} for v in range(g.n)]
+    # at[v][u] is the index of edge vu, keyed in ascending u since the
+    # edges come in pair order.
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        at[u][v] = i
+        at[v][u] = i
     for row in at:
         ends = list(row.items())
         for a, (u, i) in enumerate(ends, 1):
@@ -338,13 +372,14 @@ def _check_shortest_paths(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
 
 
 def _check_pendant_classes(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    owners = [0] * g.n
+    # A class is pendant unless every vertex of it lies in another class
+    # too, i.e. among the vertices seen in two classes or more.
+    seen: set[int] = set()
+    shared: set[int] = set()
     for verts in p.vertex_sets:
-        for v in verts:
-            owners[v] += 1
-    pendant = [
-        cid for cid, verts in enumerate(p.vertex_sets) if any(owners[v] == 1 for v in verts)
-    ]
+        shared |= seen & verts
+        seen |= verts
+    pendant = [cid for cid, verts in enumerate(p.vertex_sets) if not verts <= shared]
     ok = len(pendant) <= 1
     return [
         CheckResult(
@@ -509,8 +544,8 @@ def _run_checks(g: Graph, names: list[str], registry: dict[str, CheckFn]) -> lis
         seconds: float | None = time.perf_counter() - started
         if len(records) > 1:
             records = sorted(records, key=_record_order)
-        for r in records:
-            out.append((r.check, r.passed, key, r.witness, r.detail, seconds))
+        for check, passed, _, witness, detail, _ in records:
+            out.append((check, passed, key, witness, detail, seconds))
             seconds = None
     out.sort(key=_record_order)
     return out
@@ -522,11 +557,19 @@ def _sweep_worker(job: tuple[int, int, list[str], dict[str, CheckFn]]) -> list[R
 
 
 def _sweep_rows(
-    items: list[tuple[int, int]], names: list[str], table: dict[str, CheckFn], threads: int
+    items: Iterator[tuple[int, int]], names: list[str], table: dict[str, CheckFn], threads: int
 ) -> Iterator[list[Row]]:
     """Each corpus graph's rows, in corpus order, from a pool of
-    ``threads`` worker processes or, with one thread, from this one."""
-    jobs = [(n, mask, names, table) for n, mask in items]
+    ``threads`` worker processes or, with one thread, from this one.
+
+    ``items`` is consumed as the jobs are handed out, and no list of them
+    is kept.  On the pool, the first chunk of 64 graphs starts the
+    workers.  The pool's own threads pass a chunk on to a worker only when
+    they get the GIL, which the feed holds while it enumerates, so in
+    CPython the workers mostly start once the feed is done.  Should the
+    feed or a check raise, the chunks not yet started are dropped and the
+    pool's workers are joined before the error propagates."""
+    jobs = ((n, mask, names, table) for n, mask in items)
     if threads == 1:
         yield from map(_sweep_worker, jobs)
         return
@@ -534,7 +577,28 @@ def _sweep_rows(
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(_sweep_worker, jobs, chunksize=64)
+        try:
+            yield from pool.map(_sweep_worker, jobs, chunksize=64)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _corpus_items(cfg: SweepConfig) -> Iterator[tuple[int, int]]:
+    """``(n, mask)`` of every corpus graph, in corpus order: the connected
+    labeled graphs by n and then mask, then the seeded six-vertex sample,
+    which raises RefusalError only once the feed reaches it."""
+    for n in range(1, cfg.max_n + 1):
+        for mask in _labeled_masks(n, connected_only=True):
+            yield n, mask
+    if cfg.sample_n6:
+        for mask in _sample_connected_masks(6, cfg.sample_n6, cfg.seed):
+            yield 6, mask
+
+
+# A row is a record's fields in order, so tuple.__new__ builds the record
+# from it in one C call.
+_record_of_row = partial(tuple.__new__, CheckResult)
 
 
 def theorem_sweep(
@@ -548,14 +612,18 @@ def theorem_sweep(
     exceptions).  The serial loop and the pool workers alike return plain
     tuples from ``_run_checks``, already in per-graph order; they become
     ``CheckResult`` records here, in one place, as each graph's rows
-    arrive.  The graphs are then ordered by graph6 key, which the corpus
-    holds once each, so the records come out sorted by (graph6, check,
-    witness or "") and multi-worker runs merge identically.  ``threads``
-    must be 1..``MAX_SWEEP_THREADS``: a pool starts all its workers at
-    once.  ``registry`` is a test hook replacing the default check table;
-    it runs with ``cfg.threads`` like the default one.  The pool pickles
-    the table by reference, so its checks must be module-level functions:
-    with ``threads`` above 1 a closure fails at once, unpicklable
+    arrive.  The corpus is fed to the checks as it is enumerated (see
+    ``_sweep_rows``), and ``meta["graphs"]`` counts the graphs fed.  A
+    ``sample_n6`` larger than the connected six-vertex graphs raises
+    RefusalError once the feed reaches the sample, serially and on the pool
+    alike, and no worker outlives it.  The graphs are then ordered by graph6
+    key, which the corpus holds once each, so the records come out sorted by
+    (graph6, check, witness or "") and multi-worker runs merge identically.
+    ``threads`` must be 1..``MAX_SWEEP_THREADS``: a pool starts all its
+    workers at once.  ``registry`` is a test hook replacing the default
+    check table; it runs with ``cfg.threads`` like the default one.  The
+    pool pickles the table by reference, so its checks must be module-level
+    functions: with ``threads`` above 1 a closure fails at once, unpicklable
     (``AttributeError: Can't pickle local object`` on CPython 3.11), and
     never hangs.
     """
@@ -574,19 +642,11 @@ def theorem_sweep(
             valid = ", ".join(sorted(table))
             raise ContractError(f"unknown check {name!r}; expected one of: {valid}")
 
-    items = [
-        (n, mask)
-        for n in range(1, cfg.max_n + 1)
-        for mask in _labeled_masks(n, connected_only=True)
-    ]
-    if cfg.sample_n6:
-        items.extend((6, mask) for mask in _sample_connected_masks(6, cfg.sample_n6, cfg.seed))
-
-    graphs = [
-        list(map(CheckResult._make, rows))
-        for rows in _sweep_rows(items, names, table, cfg.threads)
-        if rows
-    ]
+    graphs = []
+    fed = 0
+    for fed, rows in enumerate(_sweep_rows(_corpus_items(cfg), names, table, cfg.threads), 1):
+        if rows:
+            graphs.append(list(map(_record_of_row, rows)))
     graphs.sort(key=lambda records: records[0].graph_key)
     return VerificationReport(
         [r for records in graphs for r in records],
@@ -596,6 +656,6 @@ def theorem_sweep(
             "checks": names,
             "sample_n6": cfg.sample_n6,
             "seed": cfg.seed,
-            "graphs": len(items),
+            "graphs": fed,
         },
     )

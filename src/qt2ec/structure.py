@@ -55,7 +55,9 @@ def class_pair_relation(
 
 def crossing_pairs(g: Graph, p: EdgeClassPartition) -> list[ClassPairRelation]:
     """The relations of the crossing class pairs c < d, in (c, d) order:
-    the package's one scan for them."""
+    the package's one scan for them.  Two vertex sets cross when they
+    meet and neither holds the other, so only a crossing pair gets its
+    relation built."""
     if p.graph != g:
         raise ContractError("partition does not belong to this graph")
     sets = p.vertex_sets
@@ -64,9 +66,8 @@ def crossing_pairs(g: Graph, p: EdgeClassPartition) -> list[ClassPairRelation]:
         vc = sets[c]
         for d in range(c + 1, p.k):
             vd = sets[d]
-            rel = ClassPairRelation(c, d, vc - vd, vd - vc, vc & vd)
-            if rel.tag == CROSSING:
-                out.append(rel)
+            if not (vc.isdisjoint(vd) or vc <= vd or vd <= vc):
+                out.append(ClassPairRelation(c, d, vc - vd, vd - vc, vc & vd))
     return out
 
 
@@ -241,14 +242,33 @@ def check_tinylemma_instances(
     ]
 
 
+# The last (graph, partition, straddle) that first_straddle scanned.
+_last_straddle: tuple = (None, None, None)
+
+
 def first_straddle(g: Graph, p: EdgeClassPartition) -> tuple[int, int, int] | None:
     """The first induced P3 u-v-w, in ``induced_p3s`` order, whose edges uv
-    and vw lie in different classes of ``p``; None when there is none."""
+    and vw lie in different classes of ``p``; None when there is none.
+
+    A sweep hands partition law (d) and ``shortest-path-single-class`` the
+    same graph and partition objects, so the answer for the last pair
+    scanned is kept and matched by identity: the scan runs once per sweep
+    graph.  Identity needs no hashing, so a hand-built partition with list
+    fields is scanned as before; one whose ``class_of`` is not a tuple
+    could change in place, and is scanned on every call."""
+    global _last_straddle
+    last_g, last_p, straddle = _last_straddle
+    if last_g is g and last_p is p:
+        return straddle
     class_of = p.class_of
+    straddle = None
     for u, v, w, i, j in induced_p3_edges(g):
         if class_of[i] != class_of[j]:
-            return u, v, w
-    return None
+            straddle = u, v, w
+            break
+    if type(class_of) is tuple:
+        _last_straddle = (g, p, straddle)
+    return straddle
 
 
 def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
@@ -264,13 +284,17 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
         raise ContractError("partition does not belong to this graph")
     results: list[CheckResult] = []
 
+    # Each class's own adjacency rows and the bits of the vertices it spans.
     witness = None
-    for cid in range(p.k):
-        adj: dict[int, int] = {}
-        for u, v in p.class_edges(cid):
-            adj[u] = adj.get(u, 0) | 1 << v
-            adj[v] = adj.get(v, 0) | 1 << u
-        span = sum(1 << v for v in adj)
+    edges = g.edges
+    for cid, members in enumerate(p.classes):
+        adj = [0] * g.n
+        span = 0
+        for e in members:
+            u, v = edges[e]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            span |= 1 << u | 1 << v
         if reach(adj, span & -span) != span:
             witness = f"class {cid} spans a disconnected subgraph"
             break

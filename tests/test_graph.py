@@ -348,12 +348,19 @@ def _sparse_random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 @pytest.mark.parametrize(
-    "g", [path(3000), _sparse_random_graph(400, 0.01, seed=15)], ids=["path-3000", "gnp-400"]
+    "g",
+    [
+        path(3000),
+        _sparse_random_graph(400, 0.01, seed=15),
+        _sparse_random_graph(1000, 0.05, seed=16),
+    ],
+    ids=["path-3000", "gnp-400", "gnp-1000"],
 )
 def test_graph6_of_large_sparse_graphs_agrees_with_independent_decoder(g: Graph):
     # An encoder quadratic in the bit count took 80 s on path(3000).
     # networkx's encoder takes seconds here too, so its decoder checks the
     # header and the edge bits, and the strict parser the zero padding.
+    # Above n = 724 the encoder writes the bits in more than one block.
     ours = encode_graph6(g)
     decoded = nx.from_graph6_bytes(ours.encode())
     assert decoded.number_of_nodes() == g.n

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -196,6 +198,31 @@ def test_sweep_orders_each_checks_records_by_witness():
     assert [r.detail for r in report.results[:7]] == ["5", "1", "2", "4", "6", "3", "0"]
 
 
+def test_sweep_orders_records_across_checks_by_name_then_witness():
+    # The first check's records sort after the second's, and in the
+    # second registry the two checks' records tie on their name, so in
+    # neither may one check's rows simply follow the other's.
+    def late(g, p):
+        return [CheckResult("zulu", True), CheckResult("mid", True, witness="b")]
+
+    def early(g, p):
+        return [CheckResult("mid", True, witness="a"), CheckResult("alpha", True)]
+
+    def tie_b(g, p):
+        return [CheckResult("tie", True, witness="b")]
+
+    def tie_a(g, p):
+        return [CheckResult("tie", True, witness="a")]
+
+    cfg = SweepConfig(max_n=1)
+    report = theorem_sweep(cfg, registry={"a-late": late, "b-early": early})
+    assert [(r.check, r.witness) for r in report.results] == [
+        ("alpha", None), ("mid", "a"), ("mid", "b"), ("zulu", None)
+    ]
+    report = theorem_sweep(cfg, registry={"a-tie": tie_b, "b-tie": tie_a})
+    assert [(r.check, r.witness) for r in report.results] == [("tie", "a"), ("tie", "b")]
+
+
 def test_sweep_graph_keys_decode_to_connected_graphs():
     # The checks carry no connectivity guards of their own: they rely on
     # the sweep's corpus holding connected graphs only.
@@ -355,9 +382,31 @@ def test_sweep_surfaces_broken_check_with_witness():
         assert failure.witness.startswith("k=")
 
 
-def test_json_lines_round_trip():
-    import json
+# The SHA-256 of the records below, each JSON line with "seconds" dropped
+# and written back with sorted keys, the lines joined by newlines; taken
+# from the sweep before its checks were rewritten for speed.
+SWEEP_RECORDS_SHA256 = "d759bb4d61a6523e70de6a3cce179eacc18cbb26adc2d263ffe557398ee944d6"
 
+
+def unstamped_digest(report) -> str:
+    lines = []
+    for line in report.to_json_lines().splitlines():
+        record = json.loads(line)
+        record.pop("seconds", None)
+        lines.append(json.dumps(record, sort_keys=True))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_records_match_the_pinned_digest(threads):
+    # Every record's check, verdict, witness and detail, and the header,
+    # for 772 connected graphs with n <= 5 and 500 sampled with n = 6.
+    report = theorem_sweep(SweepConfig(max_n=5, sample_n6=500, seed=3, threads=threads))
+    assert len(report.results) == 22854
+    assert unstamped_digest(report) == SWEEP_RECORDS_SHA256
+
+
+def test_json_lines_round_trip():
     report = theorem_sweep(SweepConfig(max_n=2))
     lines = report.to_json_lines().strip().splitlines()
     header = json.loads(lines[0])

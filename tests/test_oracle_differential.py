@@ -12,12 +12,14 @@ count per sweep check over tampered partitions."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, groupby
 from pathlib import Path
 from random import Random
@@ -54,9 +56,14 @@ from qt2ec.oracle import (
 )
 from qt2ec.structure import (
     CROSSING,
+    DISJOINT,
+    NESTED,
     TINY_LEMMA_HYPOTHESES,
+    ClassPairRelation,
     _induces_join,
     crossing_pairs,
+    first_straddle,
+    verify_partition_laws,
 )
 
 
@@ -172,6 +179,30 @@ def test_module_level_registry_runs_on_the_pool():
     assert str(os.getpid()) not in {r.detail for r in where.results}
 
 
+def fails_on_k5(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
+    if g.m == 10:
+        raise RuntimeError("the check broke on K5")
+    return [CheckResult("fails-on-k5", True)]
+
+
+def test_no_worker_outlives_a_failed_pool_sweep():
+    # The corpus is fed to the pool as it is enumerated, so a failure can
+    # come after the workers have started: from the feed, when the sample
+    # asks for one graph more than the 26,704 connected six-vertex graphs,
+    # or from a check in a worker.
+    cfg = SweepConfig(max_n=5, checks=frozenset({"colouring-count"}), sample_n6=26705)
+    refusals = []
+    for threads in (1, 2):
+        with pytest.raises(RefusalError) as refused:
+            theorem_sweep(replace(cfg, threads=threads))
+        refusals.append(str(refused.value))
+        assert multiprocessing.active_children() == []
+    assert refusals == ["fewer than 26705 connected graphs exist at n=6"] * 2
+    with pytest.raises(RuntimeError, match="the check broke on K5"):
+        theorem_sweep(SweepConfig(max_n=5, threads=2), {"fails-on-k5": fails_on_k5})
+    assert multiprocessing.active_children() == []
+
+
 def test_each_check_time_is_stamped_once_per_graph():
     report = theorem_sweep(SweepConfig(max_n=4))
     stamped: dict[str, int] = {}
@@ -231,10 +262,13 @@ def test_subset_witness_count_matches_the_mask_loop():
     graphs += [graph_from_mask(6, rng.getrandbits(15)) for _ in range(500)]
     graphs += [complete(7), Graph(7), Graph(7, [(i, i + 1) for i in range(6)])]
     graphs += [graph_from_mask(7, rng.getrandbits(21)) for _ in range(5)]
+    # n = 7 is the largest n the subset steps are tabled for.
+    graphs += sample_connected_graphs(7, 120, seed=7)
     counts = [subset_witness_count(g) for g in graphs]
     assert counts == [mask_loop_subset_witness_count(g) for g in graphs]
-    assert counts[-8] == 2**7 - 2 - 7  # K7: every subset of size 2..6
+    assert subset_witness_count(complete(7)) == 2**7 - 2 - 7  # every subset of size 2..6
     assert len(set(counts)) > 10
+    assert len(set(counts[-120:])) > 3
 
 
 def test_counters_never_run_the_forcing_kernel(monkeypatch):
@@ -650,6 +684,91 @@ def test_crossing_checks_on_every_labeled_graph_up_to_five_vertices():
     laws = [count for check, count in fails.items() if check.startswith("crossing-")]
     assert len(laws) == 5 and min(laws) > 600, fails
     assert fails["partitions with tinylemma instances"] == 0, fails
+
+
+def all_pairs_crossing(g: Graph, p: EdgeClassPartition) -> list[ClassPairRelation]:
+    """Every class pair's relation, built and then kept if its tag is
+    crossing."""
+    sets = p.vertex_sets
+    relations = (
+        ClassPairRelation(c, d, sets[c] - sets[d], sets[d] - sets[c], sets[c] & sets[d])
+        for c, d in combinations(range(p.k), 2)
+    )
+    return [rel for rel in relations if rel.tag == CROSSING]
+
+
+def test_crossing_pairs_match_the_all_pairs_filter_on_tampered_partitions():
+    tags: Counter = Counter()
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n, connected_only=False):
+            for p in tampered_partitions(g):
+                assert crossing_pairs(g, p) == all_pairs_crossing(g, p), (g.edges, p.classes)
+                tags.update(
+                    class_pair_relation(g, p, c, d).tag for c, d in combinations(range(p.k), 2)
+                )
+    # Disjoint, nested and crossing pairs all occur many times over.
+    assert min(tags[DISJOINT], tags[NESTED], tags[CROSSING]) > 1000, tags
+
+
+def scanned_straddle(g: Graph, p: EdgeClassPartition) -> tuple[int, int, int] | None:
+    class_of = p.class_of
+    return next(
+        ((u, v, w) for u, v, w, i, j in induced_p3_edges(g) if class_of[i] != class_of[j]),
+        None,
+    )
+
+
+def test_each_partition_of_a_graph_gets_its_own_straddle():
+    # first_straddle keeps its last answer, so each tampered partition is
+    # asked right after the true one of the same graph, and the other way.
+    straddling = 0
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            true, *tampered = tampered_partitions(g)
+            for p in tampered:
+                for q in (true, p, p, true):
+                    assert first_straddle(g, q) == scanned_straddle(g, q), (g.edges, q.classes)
+                straddling += scanned_straddle(g, p) is not None
+    assert straddling > 1000
+
+
+def test_the_straddle_scan_runs_once_per_sweep_graph(monkeypatch):
+    scans = 0
+    scan = qt2ec.structure.induced_p3_edges
+
+    def counted(g):
+        nonlocal scans
+        scans += 1
+        return scan(g)
+
+    monkeypatch.setattr(qt2ec.structure, "induced_p3_edges", counted)
+    checks = frozenset({"partition-laws", "shortest-path-single-class"})
+    report = theorem_sweep(SweepConfig(max_n=4, checks=checks))
+    assert report.passed
+    assert scans == report.meta["graphs"] == 44
+
+
+def listed(p: EdgeClassPartition) -> EdgeClassPartition:
+    """``p`` with a list in place of each tuple field."""
+    return EdgeClassPartition(p.graph, *(list(field) for field in tuple(p)[1:]))
+
+
+def test_partition_laws_accept_a_partition_with_list_fields():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            for p in tampered_partitions(g):
+                assert verify_partition_laws(g, listed(p)) == verify_partition_laws(g, p)
+    # A list can change in place, so such a partition is scanned anew on
+    # every call.
+    g = Graph(3, [(0, 1), (1, 2)])
+    p = listed(compute_classes(g))
+    assert all(r.passed for r in verify_partition_laws(g, p))
+    p.class_of[1] = 1
+    p.classes[:] = [[0], [1]]
+    p.vertex_sets[:] = [frozenset({0, 1}), frozenset({1, 2})]
+    records = {r.check: r for r in verify_partition_laws(g, p)}
+    straddle = records["partition-p3-same-class"].witness
+    assert straddle == "induced P3 (0, 1, 2) straddles two classes"
 
 
 def random_groupings(g: Graph, rng: Random, count: int):
