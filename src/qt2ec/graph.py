@@ -127,7 +127,11 @@ class Graph:
         try:
             v = int(label)
         except ValueError:
-            raise ContractError(f"unknown vertex label {label!r}") from None
+            v = None
+        # Only the names vertex_names() prints: int() also takes "01",
+        # "+1", "1_0" and non-ASCII digits.
+        if v is None or str(v) != label:
+            raise ContractError(f"unknown vertex label {label!r}")
         if not 0 <= v < self.n:
             raise ContractError(f"vertex {v} outside range 0..{self.n - 1}")
         return v
@@ -164,6 +168,10 @@ def check_edge_record(g: Graph, values: tuple, allowed: tuple, record: str, valu
 # text formats
 
 
+# The starts of a line that parse_edge_list reads as a comment or a header.
+_NOT_AN_EDGE = ("#", "vertices:")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated ``u v`` lines into a graph.
 
@@ -195,10 +203,25 @@ def parse_edge_list(text: str) -> Graph:
 
 def format_edge_list(g: Graph) -> str:
     """Inverse of :func:`parse_edge_list`; the full ``vertices:`` header
-    pins first-appearance order so dense ids round-trip exactly."""
+    pins first-appearance order so dense ids round-trip exactly.
+
+    Each edge line starts with an endpoint the parser cannot take for a
+    comment or a header, one not starting with ``#`` or ``vertices:``.  A
+    label that is empty or holds whitespace, or an edge whose two names
+    both start so, cannot be written: that is a ContractError.
+    """
     names = g.vertex_names()
+    for name in names:
+        if name.split() != [name]:
+            raise ContractError(f"vertex label {name!r} is not one edge-list token")
     lines = ["vertices: " + " ".join(names)] if g.n else []
-    lines += [f"{names[u]} {names[v]}" for u, v in g.edges]
+    for u, v in g.edges:
+        a, b = names[u], names[v]
+        if a.startswith(_NOT_AN_EDGE):
+            if b.startswith(_NOT_AN_EDGE):
+                raise ContractError(f"edge {a!r} {b!r} cannot open an edge-list line")
+            a, b = b, a
+        lines.append(f"{a} {b}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

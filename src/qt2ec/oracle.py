@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, partial
 from random import Random
 from typing import Callable, Iterator
 
@@ -54,26 +54,7 @@ CheckFn = Callable[[Graph, EdgeClassPartition], list[CheckResult]]
 # brute-force counters
 
 
-def _last_graph_memo(fn: Callable[[Graph], object]) -> Callable[[Graph], object]:
-    """``fn`` with its answer for the last graph kept and matched by
-    identity.  A sweep hands every check the same ``Graph``, and a
-    ``Graph`` never changes, so a second call on it costs one ``is``,
-    where an ``lru_cache`` would hash the whole edge tuple each time."""
-    last: tuple = (None, None)
-
-    @wraps(fn)
-    def memo(g: Graph):
-        nonlocal last
-        seen, answer = last
-        if seen is not g:
-            answer = fn(g)
-            last = (g, answer)
-        return answer
-
-    return memo
-
-
-@_last_graph_memo
+@lru_cache(maxsize=1)
 def _p3_parity_table(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(need, odd)`` of the graph under test, built from one induced-P3
     scan and shared by the two counters: ``need[j]`` has bit i set for
@@ -141,7 +122,7 @@ def brute_force_orientation_count(g: Graph) -> int:
     return _count_parity_solutions(g, orient=True)
 
 
-@_last_graph_memo
+@lru_cache(maxsize=1)
 def _orientation_count(g: Graph) -> int:
     """The brute-force orientation count of the graph under test, shared by
     the two checks that need it."""
@@ -551,25 +532,17 @@ def _run_checks(g: Graph, names: list[str], registry: dict[str, CheckFn]) -> lis
     return out
 
 
-def _sweep_worker(job: tuple[int, int, list[str], dict[str, CheckFn]]) -> list[Row]:
+Job = tuple[int, int, list[str], dict[str, CheckFn]]
+
+
+def _sweep_worker(job: Job) -> list[Row]:
     n, mask, names, table = job
     return _run_checks(graph_from_mask(n, mask), names, table)
 
 
-def _sweep_rows(
-    items: Iterator[tuple[int, int]], names: list[str], table: dict[str, CheckFn], threads: int
-) -> Iterator[list[Row]]:
-    """Each corpus graph's rows, in corpus order, from a pool of
-    ``threads`` worker processes or, with one thread, from this one.
-
-    ``items`` is consumed as the jobs are handed out, and no list of them
-    is kept.  On the pool, the first chunk of 64 graphs starts the
-    workers.  The pool's own threads pass a chunk on to a worker only when
-    they get the GIL, which the feed holds while it enumerates, so in
-    CPython the workers mostly start once the feed is done.  Should the
-    feed or a check raise, the chunks not yet started are dropped and the
-    pool's workers are joined before the error propagates."""
-    jobs = ((n, mask, names, table) for n, mask in items)
+def _sweep_rows(jobs: list[Job], threads: int) -> Iterator[list[Row]]:
+    """Each job's rows, in job order, from a pool of ``threads`` worker
+    processes or, with one thread, from this one."""
     if threads == 1:
         yield from map(_sweep_worker, jobs)
         return
@@ -577,23 +550,7 @@ def _sweep_rows(
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        try:
-            yield from pool.map(_sweep_worker, jobs, chunksize=64)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
-def _corpus_items(cfg: SweepConfig) -> Iterator[tuple[int, int]]:
-    """``(n, mask)`` of every corpus graph, in corpus order: the connected
-    labeled graphs by n and then mask, then the seeded six-vertex sample,
-    which raises RefusalError only once the feed reaches it."""
-    for n in range(1, cfg.max_n + 1):
-        for mask in _labeled_masks(n, connected_only=True):
-            yield n, mask
-    if cfg.sample_n6:
-        for mask in _sample_connected_masks(6, cfg.sample_n6, cfg.seed):
-            yield 6, mask
+        yield from pool.map(_sweep_worker, jobs, chunksize=64)
 
 
 # A row is a record's fields in order, so tuple.__new__ builds the record
@@ -612,13 +569,11 @@ def theorem_sweep(
     exceptions).  The serial loop and the pool workers alike return plain
     tuples from ``_run_checks``, already in per-graph order; they become
     ``CheckResult`` records here, in one place, as each graph's rows
-    arrive.  The corpus is fed to the checks as it is enumerated (see
-    ``_sweep_rows``), and ``meta["graphs"]`` counts the graphs fed.  A
-    ``sample_n6`` larger than the connected six-vertex graphs raises
-    RefusalError once the feed reaches the sample, serially and on the pool
-    alike, and no worker outlives it.  The graphs are then ordered by graph6
-    key, which the corpus holds once each, so the records come out sorted by
-    (graph6, check, witness or "") and multi-worker runs merge identically.
+    arrive.  The corpus is listed before any check runs, so a ``sample_n6``
+    larger than the connected six-vertex graphs raises RefusalError before
+    any check runs.  The graphs are then ordered by graph6 key, which the
+    corpus holds once each, so the records come out sorted by (graph6,
+    check, witness or "") and multi-worker runs merge identically.
     ``threads`` must be 1..``MAX_SWEEP_THREADS``: a pool starts all its
     workers at once.  ``registry`` is a test hook replacing the default
     check table; it runs with ``cfg.threads`` like the default one.  The
@@ -642,11 +597,16 @@ def theorem_sweep(
             valid = ", ".join(sorted(table))
             raise ContractError(f"unknown check {name!r}; expected one of: {valid}")
 
-    graphs = []
-    fed = 0
-    for fed, rows in enumerate(_sweep_rows(_corpus_items(cfg), names, table, cfg.threads), 1):
-        if rows:
-            graphs.append(list(map(_record_of_row, rows)))
+    items = [
+        (n, mask)
+        for n in range(1, cfg.max_n + 1)
+        for mask in _labeled_masks(n, connected_only=True)
+    ]
+    if cfg.sample_n6:
+        items.extend((6, mask) for mask in _sample_connected_masks(6, cfg.sample_n6, cfg.seed))
+    jobs = [(n, mask, names, table) for n, mask in items]
+
+    graphs = [list(map(_record_of_row, rows)) for rows in _sweep_rows(jobs, cfg.threads) if rows]
     graphs.sort(key=lambda records: records[0].graph_key)
     return VerificationReport(
         [r for records in graphs for r in records],
@@ -656,6 +616,6 @@ def theorem_sweep(
             "checks": names,
             "sample_n6": cfg.sample_n6,
             "seed": cfg.seed,
-            "graphs": fed,
+            "graphs": len(jobs),
         },
     )

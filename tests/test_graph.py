@@ -133,8 +133,9 @@ def test_vertex_by_label_rejects_unknown_labels_and_ids():
             labelled.vertex_by_label(label)
     plain = Graph(2, [(0, 1)])
     assert plain.vertex_by_label("1") == 1
-    with pytest.raises(ContractError, match="unknown vertex label 'a'"):
-        plain.vertex_by_label("a")
+    for label in ("a", "1_0", "+1", "01", "\u0661"):
+        with pytest.raises(ContractError, match=re.escape(f"unknown vertex label '{label}'")):
+            plain.vertex_by_label(label)
     for label in ("2", "-1"):
         with pytest.raises(ContractError, match=rf"vertex {label} outside range 0\.\.1"):
             plain.vertex_by_label(label)
@@ -276,6 +277,51 @@ def test_edge_list_round_trip_keeps_isolated_vertices():
 @given(graphs())
 def test_edge_list_round_trip(g: Graph):
     assert parse_edge_list(format_edge_list(g)) == g
+
+
+# Lines of two tokens, each token one or two of the pieces that are not
+# whitespace, so that most texts parse: each line is an edge, a comment or
+# a header.
+_EDGE_LIST_TOKENS = st.lists(
+    st.sampled_from([piece for piece in _EDGE_LIST_PIECES if not piece.isspace()]),
+    min_size=1,
+    max_size=2,
+).map("".join)
+_EDGE_LIST_LINES = st.tuples(_EDGE_LIST_TOKENS, _EDGE_LIST_TOKENS).map(" ".join)
+
+
+@given(st.lists(_EDGE_LIST_LINES, max_size=8).map("\n".join))
+@settings(max_examples=300, deadline=None)
+def test_edge_list_round_trip_from_tricky_text(text):
+    # Graph equality ignores labels, so they are compared on their own.
+    try:
+        g = parse_edge_list(text)
+    except FormatError:
+        return
+    again = parse_edge_list(format_edge_list(g))
+    assert (again.n, again.edges, again.labels) == (g.n, g.edges, g.labels)
+
+
+@pytest.mark.parametrize(
+    ("labels", "edges", "message"),
+    [
+        (["a", ""], [], "vertex label '' is not one edge-list token"),
+        (["a", "b c"], [(0, 1)], "vertex label 'b c' is not one edge-list token"),
+        (["a", "b\x1c"], [], "vertex label 'b\\x1c' is not one edge-list token"),
+        (["#a", "vertices:b"], [(0, 1)], "edge '#a' 'vertices:b' cannot open an edge-list line"),
+    ],
+)
+def test_format_edge_list_refuses_labels_it_cannot_carry(labels, edges, message):
+    with pytest.raises(ContractError, match=re.escape(message)):
+        format_edge_list(Graph(len(labels), edges, labels=labels))
+
+
+def test_format_edge_list_opens_each_line_with_an_edge_token():
+    for text in ("x #b\ny #b\n", "a vertices:x\nb vertices:x\n"):
+        g = parse_edge_list(text)
+        again = parse_edge_list(format_edge_list(g))
+        assert (again.n, again.edges, again.labels) == (g.n, g.edges, g.labels)
+    assert format_edge_list(Graph(2, [(0, 1)], labels=["#a", "b"])) == "vertices: #a b\nb #a\n"
 
 
 # ---------------------------------------------------------------------------

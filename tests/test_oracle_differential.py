@@ -185,11 +185,47 @@ def fails_on_k5(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     return [CheckResult("fails-on-k5", True)]
 
 
+def must_not_run(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
+    raise RuntimeError("a check ran before the corpus was listed")
+
+
+def test_an_unmeetable_sample_is_refused_before_any_check_runs():
+    # One graph more than the 26,704 connected six-vertex graphs.
+    cfg = SweepConfig(max_n=5, sample_n6=26705)
+    for threads in (1, 2):
+        with pytest.raises(RefusalError, match="^fewer than 26705 connected graphs exist at n=6$"):
+            theorem_sweep(replace(cfg, threads=threads), {"must-not-run": must_not_run})
+        assert multiprocessing.active_children() == []
+
+
+def test_the_counters_scan_and_count_once_per_sweep_graph(monkeypatch):
+    # colouring-count and orientation-count share one parity table, and
+    # orientation-count and final-equivalence one orientation count.
+    scanned: Counter = Counter()
+    counted: Counter = Counter()
+
+    def scan(g):
+        scanned[g] += 1
+        return induced_p3_edges(g)
+
+    def count(g):
+        counted[g] += 1
+        return brute_force_orientation_count(g)
+
+    monkeypatch.setattr(qt2ec.oracle, "induced_p3_edges", scan)
+    monkeypatch.setattr(qt2ec.oracle, "brute_force_orientation_count", count)
+    qt2ec.oracle._p3_parity_table.cache_clear()
+    qt2ec.oracle._orientation_count.cache_clear()
+    checks = frozenset({"colouring-count", "orientation-count", "final-equivalence"})
+    report = theorem_sweep(SweepConfig(max_n=5, checks=checks))
+    assert len(scanned) == len(counted) == report.meta["graphs"] == 772
+    assert set(scanned.values()) == set(counted.values()) == {1}
+
+
 def test_no_worker_outlives_a_failed_pool_sweep():
-    # The corpus is fed to the pool as it is enumerated, so a failure can
-    # come after the workers have started: from the feed, when the sample
-    # asks for one graph more than the 26,704 connected six-vertex graphs,
-    # or from a check in a worker.
+    # A refusal comes before any check runs, when the sample asks for one
+    # graph more than the 26,704 connected six-vertex graphs; a check that
+    # raises in a worker comes after the workers have started.
     cfg = SweepConfig(max_n=5, checks=frozenset({"colouring-count"}), sample_n6=26705)
     refusals = []
     for threads in (1, 2):
