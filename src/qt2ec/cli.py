@@ -117,10 +117,12 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{source} is not UTF-8 text: {exc}") from exc
     if args.in_format == "graph6":
-        for line in text.splitlines():
-            if line.strip():
-                return parse_graph6(line)
-        raise FormatError("no graph6 line found in input")
+        lines = [line for line in text.splitlines() if line.strip()]
+        if not lines:
+            raise FormatError("no graph6 line found in input")
+        if len(lines) > 1:
+            raise FormatError(f"graph6 input holds {len(lines)} non-blank lines; give one graph per call")
+        return parse_graph6(lines[0])
     return parse_edge_list(text)
 
 

@@ -289,7 +289,7 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, chain.from_iterable(rows))
 
 
-# encode_graph6 writes a larger bit stream in blocks of about this many bits.
+# encode_graph6 writes its bit stream in blocks of about this many bits.
 _GRAPH6_BLOCK_BITS = 1 << 18
 
 
@@ -315,13 +315,11 @@ def encode_graph6(g: Graph) -> str:
     """Encode a graph in graph6 format; exact inverse of :func:`parse_graph6`.
 
     The upper triangle goes out column by column, padded with zeros to a
-    whole number of 24-bit groups.  A triangle of more than
-    ``_GRAPH6_BLOCK_BITS`` bits (n above 724) goes out in blocks of
-    columns: each block is encoded up to its last whole 24-bit group, and
-    the bits left over open the next block.  So the characters are those
-    of the whole triangle encoded at once, while the memory beyond the
-    output (built as bytes, then decoded once) stays one block's worth
-    however large n is.
+    whole number of 24-bit groups, in blocks of columns of about
+    ``_GRAPH6_BLOCK_BITS`` bits: each block is encoded up to its last whole
+    24-bit group, and the bits left over open the next block.  So the
+    characters are those of the whole triangle encoded at once, while the
+    memory beyond the output stays one block's worth however large n is.
     """
     n = g.n
     if n <= 62:
@@ -334,10 +332,8 @@ def encode_graph6(g: Graph) -> str:
     nbits = n * (n - 1) // 2
     chars = -(-nbits // 6)
     pad = "0" * (-nbits % 24)
-    if nbits <= _GRAPH6_BLOCK_BITS:
-        return head + _graph6_chars(_graph6_columns(adj, 1, n) + pad)[:chars].decode()
     out = bytearray(head, "ascii")
-    step = _GRAPH6_BLOCK_BITS // n + 1
+    step = _GRAPH6_BLOCK_BITS // (n or 1) + 1
     bits = ""
     for start in range(1, n, step):
         bits += _graph6_columns(adj, start, min(start + step, n))

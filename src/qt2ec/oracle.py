@@ -175,15 +175,19 @@ def enumerate_labeled_graphs(n: int, connected_only: bool = True) -> Iterator[Gr
         yield graph_from_mask(n, mask)
 
 
+# The number of connected labeled graphs on n = 1..7 vertices (OEIS A001187).
+_CONNECTED_COUNTS = (1, 1, 4, 38, 728, 26704, 1866256)
+
+
 def _sample_connected_masks(n: int, count: int, seed: int) -> list[int]:
     _check_corpus_n(n)
+    if count > _CONNECTED_COUNTS[n - 1]:
+        raise RefusalError(f"fewer than {count} connected graphs exist at n={n}")
     pairs = _pair_table(n)
     rng = Random(seed)
     seen: set[int] = set()
     out: list[int] = []
     while len(out) < count:
-        if len(seen) == 1 << len(pairs):
-            raise RefusalError(f"fewer than {count} connected graphs exist at n={n}")
         mask = rng.getrandbits(len(pairs))
         if mask in seen:
             continue

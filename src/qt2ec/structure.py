@@ -12,6 +12,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .classes import EdgeClassPartition, compute_classes
 from .errors import ContractError
@@ -242,33 +243,22 @@ def check_tinylemma_instances(
     ]
 
 
-# The last (graph, partition, straddle) that first_straddle scanned.
-_last_straddle: tuple = (None, None, None)
-
-
 def first_straddle(g: Graph, p: EdgeClassPartition) -> tuple[int, int, int] | None:
     """The first induced P3 u-v-w, in ``induced_p3s`` order, whose edges uv
     and vw lie in different classes of ``p``; None when there is none.
 
-    A sweep hands partition law (d) and ``shortest-path-single-class`` the
-    same graph and partition objects, so the answer for the last pair
-    scanned is kept and matched by identity: the scan runs once per sweep
-    graph.  Identity needs no hashing, so a hand-built partition with list
-    fields is scanned as before; one whose ``class_of`` is not a tuple
-    could change in place, and is scanned on every call."""
-    global _last_straddle
-    last_g, last_p, straddle = _last_straddle
-    if last_g is g and last_p is p:
-        return straddle
-    class_of = p.class_of
-    straddle = None
+    The answer is cached for the last graph and class ids, so partition
+    law (d) and ``shortest-path-single-class`` share one scan per sweep
+    graph."""
+    return _first_straddle(g, tuple(p.class_of))
+
+
+@lru_cache(maxsize=1)
+def _first_straddle(g: Graph, class_of: tuple[int, ...]) -> tuple[int, int, int] | None:
     for u, v, w, i, j in induced_p3_edges(g):
         if class_of[i] != class_of[j]:
-            straddle = u, v, w
-            break
-    if type(class_of) is tuple:
-        _last_straddle = (g, p, straddle)
-    return straddle
+            return u, v, w
+    return None
 
 
 def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:

@@ -382,6 +382,19 @@ def test_graph6_input_without_a_graph_exits_two(capsys, tmp_path):
     assert err == "error: no graph6 line found in input\n"
 
 
+def test_graph6_input_of_more_than_one_line_exits_two(capsys, tmp_path):
+    source = tmp_path / "two.g6"
+    for text, lines in (("A_\nnot graph6\n", 2), ("\nA_\n\nA_\nBw\n", 3)):
+        source.write_text(text)
+        code, out, err = run(capsys, "classes", str(source), "--in", "graph6")
+        assert code == 2 and out == ""
+        assert err == f"error: graph6 input holds {lines} non-blank lines; give one graph per call\n"
+    # One line with blank lines around it reads as before.
+    source.write_text("\n  \nA_\n\n")
+    code, out, _ = run(capsys, "classes", str(source), "--in", "graph6")
+    assert code == 0 and out == "k=1\nclass 0: 0-1\n"
+
+
 def test_unreadable_input_exits_two(capsys, tmp_path):
     for source in (tmp_path / "missing.txt", tmp_path):
         code, out, err = run(capsys, "classes", str(source))

@@ -397,16 +397,19 @@ def _sparse_random_graph(n: int, p: float, seed: int) -> Graph:
     "g",
     [
         path(3000),
+        path(724),
+        path(725),
         _sparse_random_graph(400, 0.01, seed=15),
         _sparse_random_graph(1000, 0.05, seed=16),
     ],
-    ids=["path-3000", "gnp-400", "gnp-1000"],
+    ids=["path-3000", "path-724", "path-725", "gnp-400", "gnp-1000"],
 )
 def test_graph6_of_large_sparse_graphs_agrees_with_independent_decoder(g: Graph):
     # An encoder quadratic in the bit count took 80 s on path(3000).
     # networkx's encoder takes seconds here too, so its decoder checks the
     # header and the edge bits, and the strict parser the zero padding.
-    # Above n = 724 the encoder writes the bits in more than one block.
+    # Above n = 724 the encoder writes the bits in more than one block:
+    # path(724) has 261,726 bits, one block, and path(725) 262,450, two.
     ours = encode_graph6(g)
     decoded = nx.from_graph6_bytes(ours.encode())
     assert decoded.number_of_nodes() == g.n
@@ -436,7 +439,7 @@ def test_graph6_rejects_non_minimal_header(text: str):
 
 
 def test_graph6_minimal_headers_round_trip():
-    for n in (0, 62, 63):
+    for n in (0, 1, 62, 63):
         text = encode_graph6(Graph(n, [(0, n - 1)] if n > 1 else []))
         assert encode_graph6(parse_graph6(text)) == text
 
@@ -781,6 +784,18 @@ def test_no_module_imports_a_name_it_never_uses():
                     if name not in used:
                         unused.append(f"{source.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_no_module_has_a_global_statement():
+    # Shared state lives in lru_cache, keyed on what the answer depends on.
+    package = Path(qt2ec.__file__).parent
+    found = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

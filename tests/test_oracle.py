@@ -114,6 +114,27 @@ def test_sample_connected_graphs_seeded():
         sample_connected_graphs(2, 2, 0)
 
 
+def test_connected_counts_match_the_enumerated_corpus():
+    for n in range(1, 7):
+        assert oracle._CONNECTED_COUNTS[n - 1] == sum(1 for _ in oracle._labeled_masks(n, True))
+
+
+def test_an_unmeetable_sample_is_refused_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a mask was drawn before the refusal")
+
+    monkeypatch.setattr(oracle, "_mask_connected", no_draw)
+    with pytest.raises(RefusalError, match="fewer than 26705 connected graphs exist at n=6"):
+        sample_connected_graphs(6, 26705, 0)
+
+
+def test_a_sample_of_every_connected_graph_is_met():
+    every = sample_connected_graphs(4, 38, 0)
+    assert sorted(g.edges for g in every) == sorted(g.edges for g in enumerate_labeled_graphs(4))
+    with pytest.raises(RefusalError, match="fewer than 39 connected graphs exist at n=4"):
+        sample_connected_graphs(4, 39, 0)
+
+
 # ---------------------------------------------------------------------------
 # subset witness oracle
 
