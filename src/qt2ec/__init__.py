@@ -36,7 +36,6 @@ from .graph import (
     format_edge_list,
     induced_p3_edges,
     induced_p3s,
-    induced_subgraph,
     is_complete_multipartite,
     is_connected,
     is_module_set,
@@ -71,7 +70,6 @@ __all__ = [
     "QT2ECError",
     "RefusalError",
     "SweepConfig",
-    "ThreeClassOutcome",
     "VerificationReport",
     "brute_force_colouring_count",
     "brute_force_orientation_count",
@@ -90,7 +88,6 @@ __all__ = [
     "format_edge_list",
     "induced_p3_edges",
     "induced_p3s",
-    "induced_subgraph",
     "is_complete_multipartite",
     "is_connected",
     "is_module_set",
@@ -103,7 +100,6 @@ __all__ = [
     "sample_connected_graphs",
     "subset_witness_count",
     "theorem_sweep",
-    "three_class_classification",
     "to_dot",
     "verify_partition_laws",
 ]
@@ -120,11 +116,9 @@ _LAZY_MODULE = {
     "CheckResult": "report",
     "VerificationReport": "report",
     "ClassPairRelation": "structure",
-    "ThreeClassOutcome": "structure",
     "check_crossing_lemmas": "structure",
     "check_tinylemma_instances": "structure",
     "class_pair_relation": "structure",
-    "three_class_classification": "structure",
     "verify_partition_laws": "structure",
 }
 

@@ -491,18 +491,3 @@ def is_connected(g: Graph, vertices: VertexSet | None = None) -> bool:
     inside = (1 << g.n) - 1 if vertices is None else _vertex_bits(g, vertices)
     return reach(g._adj_bits, inside & -inside, inside) == inside
 
-
-def induced_subgraph(g: Graph, vertices: VertexSet) -> Graph:
-    """Subgraph induced by ``vertices``, densely reindexed in sorted order;
-    inherited labels are the back-map to the original graph."""
-    verts = sorted(set(vertices))
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise ContractError(f"vertex {v} outside range 0..{g.n - 1}")
-    remap = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (remap[u], remap[v])
-        for u, v in g.edges
-        if u in remap and v in remap
-    ]
-    return Graph(len(verts), edges, labels=[g.label(v) for v in verts])

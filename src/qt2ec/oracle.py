@@ -25,16 +25,22 @@ from typing import Callable, Iterator
 from .classes import EdgeClassPartition, compute_classes
 from .colouring import count_homogeneous_witness_classes, find_homogeneous_witness
 from .errors import ContractError, RefusalError
-from .graph import Graph, encode_graph6, induced_p3_edges, is_connected, is_module_set, reach
+from .graph import (
+    Graph,
+    encode_graph6,
+    induced_p3_edges,
+    is_complete_multipartite,
+    is_connected,
+    is_module_set,
+    reach,
+)
 from .orientation import OrientationFeasibility
 from .report import CheckResult, VerificationReport
 from .structure import (
     NESTED,
-    _classify_three,
     check_crossing_lemmas,
     check_tinylemma_instances,
     class_pair_relation,
-    crossing_pairs,
     first_straddle,
     verify_partition_laws,
 )
@@ -391,13 +397,18 @@ def _check_two_class_nesting(g: Graph, p: EdgeClassPartition) -> list[CheckResul
 
 
 def _check_three_class(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
+    """A connected three-class graph is complete tripartite or has a class
+    spanning every vertex; the detail notes when both hold."""
     if p.k != 3:
         return _vacuous("three-class-classification", f"k={p.k}, vacuous")
-    outcome = _classify_three(g, p)
-    ok = outcome.tripartite_parts is not None or outcome.spanning_class is not None
+    parts = is_complete_multipartite(g)
+    tripartite = parts is not None and len(parts) == 3
+    everything = frozenset(range(g.n))
+    spanning = next((cid for cid in range(3) if p.vertex_sets[cid] == everything), None)
+    ok = tripartite or spanning is not None
     detail = None
-    if outcome.tripartite_parts is not None and outcome.spanning_class is not None:
-        detail = f"both: tripartite and spanning class {outcome.spanning_class}"
+    if tripartite and spanning is not None:
+        detail = f"both: tripartite and spanning class {spanning}"
     return [
         CheckResult(
             "three-class-classification",
@@ -409,11 +420,7 @@ def _check_three_class(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
 
 
 def _check_crossing_lemmas(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
-    return [
-        r
-        for rel in crossing_pairs(g, p)
-        for r in check_crossing_lemmas(g, p, rel.first, rel.second)
-    ] or _vacuous("crossing-lemmas", "no crossing pairs")
+    return check_crossing_lemmas(g, p) or _vacuous("crossing-lemmas", "no crossing pairs")
 
 
 def _check_hf1f2_witness(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:

@@ -1,12 +1,12 @@
-"""Pairwise class-intersection analysis, the three-class classification,
-and the structural laws every computed partition obeys.
+"""Pairwise class-intersection analysis and the structural laws every
+computed partition obeys.
 
 For two edge classes the vertex sets split into the two exclusive sides and
 the shared part; when all three pieces are nonempty ("crossing") strong
-structural laws apply, culminating in: a connected graph with exactly three
-classes is complete tripartite or has a class spanning all vertices.  This
-module belongs to the verification half: the fast-path modules never import
-it.
+structural laws apply.  The three verifiers here take ``(g, p)`` and are
+sweep checks as they stand; the three-class check lives in ``oracle``.
+This module belongs to the verification half: the fast-path modules never
+import it.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .classes import EdgeClassPartition, compute_classes
+from .classes import EdgeClassPartition
 from .errors import ContractError
-from .graph import Graph, induced_p3_edges, is_complete_multipartite, is_connected, reach
+from .graph import Graph, induced_p3_edges, reach
 from .report import CheckResult
 
 DISJOINT = "disjoint"
@@ -48,6 +48,8 @@ def class_pair_relation(
 ) -> ClassPairRelation:
     if p.graph != g:
         raise ContractError("partition does not belong to this graph")
+    if not (0 <= c < p.k and 0 <= d < p.k):
+        raise ContractError(f"class pair ({c}, {d}) outside class range 0..{p.k - 1}")
     if c == d:
         raise ContractError("class pair must be distinct")
     vc, vd = p.vertex_sets[c], p.vertex_sets[d]
@@ -82,111 +84,69 @@ def _induces_join(g: Graph, vertices: frozenset[int]) -> bool:
     return reach(co_adj, inside & -inside, inside) != inside
 
 
-def check_crossing_lemmas(
-    g: Graph, p: EdgeClassPartition, c: int, d: int
-) -> list[CheckResult]:
-    """Assert the five structural laws of a crossing class pair.
+def check_crossing_lemmas(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
+    """Assert the five structural laws of every crossing class pair: five
+    records per pair, in ``crossing_pairs`` order, and none when no pair
+    crosses.
 
     (a) neither class has an edge inside the shared part; (b) each
     exclusive side is joined to the whole other class's vertex set; (c)
     every class edge touches the shared part; (d) none of the three pieces
     induces a join; (e) all side-to-side edges lie in one further class.
     """
-    rel = class_pair_relation(g, p, c, d)
-    if rel.tag != CROSSING:
-        raise ContractError(f"class pair ({c}, {d}) is {rel.tag}, not crossing")
-    shared, a_side, b_side = rel.shared, rel.only_first, rel.only_second
+    results: list[CheckResult] = []
+    for rel in crossing_pairs(g, p):
+        c, d = rel.first, rel.second
+        shared, a_side, b_side = rel.shared, rel.only_first, rel.only_second
 
-    inside = avoids = None
-    for cid in (c, d):
-        for u, v in p.class_edges(cid):
-            touches = (u in shared) + (v in shared)
-            if touches == 2 and inside is None:
-                inside = f"class {cid} edge {(u, v)} lies inside the intersection"
-            elif touches == 0 and avoids is None:
-                avoids = f"class {cid} edge {(u, v)} avoids the intersection"
+        inside = avoids = None
+        for cid in (c, d):
+            for u, v in p.class_edges(cid):
+                touches = (u in shared) + (v in shared)
+                if touches == 2 and inside is None:
+                    inside = f"class {cid} edge {(u, v)} lies inside the intersection"
+                elif touches == 0 and avoids is None:
+                    avoids = f"class {cid} edge {(u, v)} avoids the intersection"
 
-    # The first missing neighbour of u in the other class is the lowest
-    # set bit of that class's vertex bits outside u's adjacency row.
-    gap = None
-    for side, other in ((a_side, p.vertex_sets[d]), (b_side, p.vertex_sets[c])):
-        other_bits = sum(1 << v for v in other)
-        for u in sorted(side):
-            missing = other_bits & ~g.adjacency_bits(u)
-            if missing:
-                v = (missing & -missing).bit_length() - 1
-                gap = f"vertex {u} not adjacent to {v}"
+        # The first missing neighbour of u in the other class is the lowest
+        # set bit of that class's vertex bits outside u's adjacency row.
+        gap = None
+        for side, other in ((a_side, p.vertex_sets[d]), (b_side, p.vertex_sets[c])):
+            other_bits = sum(1 << v for v in other)
+            for u in sorted(side):
+                missing = other_bits & ~g.adjacency_bits(u)
+                if missing:
+                    v = (missing & -missing).bit_length() - 1
+                    gap = f"vertex {u} not adjacent to {v}"
+                    break
+            if gap:
                 break
-        if gap:
-            break
 
-    join = None
-    for name, piece in (("A", a_side), ("B", b_side), ("I", shared)):
-        if _induces_join(g, piece):
-            join = f"piece {name} = {sorted(piece)} induces a join"
-            break
+        join = None
+        for name, piece in (("A", a_side), ("B", b_side), ("I", shared)):
+            if _induces_join(g, piece):
+                join = f"piece {name} = {sorted(piece)} induces a join"
+                break
 
-    spread = None
-    cross_classes = {
-        p.class_of_pair(u, v)
-        for u in a_side
-        for v in b_side
-        if g.has_edge(u, v)
-    }
-    if len(cross_classes) > 1:
-        spread = f"side-to-side edges span classes {sorted(cross_classes)}"
+        spread = None
+        cross_classes = {
+            p.class_of_pair(u, v)
+            for u in a_side
+            for v in b_side
+            if g.has_edge(u, v)
+        }
+        if len(cross_classes) > 1:
+            spread = f"side-to-side edges span classes {sorted(cross_classes)}"
 
-    laws = (
-        ("crossing-no-edge-inside-intersection", inside),
-        ("crossing-sides-joined", gap),
-        ("crossing-edges-touch-intersection", avoids),
-        ("crossing-no-piece-is-join", join),
-        ("crossing-cross-edges-one-class", spread),
-    )
-    return [CheckResult(name, w is None, witness=w) for name, w in laws]
-
-
-@dataclass(frozen=True)
-class ThreeClassOutcome:
-    """Result of classifying a connected graph with exactly three classes:
-    complete tripartite parts, a spanning class id, or both."""
-
-    tripartite_parts: tuple[tuple[int, ...], ...] | None
-    spanning_class: int | None
-
-    @property
-    def kind(self) -> str:
-        if self.tripartite_parts is not None:
-            return "complete_tripartite"
-        if self.spanning_class is not None:
-            return "spanning_class"
-        raise ContractError("three-class outcome with neither alternative")
-
-
-def three_class_classification(g: Graph) -> ThreeClassOutcome:
-    """Classify a connected three-class graph.
-
-    Complete tripartite takes precedence when both alternatives hold; the
-    spanning class is still reported alongside.
-    """
-    if not is_connected(g):
-        raise ContractError("classification requires a connected graph")
-    p = compute_classes(g)
-    if p.k != 3:
-        raise ContractError(f"expected exactly 3 classes, found {p.k}")
-    return _classify_three(g, p)
-
-
-def _classify_three(g: Graph, p: EdgeClassPartition) -> ThreeClassOutcome:
-    """The outcome of :func:`three_class_classification`, read from the
-    three classes of ``p`` as given."""
-    parts = is_complete_multipartite(g)
-    tri = tuple(parts) if parts is not None and len(parts) == 3 else None
-    everything = frozenset(range(g.n))
-    spanning = next(
-        (cid for cid in range(3) if p.vertex_sets[cid] == everything), None
-    )
-    return ThreeClassOutcome(tri, spanning)
+        laws = (
+            ("crossing-no-edge-inside-intersection", inside),
+            ("crossing-sides-joined", gap),
+            ("crossing-edges-touch-intersection", avoids),
+            ("crossing-no-piece-is-join", join),
+            ("crossing-cross-edges-one-class", spread),
+        )
+        results.extend(CheckResult(name, w is None, witness=w) for name, w in laws)
+    return results
 
 
 TINY_LEMMA_HYPOTHESES = (

@@ -16,7 +16,6 @@ from qt2ec import (
     count_homogeneous_witness_classes,
     enumerate_colourings,
     find_homogeneous_witness,
-    induced_subgraph,
     is_connected,
     is_module_set,
     is_quasi_transitive_colouring,
@@ -245,7 +244,7 @@ def test_witness_satisfies_all_three_conditions():
             if witness is not None:
                 assert 2 <= len(witness) <= g.n - 1
                 assert is_module_set(g, witness)
-                assert is_connected(induced_subgraph(g, witness))
+                assert is_connected(g, witness)
 
 
 def test_witness_class_counts():

@@ -23,7 +23,6 @@ from qt2ec import (
     format_edge_list,
     induced_p3_edges,
     induced_p3s,
-    induced_subgraph,
     is_complete_multipartite,
     is_connected,
     is_module_set,
@@ -824,7 +823,11 @@ def gnp_with_subset(draw) -> tuple[Graph, set[int]]:
 @given(gnp_with_subset())
 def test_is_connected_on_a_subset_matches_the_induced_subgraph(case):
     g, subset = case
-    assert is_connected(g, subset) == is_connected(induced_subgraph(g, subset))
+    reference = nx.Graph(g.edges)
+    reference.add_nodes_from(range(g.n))
+    sub = reference.subgraph(subset)
+    # networkx refuses the null graph, which counts as connected here.
+    assert is_connected(g, subset) == (not subset or nx.is_connected(sub))
     assert is_connected(g, iter(subset)) == is_connected(g, sorted(subset))
     assert is_connected(g, set())
     for v in range(g.n):
@@ -871,14 +874,3 @@ def test_reach_matches_a_plain_bfs(case):
                 queue.append(u)
     assert reach(rows, seed, within) == sum(1 << v for v in found)
 
-
-def test_induced_subgraph_reads_off_adjacency():
-    sub = induced_subgraph(figure_graph("k4_minus_e"), {0, 2, 3})
-    # vertices reindex to 0->0, 2->1, 3->2: the path 1-0-2
-    assert sub.edges == ((0, 1), (0, 2))
-    assert sub.labels == ("0", "2", "3")
-
-
-def test_induced_subgraph_rejects_foreign_vertices():
-    with pytest.raises(ContractError):
-        induced_subgraph(path(3), {0, 5})

@@ -17,7 +17,6 @@ from qt2ec import (
     SweepConfig,
     compute_classes,
     encode_graph6,
-    induced_subgraph,
     is_connected,
     parse_graph6,
     theorem_sweep,
@@ -74,7 +73,11 @@ def test_orientability_is_hereditary_on_every_labeled_graph_up_to_five_vertices(
                 continue
             graphs += 1
             for v in range(n):
-                sub = induced_subgraph(g, set(range(n)) - {v})
+                # g - v, its vertices above v renumbered one lower
+                sub = Graph(
+                    n - 1,
+                    [(a - (a > v), b - (b > v)) for a, b in g.edges if v not in (a, b)],
+                )
                 assert brute_force_orientation_count(sub) > 0, (g.edges, v)
                 deletions += 1
     # All 1,098 graphs but the 12 labeled five-cycles are orientable.

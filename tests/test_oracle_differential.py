@@ -768,6 +768,13 @@ def test_each_partition_of_a_graph_gets_its_own_straddle():
     assert straddling > 1000
 
 
+def test_a_straddle_scan_of_the_one_vertex_graph_leaves_no_trace_on_the_next_test():
+    # The sweep's first graph is Graph(1), so without the memo cleared
+    # between tests the next test's first scan would be a cache hit.
+    g = Graph(1)
+    assert first_straddle(g, compute_classes(g)) is None
+
+
 def test_the_straddle_scan_runs_once_per_sweep_graph(monkeypatch):
     scans = 0
     scan = qt2ec.structure.induced_p3_edges

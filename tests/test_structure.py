@@ -11,7 +11,7 @@ from qt2ec import (
     check_tinylemma_instances,
     class_pair_relation,
     compute_classes,
-    three_class_classification,
+    is_complete_multipartite,
     verify_partition_laws,
 )
 from qt2ec.families import (
@@ -22,7 +22,7 @@ from qt2ec.families import (
     triangle_with_tail,
 )
 from qt2ec.graph import Graph
-from qt2ec.oracle import enumerate_labeled_graphs
+from qt2ec.oracle import ALL_CHECKS, enumerate_labeled_graphs
 from qt2ec.structure import CROSSING, DISJOINT, NESTED, crossing_pairs
 
 
@@ -66,6 +66,16 @@ def test_pair_relation_contract_errors():
         class_pair_relation(cycle(4), p, 0, 1)
 
 
+def test_pair_relation_refuses_class_ids_out_of_range():
+    # K4 - e has classes 0..2: a negative id would index from the end and
+    # pair class 0 with itself, and an id past the end would not exist.
+    g = figure_graph("k4_minus_e")
+    p = compute_classes(g)
+    for c, d in ((-3, 0), (0, 3), (3, 0), (0, -1)):
+        with pytest.raises(ContractError, match="outside class range 0..2"):
+            class_pair_relation(g, p, c, d)
+
+
 def test_pair_relation_pieces_cover_union():
     g = figure_graph("fig1_left")
     p = compute_classes(g)
@@ -104,10 +114,30 @@ def test_crossing_pairs_are_the_crossing_relations_in_pair_order():
 def test_crossing_lemmas_pass_on_k4_minus_e():
     g = figure_graph("k4_minus_e")
     p = compute_classes(g)
-    records = check_crossing_lemmas(g, p, 1, 2)
+    records = check_crossing_lemmas(g, p)
     assert all(r.passed for r in records), records
-    # the side-to-side edges form exactly the singleton class {0-1}
+    # the side-to-side edges of the pair (1, 2) form exactly the singleton
+    # class {0-1}
     assert p.class_of_pair(0, 1) == 0
+
+
+def test_crossing_lemmas_give_five_records_per_crossing_pair_in_pair_order():
+    laws = [
+        "crossing-no-edge-inside-intersection",
+        "crossing-sides-joined",
+        "crossing-edges-touch-intersection",
+        "crossing-no-piece-is-join",
+        "crossing-cross-edges-one-class",
+    ]
+    g = figure_graph("k4_minus_e")
+    p = compute_classes(g)
+    assert [(r.first, r.second) for r in crossing_pairs(g, p)] == [(0, 1), (0, 2), (1, 2)]
+    records = check_crossing_lemmas(g, p)
+    assert [r.check for r in records] == laws * 3
+    assert all(r.passed and r.witness is None for r in records)
+    # A nested pair is not crossing, so it gives no records.
+    g = triangle_with_tail(3)
+    assert check_crossing_lemmas(g, compute_classes(g)) == []
 
 
 def test_standalone_verifiers_leave_records_unkeyed():
@@ -116,7 +146,7 @@ def test_standalone_verifiers_leave_records_unkeyed():
     g = figure_graph("k4_minus_e")
     p = compute_classes(g)
     for records in (
-        check_crossing_lemmas(g, p, 1, 2),
+        check_crossing_lemmas(g, p),
         check_tinylemma_instances(g, p),
         verify_partition_laws(g, p),
     ):
@@ -124,22 +154,13 @@ def test_standalone_verifiers_leave_records_unkeyed():
         assert all(r.graph_key == "" for r in records)
 
 
-def test_crossing_lemmas_require_crossing_pair():
-    g = triangle_with_tail(3)
-    with pytest.raises(ContractError, match="nested"):
-        check_crossing_lemmas(g, compute_classes(g), 0, 1)
-
-
 def test_crossing_lemmas_pass_over_corpus():
     for n in range(3, 6):
         for g in enumerate_labeled_graphs(n, connected_only=True):
             p = compute_classes(g)
-            for c in range(p.k):
-                for d in range(c + 1, p.k):
-                    if class_pair_relation(g, p, c, d).tag != CROSSING:
-                        continue
-                    records = check_crossing_lemmas(g, p, c, d)
-                    assert all(r.passed for r in records), (g.edges, c, d, records)
+            records = check_crossing_lemmas(g, p)
+            assert len(records) == 5 * len(crossing_pairs(g, p))
+            assert all(r.passed for r in records), (g.edges, records)
 
 
 def test_fabricated_partition_fails_touch_law():
@@ -156,7 +177,8 @@ def test_fabricated_partition_fails_touch_law():
     )
     rel = class_pair_relation(g, fake, 0, 2)
     assert rel.tag == CROSSING
-    records = check_crossing_lemmas(g, fake, 0, 2)
+    at = crossing_pairs(g, fake).index(rel)
+    records = check_crossing_lemmas(g, fake)[5 * at : 5 * at + 5]
     record = next(r for r in records if r.check == "crossing-edges-touch-intersection")
     assert not record.passed
     assert "(2, 3)" in record.witness
@@ -166,32 +188,30 @@ def test_fabricated_partition_fails_touch_law():
 # three-class classification
 
 
+def three_class_record(g: Graph):
+    (record,) = ALL_CHECKS["three-class-classification"](g, compute_classes(g))
+    return record
+
+
 def test_k4_minus_e_is_complete_tripartite():
-    outcome = three_class_classification(figure_graph("k4_minus_e"))
-    assert outcome.kind == "complete_tripartite"
-    assert outcome.tripartite_parts == ((0,), (1,), (2, 3))
+    assert compute_classes(figure_graph("k4_minus_e")).k == 3
+    assert is_complete_multipartite(figure_graph("k4_minus_e")) == [(0,), (1,), (2, 3)]
 
 
 def test_complete_multipartite_generator_round_trip():
-    outcome = three_class_classification(complete_multipartite(1, 1, 2))
-    assert outcome.kind == "complete_tripartite"
+    record = three_class_record(complete_multipartite(1, 1, 2))
+    assert record.passed and record.detail is None
 
 
 def test_double_path_apex_has_spanning_class():
     for k in (2, 3, 4):
         g = double_path_apex(k)
-        outcome = three_class_classification(g)
-        assert outcome.kind == "spanning_class"
-        assert outcome.tripartite_parts is None
+        assert is_complete_multipartite(g) is None
         p = compute_classes(g)
-        assert p.vertex_sets[outcome.spanning_class] == frozenset(range(g.n))
-
-
-def test_three_class_contract_errors():
-    with pytest.raises(ContractError, match="3 classes"):
-        three_class_classification(cycle(5))
-    with pytest.raises(ContractError, match="connected"):
-        three_class_classification(Graph(6, [(0, 1), (2, 3), (4, 5)]))
+        assert p.k == 3
+        assert frozenset(range(g.n)) in p.vertex_sets
+        record = three_class_record(g)
+        assert record.passed and record.detail is None
 
 
 def test_three_class_theorem_over_corpus():
@@ -199,11 +219,8 @@ def test_three_class_theorem_over_corpus():
         for g in enumerate_labeled_graphs(n, connected_only=True):
             if compute_classes(g).k != 3:
                 continue
-            outcome = three_class_classification(g)
-            assert (
-                outcome.tripartite_parts is not None
-                or outcome.spanning_class is not None
-            )
+            record = three_class_record(g)
+            assert record.passed and record.detail is None, (g.edges, record)
 
 
 # ---------------------------------------------------------------------------
