@@ -330,12 +330,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         max_n=args.max_n,
         checks=checks,
         sample_n6=args.sample_n6,
-        seed=SweepConfig.seed if args.seed is None else args.seed,
+        seed=SweepConfig().seed if args.seed is None else args.seed,
         threads=args.threads,
     )
     report = theorem_sweep(cfg)
     if args.out_format == "json":
-        _emit(report.to_json_lines())
+        lines = report.json_lines()
+        _emit(next(lines), lines)
     else:
         lines = [f"graphs={report.meta['graphs']} records={len(report.results)}"]
         for name, (passed, failed) in report.summary().items():

@@ -4,7 +4,7 @@ local structure queries the rest of the package builds on."""
 from __future__ import annotations
 
 import binascii
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 from .errors import ContractError, FormatError
@@ -151,16 +151,18 @@ class Graph:
 
 
 def check_edge_record(g: Graph, values: tuple, allowed: tuple, record: str, value: str) -> None:
-    """Raise ContractError unless ``values`` holds one of ``allowed`` per edge."""
+    """Raise ContractError unless ``values`` holds one of ``allowed``, of
+    its own type (``True`` equals 1 but is not a bit), per edge."""
     if len(values) != g.m:
         raise ContractError(f"{record} covers {len(values)} edges, graph has {g.m}")
+    types = set(map(type, allowed))
     try:
-        valid = set(values).issubset(allowed)
+        valid = set(values).issubset(allowed) and types.issuperset(map(type, values))
     except TypeError:  # an unhashable value; the loop below names it
         valid = False
     if not valid:
         for x in values:
-            if x not in allowed:
+            if type(x) not in types or x not in allowed:
                 raise ContractError(f"invalid {value} {x!r}")
 
 
@@ -442,10 +444,10 @@ def is_module_set(g: Graph, vertices: VertexSet) -> bool:
     return True
 
 
-def reach(adj: Sequence[int] | Mapping[int, int], seed: int, within: int = -1) -> int:
+def reach(adj: Sequence[int], seed: int, within: int = -1) -> int:
     """Bitset of the vertices reachable from the vertex bitset ``seed``
     along the adjacency bitsets ``adj``, never leaving the bitset
-    ``within``.  ``adj`` only needs entries for the vertices visited.
+    ``within``.
 
     This is the package's one bitset BFS function; the forcing kernel
     also grows a centre's later co-components in the walk that hands out

@@ -17,10 +17,10 @@ own class count in one union-find over the graph's edges.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from functools import lru_cache, partial
 from random import Random
-from typing import Callable, Iterator
 
 from .classes import EdgeClassPartition, compute_classes
 from .colouring import count_homogeneous_witness_classes, find_homogeneous_witness
@@ -52,7 +52,10 @@ MAX_SWEEP_THREADS = 64
 # A structural check judges the partition it is handed, not the graph's
 # memoised one, and returns its unkeyed records; a standalone call reads
 # them as they are, and only theorem_sweep keys them and gathers them into
-# a report.
+# a report.  Two checks are exceptions: hf1f2-witness and unique-hf1f2
+# call find_homogeneous_witness(g) and count_homogeneous_witness_classes(g),
+# which read the graph's memoised partition, so a tampered p does not reach
+# them (ROADMAP item 3's memo-injection half).
 CheckFn = Callable[[Graph, EdgeClassPartition], list[CheckResult]]
 
 
@@ -495,19 +498,16 @@ ALL_CHECKS: dict[str, CheckFn] = {
 # the sweep
 
 
-@dataclass
-class SweepConfig:
+class SweepConfig(
+    namedtuple("SweepConfig", "max_n checks sample_n6 seed threads", defaults=(5, None, None, 0, 1))
+):
     """What the theorem sweep should cover: every connected labeled graph
     on 1..``max_n`` vertices, plus ``sample_n6`` seeded connected six-vertex
     graphs, which only a ``max_n`` below 6 admits.  ``checks=None``
     selects all.  The corpus holds connected graphs only, and the checks
     rely on that."""
 
-    max_n: int = 5
-    checks: frozenset[str] | None = None
-    sample_n6: int | None = None
-    seed: int = 0
-    threads: int = 1
+    __slots__ = ()
 
 
 Row = tuple[str, bool, str, str | None, str | None, float | None]
@@ -518,50 +518,44 @@ def _record_order(r: CheckResult | Row) -> tuple[str, str]:
     return r[0], r[3] or ""
 
 
-def _run_checks(g: Graph, names: list[str], registry: dict[str, CheckFn]) -> list[Row]:
-    """Every named check on ``g``, as plain ``(check, passed, key, witness,
-    detail, seconds)`` tuples keyed by graph6: the fields of
+def _run_checks(checks: list[tuple[str, CheckFn]], item: tuple[int, int]) -> list[Row]:
+    """The checks of the ``(name, check)`` pairs, in name order, on the
+    corpus graph ``item = (n, mask)``, as plain ``(check, passed, key,
+    witness, detail, seconds)`` tuples keyed by graph6: the fields of
     ``CheckResult`` in order, which pickle far cheaper than records on
     their way back from a pool worker.  The rows come sorted by
     ``(check, witness or "")``; the sort is stable, so records that tie
     keep the order their check returned them in.  A check's records are
     sorted first, so its time goes on the first of them in that order and
     the ``seconds`` sum to the time spent in checks."""
+    g = graph_from_mask(*item)
     key = encode_graph6(g)
     partition = compute_classes(g)
     out: list[Row] = []
-    for name in names:
+    for _, check in checks:
         started = time.perf_counter()
-        records = registry[name](g, partition)
+        records = check(g, partition)
         seconds: float | None = time.perf_counter() - started
         if len(records) > 1:
             records = sorted(records, key=_record_order)
-        for check, passed, _, witness, detail, _ in records:
-            out.append((check, passed, key, witness, detail, seconds))
+        for name, passed, _, witness, detail, _ in records:
+            out.append((name, passed, key, witness, detail, seconds))
             seconds = None
     out.sort(key=_record_order)
     return out
 
 
-Job = tuple[int, int, list[str], dict[str, CheckFn]]
-
-
-def _sweep_worker(job: Job) -> list[Row]:
-    n, mask, names, table = job
-    return _run_checks(graph_from_mask(n, mask), names, table)
-
-
-def _sweep_rows(jobs: list[Job], threads: int) -> Iterator[list[Row]]:
-    """Each job's rows, in job order, from a pool of ``threads`` worker
-    processes or, with one thread, from this one."""
+def _sweep_rows(run: Callable, items: list[tuple[int, int]], threads: int) -> Iterator[list[Row]]:
+    """``run`` over each corpus item, in item order, in a pool of
+    ``threads`` worker processes or, with one thread, in this one."""
     if threads == 1:
-        yield from map(_sweep_worker, jobs)
+        yield from map(run, items)
         return
     # Imported here: the module costs every CLI call tens of ms.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(_sweep_worker, jobs, chunksize=64)
+        yield from pool.map(run, items, chunksize=64)
 
 
 # A row is a record's fields in order, so tuple.__new__ builds the record
@@ -577,14 +571,17 @@ def theorem_sweep(
     This is the one place that decides the corpus (connected graphs only)
     and keys the records: checks return unkeyed records, and each gets the
     graph6 key of its graph here.  Failures become report records (never
-    exceptions).  The serial loop and the pool workers alike return plain
-    tuples from ``_run_checks``, already in per-graph order; they become
-    ``CheckResult`` records here, in one place, as each graph's rows
-    arrive.  The corpus is listed before any check runs, so a ``sample_n6``
-    larger than the connected six-vertex graphs raises RefusalError before
-    any check runs.  The graphs are then ordered by graph6 key, which the
-    corpus holds once each, so the records come out sorted by (graph6,
-    check, witness or "") and multi-worker runs merge identically.
+    exceptions).  The serial loop and the pool workers alike map one
+    function, ``_run_checks`` bound to the sorted checks, over the corpus
+    items ``(n, mask)``; it returns each graph's plain tuples, already in
+    per-graph order.  The corpus is listed before any check runs, so a
+    ``sample_n6`` larger than the connected six-vertex graphs raises
+    RefusalError before any check runs.  Each graph's rows become
+    ``CheckResult`` records here, in one place, as they arrive, so the
+    rows of the whole corpus are never held beside its records.  The
+    graphs are then ordered by graph6 key, which the corpus holds once
+    each, so the records come out sorted by (graph6, check, witness or "")
+    and multi-worker runs merge identically.
     ``threads`` must be 1..``MAX_SWEEP_THREADS``: a pool starts all its
     workers at once.  ``registry`` is a test hook replacing the default
     check table; it runs with ``cfg.threads`` like the default one.  The
@@ -615,9 +612,9 @@ def theorem_sweep(
     ]
     if cfg.sample_n6:
         items.extend((6, mask) for mask in _sample_connected_masks(6, cfg.sample_n6, cfg.seed))
-    jobs = [(n, mask, names, table) for n, mask in items]
+    run = partial(_run_checks, [(name, table[name]) for name in names])
 
-    graphs = [list(map(_record_of_row, rows)) for rows in _sweep_rows(jobs, cfg.threads) if rows]
+    graphs = [list(map(_record_of_row, rows)) for rows in _sweep_rows(run, items, cfg.threads) if rows]
     graphs.sort(key=lambda records: records[0].graph_key)
     return VerificationReport(
         [r for records in graphs for r in records],
@@ -627,6 +624,6 @@ def theorem_sweep(
             "checks": names,
             "sample_n6": cfg.sample_n6,
             "seed": cfg.seed,
-            "graphs": len(jobs),
+            "graphs": len(items),
         },
     )

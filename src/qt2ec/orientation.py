@@ -147,7 +147,7 @@ def partial_orientation(g: Graph, seed: tuple[int, int]) -> Orientation:
     bits: list[int | None] = [None] * g.m
     for e in p.classes[cid]:
         bits[e] = p.bits[e] ^ flip
-    return Orientation(g, tuple(bits))
+    return Orientation._make((g, tuple(bits)))
 
 
 def orientability(g: Graph) -> OrientationFeasibility:

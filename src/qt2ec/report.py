@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 
-class CheckResult(NamedTuple):
+class CheckResult(
+    namedtuple(
+        "CheckResult",
+        "check passed graph_key witness detail seconds",
+        defaults=("", None, None, None),
+    )
+):
     """One verdict for one named check on one graph.
 
     Failing records always carry a reproducible witness.  ``graph_key`` is
@@ -22,21 +28,14 @@ class CheckResult(NamedTuple):
     order.
     """
 
-    check: str
-    passed: bool
-    graph_key: str = ""
-    witness: str | None = None
-    detail: str | None = None
-    seconds: float | None = None
+    __slots__ = ()
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "results meta")):
     """A theorem sweep's records plus its run metadata (seed, caps, check
     list); ``theorem_sweep`` is the one place that builds one."""
 
-    results: list[CheckResult] = field(default_factory=list)
-    meta: dict[str, object] = field(default_factory=dict)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -53,21 +52,22 @@ class VerificationReport:
             bucket[0 if r.passed else 1] += 1
         return {name: (p, f) for name, (p, f) in sorted(counts.items())}
 
-    def to_json_lines(self) -> str:
-        lines = [json.dumps({"schema": "qt2ec-report/1", **self.meta}, sort_keys=True)]
+    def json_lines(self) -> Iterator[str]:
+        """The header line, then each record's line, made as it is asked for."""
+        yield json.dumps({"schema": "qt2ec-report/1", **self.meta}, sort_keys=True)
         for r in self.results:
-            lines.append(
-                json.dumps(
-                    {
-                        "schema": "qt2ec-report/1",
-                        "graph6": r.graph_key,
-                        "check": r.check,
-                        "passed": r.passed,
-                        "witness": r.witness,
-                        "detail": r.detail,
-                        "seconds": r.seconds,
-                    },
-                    sort_keys=True,
-                )
+            yield json.dumps(
+                {
+                    "schema": "qt2ec-report/1",
+                    "graph6": r.graph_key,
+                    "check": r.check,
+                    "passed": r.passed,
+                    "witness": r.witness,
+                    "detail": r.detail,
+                    "seconds": r.seconds,
+                },
+                sort_keys=True,
             )
-        return "\n".join(lines) + "\n"
+
+    def to_json_lines(self) -> str:
+        return "\n".join(self.json_lines()) + "\n"

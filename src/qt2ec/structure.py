@@ -11,7 +11,7 @@ import it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .classes import EdgeClassPartition
@@ -24,15 +24,10 @@ NESTED = "nested"
 CROSSING = "crossing"
 
 
-@dataclass(frozen=True)
-class ClassPairRelation:
+class ClassPairRelation(namedtuple("ClassPairRelation", "first second only_first only_second shared")):
     """How the vertex sets of two classes overlap."""
 
-    first: int
-    second: int
-    only_first: frozenset[int]
-    only_second: frozenset[int]
-    shared: frozenset[int]
+    __slots__ = ()
 
     @property
     def tag(self) -> str:
@@ -80,7 +75,7 @@ def _induces_join(g: Graph, vertices: frozenset[int]) -> bool:
     if len(vertices) < 2:
         return False
     inside = sum(1 << v for v in vertices)
-    co_adj = {v: inside ^ (inside & g.adjacency_bits(v)) for v in vertices}
+    co_adj = [inside & ~g.adjacency_bits(v) for v in range(g.n)]
     return reach(co_adj, inside & -inside, inside) != inside
 
 

@@ -17,7 +17,7 @@ import qt2ec
 from qt2ec import Colourability, classify_colourability, encode_graph6
 from qt2ec.cli import build_parser, main
 from qt2ec.families import cycle, family_from_spec, figure_graph
-from qt2ec.oracle import ALL_CHECKS
+from qt2ec.oracle import ALL_CHECKS, SweepConfig, theorem_sweep
 from qt2ec.report import CheckResult
 
 
@@ -450,14 +450,25 @@ def test_verify_small_sweep(capsys):
     assert all(": PASS" in line for line in out.splitlines()[1:])
 
 
+def unstamped(text: str) -> list[dict]:
+    records = [json.loads(line) for line in text.splitlines()]
+    for record in records:
+        record.pop("seconds", None)
+    return records
+
+
 def test_verify_json_mode(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--max-n", "2", "--checks", "colouring-count", "--out", "json"
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert json.loads(lines[0])["schema"] == "qt2ec-report/1"
-    assert all(json.loads(line)["passed"] for line in lines[1:])
+    # The CLI writes the report's lines one by one; they are its text.
+    report = theorem_sweep(SweepConfig(max_n=4, checks=frozenset({"crossing-lemmas"})))
+    for threads in ("1", "2"):
+        code, out, _ = run(
+            capsys, "verify", "--max-n", "4", "--checks", "crossing-lemmas", "--threads", threads, "--out", "json"
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert json.loads(lines[0])["schema"] == "qt2ec-report/1"
+        assert all(json.loads(line)["passed"] for line in lines[1:])
+        assert out.endswith("}\n") and unstamped(out) == unstamped(report.to_json_lines())
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -711,6 +722,14 @@ def test_the_fast_path_imports_without_dataclasses_inspect_or_typing():
     package, cli = fresh_python(code, "-S").splitlines()
     assert package == "[]"
     assert cli in ("[]", "['enum']")
+
+
+def test_the_verification_half_imports_without_dataclasses_inspect_or_typing():
+    code = (
+        "import sys, qt2ec.oracle, qt2ec.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))\n"
+    )
+    assert fresh_python(code, "-S") == "[]\n"
 
 
 def test_every_public_name_resolves_in_a_fresh_interpreter():

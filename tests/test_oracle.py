@@ -33,6 +33,8 @@ from qt2ec.oracle import (
     sample_connected_graphs,
     subset_witness_count,
 )
+from qt2ec.report import VerificationReport
+from qt2ec.structure import NESTED, ClassPairRelation
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +434,7 @@ def test_sweep_records_match_the_pinned_digest(threads):
 
 def test_json_lines_round_trip():
     report = theorem_sweep(SweepConfig(max_n=2))
+    assert report.to_json_lines() == "\n".join(report.json_lines()) + "\n"
     lines = report.to_json_lines().strip().splitlines()
     header = json.loads(lines[0])
     assert header["schema"] == "qt2ec-report/1"
@@ -453,3 +456,17 @@ def test_check_result_is_an_immutable_hashable_record():
     assert len({r, keyed, CheckResult(*tuple(r))}) == 2
     assert pickle.loads(pickle.dumps(keyed)) == keyed
     assert type(pickle.loads(pickle.dumps(keyed))) is CheckResult
+
+
+def test_the_sweep_records_are_named_tuples_of_their_fields():
+    cfg = SweepConfig()
+    assert tuple(cfg) == (5, None, None, 0, 1)
+    assert cfg._fields == ("max_n", "checks", "sample_n6", "seed", "threads")
+    assert cfg._replace(threads=2) == SweepConfig(threads=2) != cfg
+    assert len({cfg, SweepConfig(checks=frozenset({"tinylemma"})), SweepConfig()}) == 2
+    rel = ClassPairRelation(0, 1, frozenset({2}), frozenset(), frozenset({0, 1}))
+    assert rel.tag == NESTED
+    assert rel == (0, 1, frozenset({2}), frozenset(), frozenset({0, 1}))
+    report = VerificationReport([CheckResult("c", False, "Bw", "x")], {"graphs": 1})
+    assert VerificationReport._fields == ("results", "meta")
+    assert (report.passed, report.failures(), report.summary()) == (False, report.results, {"c": (0, 1)})

@@ -19,7 +19,6 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations, groupby
 from pathlib import Path
 from random import Random
@@ -46,7 +45,7 @@ from qt2ec.graph import induced_p3_edges, induced_p3s, reach
 from qt2ec.oracle import (
     ALL_CHECKS,
     MASK_CAP_EDGES,
-    _sweep_worker,
+    _run_checks,
     brute_force_colouring_count,
     brute_force_orientation_count,
     enumerate_labeled_graphs,
@@ -194,7 +193,7 @@ def test_an_unmeetable_sample_is_refused_before_any_check_runs():
     cfg = SweepConfig(max_n=5, sample_n6=26705)
     for threads in (1, 2):
         with pytest.raises(RefusalError, match="^fewer than 26705 connected graphs exist at n=6$"):
-            theorem_sweep(replace(cfg, threads=threads), {"must-not-run": must_not_run})
+            theorem_sweep(cfg._replace(threads=threads), {"must-not-run": must_not_run})
         assert multiprocessing.active_children() == []
 
 
@@ -230,7 +229,7 @@ def test_no_worker_outlives_a_failed_pool_sweep():
     refusals = []
     for threads in (1, 2):
         with pytest.raises(RefusalError) as refused:
-            theorem_sweep(replace(cfg, threads=threads))
+            theorem_sweep(cfg._replace(threads=threads))
         refusals.append(str(refused.value))
         assert multiprocessing.active_children() == []
     assert refusals == ["fewer than 26705 connected graphs exist at n=6"] * 2
@@ -344,8 +343,8 @@ def test_cli_import_does_not_load_the_process_pool():
 
 
 def test_worker_rows_do_not_pickle_report_objects():
-    names = sorted(ALL_CHECKS)
-    rows = _sweep_worker((4, 0b111111, names, ALL_CHECKS))  # K4
+    checks = sorted(ALL_CHECKS.items())
+    rows = _run_checks(checks, (4, 0b111111))  # K4
     assert rows and all(type(row) is tuple and len(row) == 6 for row in rows)
     assert b"qt2ec.report" not in pickle.dumps(rows)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from qt2ec import (
@@ -63,7 +65,10 @@ def test_partial_orientation_is_contract_error_for_validity():
         is_quasi_transitive_orientation(g, Orientation(g, (0, None)))
 
 
-@pytest.mark.parametrize("bits", [(5, 0), (0, -1), (None, 2), (0, "1"), ([0], 1)])
+@pytest.mark.parametrize(
+    "bits",
+    [(5, 0), (0, -1), (None, 2), (0, "1"), ([0], 1), (1.0, 0), (0, True), (Fraction(1), 0)],
+)
 def test_direction_bits_other_than_0_1_none_rejected(bits):
     with pytest.raises(ContractError, match="invalid direction bit"):
         Orientation(path(3), bits)
