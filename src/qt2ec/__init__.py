@@ -99,6 +99,7 @@ __all__ = [
     "partial_orientation",
     "sample_connected_graphs",
     "subset_witness_count",
+    "sweep_records",
     "theorem_sweep",
     "to_dot",
     "verify_partition_laws",
@@ -112,6 +113,7 @@ _LAZY_MODULE = {
     "enumerate_labeled_graphs": "oracle",
     "sample_connected_graphs": "oracle",
     "subset_witness_count": "oracle",
+    "sweep_records": "oracle",
     "theorem_sweep": "oracle",
     "CheckResult": "report",
     "VerificationReport": "report",

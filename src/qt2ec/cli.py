@@ -147,27 +147,36 @@ def _emit(out: str | dict, listing: Iterable[str] | None = None, field: str = ""
     """Write text, or a record as JSON with sorted keys, and flush.  The items
     of ``listing`` are written as they are made: lines after the text, or,
     each already JSON text, the list ``field`` in its sorted place in the
-    record."""
-    write = sys.stdout.write
+    record.  Only a failed write or flush is an ``_OutputError``: an error
+    raised while an item is made, such as an ``OSError`` from the sweep's
+    pool, propagates as it is."""
+    stdout_write = sys.stdout.write
+
+    def write(text: str) -> None:
+        try:
+            stdout_write(text)
+        except OSError as exc:
+            raise _OutputError(exc) from exc
+
+    if isinstance(out, str):
+        tail = out
+        write(out)
+        for line in listing or ():
+            tail = "\n" + line
+            write(tail)
+        if tail and not tail.endswith("\n"):
+            write("\n")
+    elif listing is None:
+        write(json.dumps(out, sort_keys=True) + "\n")
+    else:
+        # The key occurs once: quotes inside a string value are escaped.
+        key = json.dumps(field) + ": ["
+        head, _, rest = json.dumps({**out, field: []}, sort_keys=True).partition(key + "]")
+        write(head + key)
+        for i, item in enumerate(listing):
+            write((", " if i else "") + item)
+        write("]" + rest + "\n")
     try:
-        if isinstance(out, str):
-            tail = out
-            write(out)
-            for line in listing or ():
-                tail = "\n" + line
-                write(tail)
-            if tail and not tail.endswith("\n"):
-                write("\n")
-        elif listing is None:
-            write(json.dumps(out, sort_keys=True) + "\n")
-        else:
-            # The key occurs once: quotes inside a string value are escaped.
-            key = json.dumps(field) + ": ["
-            head, _, rest = json.dumps({**out, field: []}, sort_keys=True).partition(key + "]")
-            write(head + key)
-            for i, item in enumerate(listing):
-                write((", " if i else "") + item)
-            write("]" + rest + "\n")
         sys.stdout.flush()
     except OSError as exc:
         raise _OutputError(exc) from exc
@@ -320,7 +329,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .oracle import SweepConfig, theorem_sweep
+    from .oracle import SweepConfig, sweep_records
+    from .report import json_lines
 
     # The seed only picks the sampled six-vertex graphs.
     if args.seed is not None and not args.sample_n6:
@@ -333,19 +343,37 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         seed=SweepConfig().seed if args.seed is None else args.seed,
         threads=args.threads,
     )
-    report = theorem_sweep(cfg)
-    if args.out_format == "json":
-        lines = report.json_lines()
-        _emit(next(lines), lines)
-    else:
-        lines = [f"graphs={report.meta['graphs']} records={len(report.results)}"]
-        for name, (passed, failed) in report.summary().items():
-            status = "PASS" if failed == 0 else "FAIL"
-            lines.append(f"{name}: {status} ({passed} pass, {failed} fail)")
-        for failure in report.failures():
-            lines.append(f"FAIL {failure.check} on {failure.graph_key}: {failure.witness}")
-        _emit("\n".join(lines))
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    # The records are read once, as they arrive: each is counted, and a
+    # failing one kept, on its way to the JSON lines or to nowhere.
+    counts: dict[str, list[int]] = {}
+    failures = []
+
+    def tally(r):
+        counts.setdefault(r.check, [0, 0])[0 if r.passed else 1] += 1
+        if not r.passed:
+            failures.append(r)
+        return r
+
+    meta, records = sweep_records(cfg)
+    try:
+        if args.out_format == "json":
+            lines = json_lines(meta, map(tally, records))
+            _emit(next(lines), lines)
+        else:
+            for r in records:
+                tally(r)
+            total = sum(passed + failed for passed, failed in counts.values())
+            lines = [f"graphs={meta['graphs']} records={total}"]
+            for name, (passed, failed) in sorted(counts.items()):
+                status = "PASS" if failed == 0 else "FAIL"
+                lines.append(f"{name}: {status} ({passed} pass, {failed} fail)")
+            for failure in failures:
+                lines.append(f"FAIL {failure.check} on {failure.graph_key}: {failure.witness}")
+            _emit("\n".join(lines))
+    finally:
+        # Shuts the pool down now, also when the output fails midway.
+        records.close()
+    return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

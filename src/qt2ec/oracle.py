@@ -51,9 +51,9 @@ MAX_SWEEP_THREADS = 64
 
 # A structural check judges the partition it is handed, not the graph's
 # memoised one, and returns its unkeyed records; a standalone call reads
-# them as they are, and only theorem_sweep keys them and gathers them into
-# a report.  Two checks are exceptions: hf1f2-witness and unique-hf1f2
-# call find_homogeneous_witness(g) and count_homogeneous_witness_classes(g),
+# them as they are, and only sweep_records keys them.  Two checks are
+# exceptions: hf1f2-witness and unique-hf1f2 call
+# find_homogeneous_witness(g) and count_homogeneous_witness_classes(g),
 # which read the graph's memoised partition, so a tampered p does not reach
 # them (ROADMAP item 3's memo-injection half).
 CheckFn = Callable[[Graph, EdgeClassPartition], list[CheckResult]]
@@ -545,17 +545,25 @@ def _run_checks(checks: list[tuple[str, CheckFn]], item: tuple[int, int]) -> lis
     return out
 
 
-def _sweep_rows(run: Callable, items: list[tuple[int, int]], threads: int) -> Iterator[list[Row]]:
+def _records(run: Callable, items: list[tuple[int, int]], threads: int) -> Iterator[CheckResult]:
     """``run`` over each corpus item, in item order, in a pool of
-    ``threads`` worker processes or, with one thread, in this one."""
+    ``threads`` worker processes or, with one thread, in this one; each
+    graph's rows become ``CheckResult`` records as they arrive.  When the
+    consumer closes it early, or a check raises, the pool's pending chunks
+    are cancelled and its workers joined before this generator ends."""
     if threads == 1:
-        yield from map(run, items)
+        for rows in map(run, items):
+            yield from map(_record_of_row, rows)
         return
     # Imported here: the module costs every CLI call tens of ms.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(run, items, chunksize=64)
+    pool = ProcessPoolExecutor(max_workers=threads)
+    try:
+        for rows in pool.map(run, items, chunksize=64):
+            yield from map(_record_of_row, rows)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # A row is a record's fields in order, so tuple.__new__ builds the record
@@ -563,34 +571,64 @@ def _sweep_rows(run: Callable, items: list[tuple[int, int]], threads: int) -> It
 _record_of_row = partial(tuple.__new__, CheckResult)
 
 
-def theorem_sweep(
+@lru_cache(maxsize=None)
+def _graph6_rank(n: int) -> Callable[[int], int]:
+    """The function from an n-vertex edge mask to the integer whose bits
+    are its graph6 upper-triangle bits, so that sorting the masks of one n
+    by it sorts their graph6 keys.  graph6 reads the pairs column by
+    column, pair (0, 1) first and most significant, so the bit of pair
+    (u, v) weighs ``1 << (nbits - 1 - (v(v-1)/2 + u))``; the weights are
+    summed a byte of the mask at a time, from one table per byte."""
+    pairs = _pair_table(n)
+    weights = [1 << (len(pairs) - 1 - (v * (v - 1) // 2 + u)) for u, v in pairs]
+    tables = [
+        [sum(w for b, w in enumerate(weights[lo : lo + 8]) if byte >> b & 1) for byte in range(256)]
+        for lo in range(0, len(weights), 8)
+    ]
+
+    def rank(mask: int) -> int:
+        key = 0
+        for table in tables:
+            key |= table[mask & 255]
+            mask >>= 8
+        return key
+
+    return rank
+
+
+def sweep_records(
     cfg: SweepConfig, registry: dict[str, CheckFn] | None = None
-) -> VerificationReport:
-    """Run the named checks over the corpus and report every verdict.
+) -> tuple[dict[str, object], Iterator[CheckResult]]:
+    """The run metadata and the records of the theorem sweep of ``cfg``.
 
     This is the one place that decides the corpus (connected graphs only)
     and keys the records: checks return unkeyed records, and each gets the
-    graph6 key of its graph here.  Failures become report records (never
-    exceptions).  The serial loop and the pool workers alike map one
-    function, ``_run_checks`` bound to the sorted checks, over the corpus
-    items ``(n, mask)``; it returns each graph's plain tuples, already in
-    per-graph order.  The corpus is listed before any check runs, so a
-    ``sample_n6`` larger than the connected six-vertex graphs raises
-    RefusalError before any check runs.  Each graph's rows become
-    ``CheckResult`` records here, in one place, as they arrive, so the
-    rows of the whole corpus are never held beside its records.  The
-    graphs are then ordered by graph6 key, which the corpus holds once
-    each, so the records come out sorted by (graph6, check, witness or "")
-    and multi-worker runs merge identically.
-    ``threads`` must be 1..``MAX_SWEEP_THREADS``: a pool starts all its
-    workers at once.  ``registry`` is a test hook replacing the default
-    check table; it runs with ``cfg.threads`` like the default one.  The
-    pool pickles the table by reference, so its checks must be module-level
-    functions: with ``threads`` above 1 a closure fails at once, unpicklable
+    graph6 key of its graph here.  Failures become records (never
+    exceptions).  ``cfg`` is checked and the corpus listed before this
+    returns, so a bad config raises ContractError and a ``sample_n6``
+    larger than the connected six-vertex graphs raises RefusalError before
+    any check runs.  The corpus items ``(n, mask)`` are listed in graph6
+    order, which holds each graph once, and the serial loop and the pool
+    workers alike map one function, ``_run_checks`` bound to the sorted
+    checks, over them in that order; each graph's rows come back already
+    in per-graph order, so the records come out sorted by (graph6, check,
+    witness or "") as they are made, and multi-worker runs give the same
+    stream.  The records are made as they are asked for; a consumer that
+    stops early should ``close()`` the iterator, which shuts its pool down.
+    ``max_n``, ``threads`` and a non-None ``sample_n6`` must be ints, and
+    ``threads`` 1..``MAX_SWEEP_THREADS``: a pool starts all its workers at
+    once.  ``registry`` is a test hook replacing the default check table;
+    it runs with ``cfg.threads`` like the default one.  The pool pickles
+    the table by reference, so its checks must be module-level functions:
+    with ``threads`` above 1 a closure fails at once, unpicklable
     (``AttributeError: Can't pickle local object`` on CPython 3.11), and
     never hangs.
     """
     table = registry if registry is not None else ALL_CHECKS
+    for field in ("max_n", "threads", "sample_n6"):
+        value = getattr(cfg, field)
+        if type(value) is not int and not (field == "sample_n6" and value is None):
+            raise ContractError(f"{field} must be an int, got {value!r}")
     if not 1 <= cfg.max_n <= MAX_CORPUS_N:
         raise ContractError(f"max_n must be 1..{MAX_CORPUS_N}, got {cfg.max_n}")
     if cfg.sample_n6 is not None and cfg.sample_n6 < 0:
@@ -608,22 +646,27 @@ def theorem_sweep(
     items = [
         (n, mask)
         for n in range(1, cfg.max_n + 1)
-        for mask in _labeled_masks(n, connected_only=True)
+        for mask in sorted(_labeled_masks(n, connected_only=True), key=_graph6_rank(n))
     ]
     if cfg.sample_n6:
-        items.extend((6, mask) for mask in _sample_connected_masks(6, cfg.sample_n6, cfg.seed))
+        sample = _sample_connected_masks(6, cfg.sample_n6, cfg.seed)
+        items.extend((6, mask) for mask in sorted(sample, key=_graph6_rank(6)))
+    meta = {
+        "max_n": cfg.max_n,
+        "connected_only": True,  # always; kept in the report schema
+        "checks": names,
+        "sample_n6": cfg.sample_n6,
+        "seed": cfg.seed,
+        "graphs": len(items),
+    }
     run = partial(_run_checks, [(name, table[name]) for name in names])
+    return meta, _records(run, items, cfg.threads)
 
-    graphs = [list(map(_record_of_row, rows)) for rows in _sweep_rows(run, items, cfg.threads) if rows]
-    graphs.sort(key=lambda records: records[0].graph_key)
-    return VerificationReport(
-        [r for records in graphs for r in records],
-        meta={
-            "max_n": cfg.max_n,
-            "connected_only": True,  # always; kept in the report schema
-            "checks": names,
-            "sample_n6": cfg.sample_n6,
-            "seed": cfg.seed,
-            "graphs": len(items),
-        },
-    )
+
+def theorem_sweep(
+    cfg: SweepConfig, registry: dict[str, CheckFn] | None = None
+) -> VerificationReport:
+    """Run the named checks over the corpus and report every verdict: the
+    records of :func:`sweep_records`, collected, under its metadata."""
+    meta, records = sweep_records(cfg, registry)
+    return VerificationReport(list(records), meta)

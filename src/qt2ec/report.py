@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 
 class CheckResult(
@@ -17,7 +17,7 @@ class CheckResult(
     """One verdict for one named check on one graph.
 
     Failing records always carry a reproducible witness.  ``graph_key`` is
-    the graph6 encoding of the graph under test; ``theorem_sweep`` sets
+    the graph6 encoding of the graph under test; ``sweep_records`` sets
     it, and the records of a standalone verifier such as
     ``verify_partition_laws`` leave it empty.  In a theorem sweep a
     check's run time sits in ``seconds`` on the first of its records for
@@ -33,7 +33,8 @@ class CheckResult(
 
 class VerificationReport(namedtuple("VerificationReport", "results meta")):
     """A theorem sweep's records plus its run metadata (seed, caps, check
-    list); ``theorem_sweep`` is the one place that builds one."""
+    list); ``theorem_sweep`` is the one place that builds one, from the
+    stream of ``sweep_records``."""
 
     __slots__ = ()
 
@@ -52,22 +53,24 @@ class VerificationReport(namedtuple("VerificationReport", "results meta")):
             bucket[0 if r.passed else 1] += 1
         return {name: (p, f) for name, (p, f) in sorted(counts.items())}
 
-    def json_lines(self) -> Iterator[str]:
-        """The header line, then each record's line, made as it is asked for."""
-        yield json.dumps({"schema": "qt2ec-report/1", **self.meta}, sort_keys=True)
-        for r in self.results:
-            yield json.dumps(
-                {
-                    "schema": "qt2ec-report/1",
-                    "graph6": r.graph_key,
-                    "check": r.check,
-                    "passed": r.passed,
-                    "witness": r.witness,
-                    "detail": r.detail,
-                    "seconds": r.seconds,
-                },
-                sort_keys=True,
-            )
-
     def to_json_lines(self) -> str:
-        return "\n".join(self.json_lines()) + "\n"
+        return "\n".join(json_lines(self.meta, self.results)) + "\n"
+
+
+def json_lines(meta: dict, records: Iterable[CheckResult]) -> Iterator[str]:
+    """The header line of ``meta``, then each record's line, each made as
+    it is asked for, so the records may be a stream."""
+    yield json.dumps({"schema": "qt2ec-report/1", **meta}, sort_keys=True)
+    for r in records:
+        yield json.dumps(
+            {
+                "schema": "qt2ec-report/1",
+                "graph6": r.graph_key,
+                "check": r.check,
+                "passed": r.passed,
+                "witness": r.witness,
+                "detail": r.detail,
+                "seconds": r.seconds,
+            },
+            sort_keys=True,
+        )

@@ -471,14 +471,39 @@ def test_verify_json_mode(capsys):
         assert out.endswith("}\n") and unstamped(out) == unstamped(report.to_json_lines())
 
 
-def test_verify_failure_exits_one(capsys, monkeypatch):
-    def broken(g, p):
-        return [CheckResult("broken", False, witness="intentional")]
+def broken(g, p):
+    return [CheckResult("broken", False, witness="intentional")]
 
+
+def test_verify_failure_exits_one(capsys, monkeypatch):
+    # The check is module-level, so the pool's workers can unpickle it.
     monkeypatch.setitem(ALL_CHECKS, "broken", broken)
     code, out, _ = run(capsys, "verify", "--max-n", "2", "--checks", "broken")
     assert code == 1
     assert "FAIL" in out
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "--max-n", "2", "--checks", "broken", "--threads", threads, "--out", "json")
+        assert code == 1, threads
+        assert [json.loads(line)["passed"] for line in out.splitlines()[1:]] == [False, False], threads
+
+
+def breaks_on_three_vertices(g, p):
+    if g.n == 3:
+        raise OSError(5, "the check broke on a three-vertex graph")
+    return [CheckResult("breaks-on-three-vertices", True)]
+
+
+def test_a_check_that_raises_leaves_the_lines_written_and_is_no_write_error(capsys, monkeypatch):
+    # JSON lines are written as the records arrive: the header before any
+    # check runs, and serially the records of K1 and K2 before the check
+    # breaks (on the pool all six graphs share one chunk, which fails
+    # whole).  The OSError is the check's, not a failed write.
+    monkeypatch.setitem(ALL_CHECKS, "breaks-on-three-vertices", breaks_on_three_vertices)
+    for threads, keys in (("1", [None, "@", "A_"]), ("2", [None])):
+        with pytest.raises(OSError, match="the check broke on a three-vertex graph"):
+            main(["verify", "--max-n", "3", "--checks", "breaks-on-three-vertices", "--threads", threads, "--out", "json"])
+        out = capsys.readouterr().out.splitlines()
+        assert [json.loads(line).get("graph6") for line in out] == keys, threads
 
 
 def test_verify_unknown_check_names_the_valid_ones(capsys):
@@ -661,6 +686,18 @@ def test_a_stdout_closed_early_exits_two_with_one_error_line():
     command, env = cli_command("orient", "--family", "complete,6", "--enumerate")
     child = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     assert child.stdout.readline().startswith("orientable, k=15")
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    _assert_one_write_error(child.wait(timeout=60), err)
+
+
+def test_a_verify_stream_closed_early_exits_two_with_one_error_line():
+    # The n <= 5 sweep writes 14,299 JSON lines, far more than a pipe
+    # buffer holds; the header comes before any check runs.
+    command, env = cli_command("verify", "--max-n", "5", "--threads", "2", "--out", "json")
+    child = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    assert json.loads(child.stdout.readline())["graphs"] == 772
     child.stdout.close()
     err = child.stderr.read()
     child.stderr.close()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import re
 
 import pytest
 
@@ -33,7 +34,7 @@ from qt2ec.oracle import (
     sample_connected_graphs,
     subset_witness_count,
 )
-from qt2ec.report import VerificationReport
+from qt2ec.report import VerificationReport, json_lines
 from qt2ec.structure import NESTED, ClassPairRelation
 
 
@@ -122,6 +123,14 @@ def test_sample_connected_graphs_seeded():
 def test_connected_counts_match_the_enumerated_corpus():
     for n in range(1, 7):
         assert oracle._CONNECTED_COUNTS[n - 1] == sum(1 for _ in oracle._labeled_masks(n, True))
+
+
+def test_the_graph6_rank_sorts_masks_as_their_graph6_keys():
+    # Every mask, connected or not, of every n <= 6: 2^15 at n = 6.
+    for n in range(1, 7):
+        masks = range(1 << (n * (n - 1) // 2))
+        by_key = sorted(masks, key=lambda mask: encode_graph6(graph_from_mask(n, mask)))
+        assert sorted(masks, key=oracle._graph6_rank(n)) == by_key
 
 
 def test_an_unmeetable_sample_is_refused_before_any_draw(monkeypatch):
@@ -328,13 +337,20 @@ def test_sweep_unknown_check_rejected():
         theorem_sweep(SweepConfig(max_n=8))
 
 
-@pytest.mark.parametrize("max_n", [0, -1])
-def test_sweep_refuses_empty_corpus(max_n):
-    with pytest.raises(ContractError, match="max_n must be 1"):
+@pytest.mark.parametrize("max_n", [0, -1, True, 2.5])
+def test_sweep_refuses_empty_corpus(monkeypatch, max_n):
+    # True would sweep n = 1 and 2.5 fail in range(); both are refused as
+    # not ints, before the corpus is built.
+    def no_corpus(*args):
+        raise AssertionError("corpus built before the max_n check")
+
+    monkeypatch.setattr(oracle, "_labeled_masks", no_corpus)
+    message = "max_n must be 1" if type(max_n) is int else f"max_n must be an int, got {max_n!r}"
+    with pytest.raises(ContractError, match=message):
         theorem_sweep(SweepConfig(max_n=max_n))
 
 
-@pytest.mark.parametrize("threads", [0, -1, MAX_SWEEP_THREADS + 1, 10**6])
+@pytest.mark.parametrize("threads", [0, -1, MAX_SWEEP_THREADS + 1, 10**6, 1.5, True, "2"])
 def test_sweep_refuses_thread_counts_out_of_range(monkeypatch, threads):
     # The check must fire before the corpus, let alone a pool, exists.
     def no_corpus(*args):
@@ -342,15 +358,26 @@ def test_sweep_refuses_thread_counts_out_of_range(monkeypatch, threads):
 
     monkeypatch.setattr(oracle, "_labeled_masks", no_corpus)
     message = f"threads must be 1..{MAX_SWEEP_THREADS}, got {threads}"
+    if type(threads) is not int:
+        message = re.escape(f"threads must be an int, got {threads!r}")
     with pytest.raises(ContractError, match=message):
         theorem_sweep(SweepConfig(max_n=2, threads=threads))
     with pytest.raises(ContractError, match=message):
         theorem_sweep(SweepConfig(max_n=2, threads=threads), registry=ALL_CHECKS)
 
 
-def test_sweep_refuses_negative_sample():
+def test_sweep_refuses_negative_sample(monkeypatch):
     with pytest.raises(ContractError, match="sample_n6 must be 0 or more"):
         theorem_sweep(SweepConfig(max_n=2, sample_n6=-5))
+    # 1.5 would draw 2 graphs and head the report with 1.5; it is refused
+    # before the corpus is built.
+    def no_corpus(*args):
+        raise AssertionError("corpus built before the sample_n6 check")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "_labeled_masks", no_corpus)
+        with pytest.raises(ContractError, match=re.escape("sample_n6 must be an int, got 1.5")):
+            theorem_sweep(SweepConfig(max_n=2, sample_n6=1.5))
     for sample in (0, None):
         cfg = SweepConfig(max_n=2, checks=frozenset({"colouring-count"}), sample_n6=sample)
         assert theorem_sweep(cfg).meta["graphs"] == 2
@@ -434,7 +461,7 @@ def test_sweep_records_match_the_pinned_digest(threads):
 
 def test_json_lines_round_trip():
     report = theorem_sweep(SweepConfig(max_n=2))
-    assert report.to_json_lines() == "\n".join(report.json_lines()) + "\n"
+    assert report.to_json_lines() == "\n".join(json_lines(report.meta, report.results)) + "\n"
     lines = report.to_json_lines().strip().splitlines()
     header = json.loads(lines[0])
     assert header["schema"] == "qt2ec-report/1"

@@ -52,6 +52,7 @@ from qt2ec.oracle import (
     graph_from_mask,
     sample_connected_graphs,
     subset_witness_count,
+    sweep_records,
 )
 from qt2ec.structure import (
     CROSSING,
@@ -235,6 +236,18 @@ def test_no_worker_outlives_a_failed_pool_sweep():
     assert refusals == ["fewer than 26705 connected graphs exist at n=6"] * 2
     with pytest.raises(RuntimeError, match="the check broke on K5"):
         theorem_sweep(SweepConfig(max_n=5, threads=2), {"fails-on-k5": fails_on_k5})
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_stream_stopped_early():
+    # The corpus and the metadata come before any check runs; the pool
+    # starts at the first record and is shut down when the stream closes.
+    meta, records = sweep_records(SweepConfig(max_n=5, threads=2), {"must-not-run": must_not_run})
+    assert meta["graphs"] == 772 and multiprocessing.active_children() == []
+    records.close()
+    meta, records = sweep_records(SweepConfig(max_n=6, threads=2))
+    assert next(records).graph_key == "@"
+    records.close()
     assert multiprocessing.active_children() == []
 
 
