@@ -20,19 +20,18 @@ and one link per edge.  The class is orientable iff its component is
 bipartite, and an edge's direction bit is the colour of the star at its
 low end.
 
-At each centre the kernel first takes the co-component of the least
-neighbour with :func:`qt2ec.graph.reach` over the complemented bitsets.
-When that is the whole neighbourhood, the centre is one star: its upper
-edges get its id all at once, with no walk over the members, and only its
-edges to lower neighbours are linked one by one.  Otherwise the centre has
-several stars, and one walk numbers them all.  It starts from the
-co-component that ``reach`` returned, which has nothing left to grow, then
-grows each later one from its least unvisited neighbour, adding each
-popped member's unvisited non-neighbours, and hands out the star id in
-that same walk, so every neighbour of the centre is visited once.  One BFS
-over the star graph from the low star of each unlabelled edge, in edge
-order, then labels the classes, and C-level maps over the low stars give
-every edge its class and bit.
+At each centre one walk numbers every star.  It grows each co-component
+from the least unvisited neighbour: a popped member u adds the unvisited
+neighbours of the centre that u is not adjacent to, ``left ^ (left &
+adj[u])``, so no complemented row is ever built.  The walk hands out the
+star id as it goes, and every neighbour of the centre is visited once.
+Every upper edge of the centre starts out in the first star, and a later
+star overwrites only its own members' slots.  So when the first star
+takes the whole neighbourhood, as it does at most centres of a dense
+graph, the rest of its walk visits only the lower neighbours, whose edges
+still need linking.  One BFS over the star graph from the low star of each
+unlabelled edge, in edge order, then labels the classes, and C-level maps
+over the low stars give every edge its class and bit.
 
 ``Graph`` is immutable, so the partition is computed once per graph and
 memoised on it; the colouring, orientation and CLI paths all read that one
@@ -48,7 +47,7 @@ from itertools import product
 from operator import itemgetter, xor
 
 from .errors import ContractError, RefusalError
-from .graph import EdgePair, Graph, reach
+from .graph import EdgePair, Graph
 
 # The most classes an enumeration of the 2^k colourings or orientations takes.
 DEFAULT_ENUMERATION_CAP = 20
@@ -120,10 +119,6 @@ def class_choices(p: EdgeClassPartition, cap: int, oriented: bool = False) -> It
 def _forcing_kernel(g: Graph) -> tuple:
     """The fields of ``g``'s partition after ``graph``, in declaration order."""
     adj, edge_at = g._adj_bits, g._edge_at
-    # Complement rows masked to the vertex range: CPython's bitwise
-    # operations are slower on negative ints, which ~a would give.
-    full = (1 << g.n) - 1
-    co_adj = [full ^ a for a in adj]
     # Star s is one co-component of the neighbourhood of centre[s].
     # links[s] holds the star at the far end of each of s's edges, and
     # low[e] the star at edge e's low end.  A vertex's upper edges have
@@ -136,51 +131,40 @@ def _forcing_kernel(g: Graph) -> tuple:
         if not left:
             continue
         to_v = edge_at[v]
-        s = len(links)
-        comp = reach(co_adj, left & -left, left)
-        if comp == left:
-            # One star holds every edge at v.  Its edges to lower
-            # neighbours reach the stars already made at their low ends.
+        first = s = len(links)
+        # Every upper edge's low star starts as the first star; a later
+        # star overwrites the slots of its own members only.
+        low += [s] * (left >> v).bit_count()
+        while left:
+            # The next star grows from the least unvisited neighbour.  A
+            # popped member u adds its unvisited non-neighbours, the bits
+            # of left that adj[u] lacks.  A member below v links the star
+            # to the one at the edge's low end.
+            comp = left & -left
+            left ^= comp
             centre.append(v)
-            down = []
-            for u, e in to_v.items():
-                if u > v:
-                    break
-                a = low[e]
-                down.append(a)
-                links[a].append(s)
-            links.append(down)
-            low += [s] * (len(to_v) - len(down))
-        else:
-            # Several stars.  A member above v fills in its edge's low
-            # star, whose slot is reserved here; a member below v links
-            # the new star to its own.  Each star grows from its seed as
-            # it is walked: a popped member adds its unvisited
-            # non-neighbours.  The first star's seed is the whole
-            # co-component that reach found, so it has none left to add;
-            # each later star's seed is its least member.
-            low += [0] * (left >> v).bit_count()
-            while left:
-                left ^= comp
-                centre.append(v)
-                links.append([])
-                while comp:
-                    y = comp & -comp
-                    comp ^= y
-                    u = y.bit_length() - 1
-                    grow = co_adj[u] & left
-                    if grow:
-                        comp |= grow
-                        left ^= grow
-                    e = to_v[u]
-                    if u > v:
-                        low[e] = s
-                    else:
-                        a = low[e]
-                        links[a].append(s)
-                        links[s].append(a)
-                s += 1
-                comp = left & -left
+            mine: list[int] = []
+            links.append(mine)
+            while comp:
+                y = comp & -comp
+                comp ^= y
+                u = y.bit_length() - 1
+                if left:
+                    keep = left & adj[u]
+                    if keep != left:
+                        comp |= left ^ keep
+                        left = keep
+                        if not left and s == first:
+                            # The first star holds every edge at v: only
+                            # its members below v are left to link.
+                            comp &= (1 << v) - 1
+                if u < v:
+                    a = low[to_v[u]]
+                    links[a].append(s)
+                    mine.append(a)
+                elif s != first:
+                    low[to_v[u]] = s
+            s += 1
 
     # One BFS per class over the stars, started with colour 0 from the low
     # star of the least edge not yet labelled, so class ids follow least

@@ -139,10 +139,11 @@ FAMILY_USAGE = (
 MAX_FAMILY_SIZE = 1_000_000
 
 # The most vertices a family spec may ask for.  A Graph keeps one bitset
-# per vertex, and the kernel a complemented copy, so memory grows as n^2
-# even on a path.  At this cap, on a 2-vCPU VM, `classes` peaks at 376 MB
-# on path,50000 and at 768 MB on join_k1:join_k1:double_path_apex,24998,
-# whose apexes set a high bit in every row.
+# per vertex at absolute bit positions, so memory grows as n^2 even on a
+# path.  At this cap, on a 2-vCPU VM, `classes` peaks at 214 MB on
+# path,50000 and at 756 MB on join_k1:join_k1:double_path_apex,24998,
+# whose apexes set a high bit in every row; the graph's rows are nearly
+# all of it.
 MAX_FAMILY_VERTICES = 50_000
 
 _FIGURES = {"k4_minus_e": (4, 5), "fig1_left": (6, 12), "fig1_right": (6, 10)}

@@ -34,7 +34,7 @@ class Graph:
     neighbour list, which :meth:`neighbors`, :meth:`degree` and
     :func:`induced_p3_edges` read.  Walks over the bitsets go through
     :func:`reach`, the package's one bitset BFS function (the forcing
-    kernel also grows co-components in its own star walk), and induced
+    kernel grows its co-components in its own star walk), and induced
     P3s through :func:`induced_p3_edges`.  External string labels, when
     present, map one-to-one onto the dense ids.  Only the forcing kernel in
     :mod:`qt2ec.classes` reads these fields outside this module, and
@@ -49,17 +49,27 @@ class Graph:
         edges: Iterable[EdgePair] = (),
         labels: Sequence[str] | None = None,
     ):
+        if type(n) is not int:
+            raise ContractError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ContractError(f"vertex count must be non-negative, got {n}")
         # A dict keeps the edges in input order.  The family generators and
         # graph_from_mask give them mostly sorted, so the sort below runs in
         # about linear time; a set would hand it the edges in hash order.
+        # An edge that is not a pair of ints is caught by what it breaks:
+        # the unpacking or the range test here, or the shifts further down.
         canonical: dict[EdgePair, None] = {}
-        for u, v in edges:
-            if u == v:
-                raise ContractError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ContractError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+        for edge in edges:
+            try:
+                u, v = edge
+                if u == v:
+                    raise ContractError(f"self-loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ContractError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+            except ContractError:
+                raise
+            except (TypeError, ValueError):
+                raise _not_a_pair(edge) from None
             canonical[(u, v) if u < v else (v, u)] = None
         self.n = n
         self.edges: tuple[EdgePair, ...] = tuple(sorted(canonical))
@@ -75,11 +85,14 @@ class Graph:
         # first and every row of the edge map is keyed in ascending order.
         adj = [0] * n
         edge_at: list[dict[int, int]] = [{} for _ in range(n)]
-        for i, (u, v) in enumerate(self.edges):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            edge_at[u][v] = i
-            edge_at[v][u] = i
+        try:
+            for i, (u, v) in enumerate(self.edges):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                edge_at[u][v] = i
+                edge_at[v][u] = i
+        except TypeError:
+            raise _not_a_pair((u, v)) from None
         self._adj_bits = tuple(adj)
         self._edge_at = tuple(edge_at)
         self._partition = None
@@ -148,6 +161,10 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _not_a_pair(edge: object) -> ContractError:
+    return ContractError(f"edge {edge!r} is not a pair of int vertex ids")
 
 
 def check_edge_record(g: Graph, values: tuple, allowed: tuple, record: str, value: str) -> None:
@@ -450,8 +467,9 @@ def reach(adj: Sequence[int], seed: int, within: int = -1) -> int:
     ``within``.
 
     This is the package's one bitset BFS function; the forcing kernel
-    also grows a centre's later co-components in the walk that hands out
-    their star ids.  It stops as soon as the component fills ``within``.
+    does not call it, as it grows a centre's co-components in the walk
+    that hands out their star ids.  It stops as soon as the component
+    fills ``within``.
     """
     component = frontier = seed
     while frontier and component != within:
@@ -471,16 +489,18 @@ def is_complete_multipartite(g: Graph) -> list[tuple[int, ...]] | None:
 
     A vertex's candidate part is its non-neighbourhood, itself included.
     The graph is complete multipartite iff every member of that part has
-    the same non-neighbourhood.  Parts are sorted by their smallest vertex.
+    the same non-neighbourhood, that is, the same adjacency row.  Parts
+    are sorted by their smallest vertex.
     """
+    adj = g._adj_bits
     full = (1 << g.n) - 1
-    co_rows = [full & ~a for a in g._adj_bits]
     seen = 0
     parts: list[tuple[int, ...]] = []
-    for v, part in enumerate(co_rows):
+    for v, row in enumerate(adj):
         if not (seen >> v) & 1:
+            part = full ^ row
             members = tuple(u for u in range(g.n) if (part >> u) & 1)
-            if any(co_rows[u] != part for u in members):
+            if any(adj[u] != row for u in members):
                 return None
             seen |= part
             parts.append(members)

@@ -21,6 +21,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from functools import lru_cache, partial
 from random import Random
+from sys import intern
 
 from .classes import EdgeClassPartition, compute_classes
 from .colouring import count_homogeneous_witness_classes, find_homogeneous_witness
@@ -527,7 +528,9 @@ def _run_checks(checks: list[tuple[str, CheckFn]], item: tuple[int, int]) -> lis
     ``(check, witness or "")``; the sort is stable, so records that tie
     keep the order their check returned them in.  A check's records are
     sorted first, so its time goes on the first of them in that order and
-    the ``seconds`` sum to the time spent in checks."""
+    the ``seconds`` sum to the time spent in checks.  Each detail is
+    interned: most are equal across graphs, and one shared string pickles
+    once per chunk of rows, not once per row."""
     g = graph_from_mask(*item)
     key = encode_graph6(g)
     partition = compute_classes(g)
@@ -539,7 +542,7 @@ def _run_checks(checks: list[tuple[str, CheckFn]], item: tuple[int, int]) -> lis
         if len(records) > 1:
             records = sorted(records, key=_record_order)
         for name, passed, _, witness, detail, _ in records:
-            out.append((name, passed, key, witness, detail, seconds))
+            out.append((name, passed, key, witness, detail and intern(detail), seconds))
             seconds = None
     out.sort(key=_record_order)
     return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import re
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -19,6 +20,7 @@ from qt2ec import (
     ContractError,
     FormatError,
     Graph,
+    compute_classes,
     encode_graph6,
     format_edge_list,
     induced_p3_edges,
@@ -87,12 +89,23 @@ def test_constructor_names_the_first_bad_edge_in_input_order():
         ([(0, 1), (-1, 0)], r"edge \(-1, 0\) outside vertex range 0\.\.2"),
         # A self-loop is named before a range error on the same edge.
         ([(7, 7)], "self-loop at vertex 7"),
+        # An edge that is not a pair of int ids, named as given.
+        ([("0", "1")], re.escape("edge ('0', '1') is not a pair of int vertex ids")),
+        ([(0, 1), None], "edge None is not a pair of int vertex ids"),
+        ([(0, 1, 2)], re.escape("edge (0, 1, 2) is not a pair of int vertex ids")),
+        # A float id passes the self-loop and range tests, so it is named,
+        # in its (min, max) form, only when no edge fails those.
+        ([(1.0, 0)], re.escape("edge (0, 1.0) is not a pair of int vertex ids")),
+        ([(0, 1.5), (2, 2)], "self-loop at vertex 2"),
     ]
     for edges, message in cases:
         with pytest.raises(ContractError, match=f"^{message}$"):
             Graph(3, edges)
     with pytest.raises(ContractError, match="^vertex count must be non-negative, got -1$"):
         Graph(-1, [(0, 0)])
+    for n in (2.0, "3", True):
+        with pytest.raises(ContractError, match=f"^vertex count must be an int, got {re.escape(repr(n))}$"):
+            Graph(n)
 
 
 def test_constructor_reads_a_one_shot_iterator_once():
@@ -616,6 +629,26 @@ def test_is_module_set_matches_naive_definition(g: Graph):
                 if v not in inside
             )
             assert is_module_set(g, inside) == naive
+
+
+def test_large_sparse_graphs_keep_no_complemented_rows():
+    # A row complemented to n bits costs n/8 bytes whatever the degree, so
+    # one per vertex of path(8000) is 8 MB.  The graph's own rows are
+    # built before tracing starts, and each call is charged only what its
+    # peak adds to what was already held.
+    g = path(8000)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in (compute_classes, is_complete_multipartite):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call(g)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 4_000_000, peaks
+    assert peaks[1] < 1_000_000, peaks
 
 
 def test_is_complete_multipartite_examples():
