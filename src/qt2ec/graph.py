@@ -53,11 +53,12 @@ class Graph:
             raise ContractError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ContractError(f"vertex count must be non-negative, got {n}")
-        # A dict keeps the edges in input order.  The family generators and
-        # graph_from_mask give them mostly sorted, so the sort below runs in
-        # about linear time; a set would hand it the edges in hash order.
-        # An edge that is not a pair of ints is caught by what it breaks:
-        # the unpacking or the range test here, or the shifts further down.
+        # A dict keeps the edges in input order.  The family generators give
+        # them mostly sorted and graph_from_mask sorted, so the sort below
+        # runs in about linear time; a set would hand it the edges in hash
+        # order.  An edge that is not a pair of ints is caught by what it
+        # breaks: the unpacking or the range test here, or the shifts further
+        # down; only a bool id needs a test of its own.
         canonical: dict[EdgePair, None] = {}
         for edge in edges:
             try:
@@ -80,6 +81,14 @@ class Graph:
             if len(set(labels)) != n:
                 raise ContractError("vertex labels must be unique")
         self.labels: tuple[str, ...] | None = labels
+        # A bool id passes every test above, and the range test admits it
+        # only as vertex 0 or 1, so only the edges whose low end is 0 or 1,
+        # the first ones in sorted order, can hold one.
+        for u, v in self.edges:
+            if u > 1:
+                break
+            if type(u) is bool or type(v) is bool:
+                raise _not_a_pair((u, v))
 
         # The edges arrive sorted, so each vertex's lower neighbours come
         # first and every row of the edge map is keyed in ascending order.

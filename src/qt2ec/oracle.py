@@ -145,13 +145,25 @@ def _orientation_count(g: Graph) -> int:
 
 @lru_cache(maxsize=None)
 def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
-    """The vertex pairs of n vertices in edge-mask bit order."""
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+    """The vertex pairs of n vertices in edge-mask bit order.  graph6 writes
+    the upper triangle column by column, pair (0, 1) first, and mask bit b
+    is the pair it writes (N - 1 - b)-th, N = n(n-1)/2: a mask is the
+    integer of its graph's graph6 bits, so ascending masks have ascending
+    graph6 keys."""
+    return tuple((u, v) for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1))
+
+
+@lru_cache(maxsize=None)
+def _row_order(n: int) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """``(mask bit, pair)`` for the pairs of n vertices in row order, (0, 1),
+    (0, 2), ..., the order ``Graph`` sorts its edges in."""
+    return tuple(sorted(enumerate(_pair_table(n)), key=lambda bit_pair: bit_pair[1]))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
-    pairs = _pair_table(n)
-    return Graph(n, [pairs[b] for b in range(len(pairs)) if (mask >> b) & 1])
+    """The graph of an edge mask in :func:`_pair_table`'s layout; its edges
+    go to ``Graph`` sorted."""
+    return Graph(n, [pair for bit, pair in _row_order(n) if mask >> bit & 1])
 
 
 def _mask_connected(pairs: tuple[tuple[int, int], ...], n: int, mask: int) -> bool:
@@ -179,7 +191,8 @@ def _labeled_masks(n: int, connected_only: bool) -> Iterator[int]:
 
 
 def enumerate_labeled_graphs(n: int, connected_only: bool = True) -> Iterator[Graph]:
-    """All labeled graphs on n vertices in ascending edge-mask order."""
+    """All labeled graphs on n vertices in ascending edge-mask order, which
+    is graph6 order."""
     _check_corpus_n(n)
     for mask in _labeled_masks(n, connected_only):
         yield graph_from_mask(n, mask)
@@ -194,11 +207,19 @@ def _sample_connected_masks(n: int, count: int, seed: int) -> list[int]:
     if count > _CONNECTED_COUNTS[n - 1]:
         raise RefusalError(f"fewer than {count} connected graphs exist at n={n}")
     pairs = _pair_table(n)
+    # A draw reads the upper triangle row by row, its bit i the i-th pair in
+    # row order, so what a seed names is not tied to the mask layout.
+    row_bits = [1 << bit for bit, _ in _row_order(n)]
     rng = Random(seed)
     seen: set[int] = set()
     out: list[int] = []
     while len(out) < count:
-        mask = rng.getrandbits(len(pairs))
+        drawn = rng.getrandbits(len(pairs))
+        mask = 0
+        while drawn:
+            low = drawn & -drawn
+            mask |= row_bits[low.bit_length() - 1]
+            drawn ^= low
         if mask in seen:
             continue
         seen.add(mask)
@@ -574,31 +595,6 @@ def _records(run: Callable, items: list[tuple[int, int]], threads: int) -> Itera
 _record_of_row = partial(tuple.__new__, CheckResult)
 
 
-@lru_cache(maxsize=None)
-def _graph6_rank(n: int) -> Callable[[int], int]:
-    """The function from an n-vertex edge mask to the integer whose bits
-    are its graph6 upper-triangle bits, so that sorting the masks of one n
-    by it sorts their graph6 keys.  graph6 reads the pairs column by
-    column, pair (0, 1) first and most significant, so the bit of pair
-    (u, v) weighs ``1 << (nbits - 1 - (v(v-1)/2 + u))``; the weights are
-    summed a byte of the mask at a time, from one table per byte."""
-    pairs = _pair_table(n)
-    weights = [1 << (len(pairs) - 1 - (v * (v - 1) // 2 + u)) for u, v in pairs]
-    tables = [
-        [sum(w for b, w in enumerate(weights[lo : lo + 8]) if byte >> b & 1) for byte in range(256)]
-        for lo in range(0, len(weights), 8)
-    ]
-
-    def rank(mask: int) -> int:
-        key = 0
-        for table in tables:
-            key |= table[mask & 255]
-            mask >>= 8
-        return key
-
-    return rank
-
-
 def sweep_records(
     cfg: SweepConfig, registry: dict[str, CheckFn] | None = None
 ) -> tuple[dict[str, object], Iterator[CheckResult]]:
@@ -611,10 +607,13 @@ def sweep_records(
     returns, so a bad config raises ContractError and a ``sample_n6``
     larger than the connected six-vertex graphs raises RefusalError before
     any check runs.  The corpus items ``(n, mask)`` are listed in graph6
-    order, which holds each graph once, and the serial loop and the pool
-    workers alike map one function, ``_run_checks`` bound to the sorted
-    checks, over them in that order; each graph's rows come back already
-    in per-graph order, so the records come out sorted by (graph6, check,
+    order, which holds each graph once: a mask is the integer of its
+    graph's graph6 bits (:func:`_pair_table`), so n ascending, each n's
+    masks as ``_labeled_masks`` yields them and the seeded sample sorted
+    as plain ints are that order.  The serial loop and the pool workers
+    alike map one function, ``_run_checks`` bound to the sorted checks,
+    over them in that order; each graph's rows come back already in
+    per-graph order, so the records come out sorted by (graph6, check,
     witness or "") as they are made, and multi-worker runs give the same
     stream.  The records are made as they are asked for; a consumer that
     stops early should ``close()`` the iterator, which shuts its pool down.
@@ -646,14 +645,10 @@ def sweep_records(
             valid = ", ".join(sorted(table))
             raise ContractError(f"unknown check {name!r}; expected one of: {valid}")
 
-    items = [
-        (n, mask)
-        for n in range(1, cfg.max_n + 1)
-        for mask in sorted(_labeled_masks(n, connected_only=True), key=_graph6_rank(n))
-    ]
+    items = [(n, mask) for n in range(1, cfg.max_n + 1) for mask in _labeled_masks(n, True)]
     if cfg.sample_n6:
         sample = _sample_connected_masks(6, cfg.sample_n6, cfg.seed)
-        items.extend((6, mask) for mask in sorted(sample, key=_graph6_rank(6)))
+        items.extend((6, mask) for mask in sorted(sample))
     meta = {
         "max_n": cfg.max_n,
         "connected_only": True,  # always; kept in the report schema

@@ -97,6 +97,10 @@ def test_constructor_names_the_first_bad_edge_in_input_order():
         # in its (min, max) form, only when no edge fails those.
         ([(1.0, 0)], re.escape("edge (0, 1.0) is not a pair of int vertex ids")),
         ([(0, 1.5), (2, 2)], "self-loop at vertex 2"),
+        # A bool id equals 0 or 1 and passes those tests too; it is named
+        # in its (min, max) form.
+        ([(0, True), (True, 2)], re.escape("edge (0, True) is not a pair of int vertex ids")),
+        ([(2, 1), (2, False)], re.escape("edge (False, 2) is not a pair of int vertex ids")),
     ]
     for edges, message in cases:
         with pytest.raises(ContractError, match=f"^{message}$"):

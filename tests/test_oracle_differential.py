@@ -40,7 +40,7 @@ from qt2ec import (
     orientability,
     theorem_sweep,
 )
-from qt2ec.families import complete
+from qt2ec.families import complete, cycle, path
 from qt2ec.graph import induced_p3_edges, induced_p3s, reach
 from qt2ec.oracle import (
     ALL_CHECKS,
@@ -455,7 +455,9 @@ def tampered_partitions(g: Graph, merges=None):
     """The true partition, then for each pair in ``merges`` (default: all)
     two classes merged, also with an empty class added; then each class
     of two or more edges split into its least edge and the rest, and into
-    its even and odd positions."""
+    its even and odd positions; then, for each class, the true classes
+    with that class's orientability stated wrong: an orientable class
+    contradictory, at its least edge, or a contradictory one orientable."""
     true = compute_classes(g)
     yield true
     groups = [list(c) for c in true.classes]
@@ -469,6 +471,10 @@ def tampered_partitions(g: Graph, merges=None):
             rest = groups[:i] + groups[i + 1:]
             yield partition_of(g, rest + [group[:1], group[1:]])
             yield partition_of(g, rest + [group[::2], group[1::2]])
+    for c, group in enumerate(groups):
+        flipped = list(true.contradictions)
+        flipped[c] = g.edge(group[0]) if flipped[c] is None else None
+        yield true._replace(contradictions=tuple(flipped))
 
 
 def verdict(g: Graph, p: EdgeClassPartition, name: str) -> tuple[bool, str | None]:
@@ -842,10 +848,10 @@ def test_crossing_checks_on_random_groupings_of_four_and_five_vertex_graphs():
     for n in (4, 5):
         for g in enumerate_labeled_graphs(n):
             assert_crossing_checks_agree(g, random_groupings(g, rng, 3), fails)
-    # 2,298 partitions: 55 meet the lemma's hypotheses and 41 of those
-    # miss a forced edge.
-    assert fails["partitions with tinylemma instances"] == 55, fails
-    assert fails["tinylemma-forced-edge"] == 41, fails
+    # 2,298 partitions, drawn in graph6 order: 51 meet the lemma's
+    # hypotheses and 39 of those miss a forced edge.
+    assert fails["partitions with tinylemma instances"] == 51, fails
+    assert fails["tinylemma-forced-edge"] == 39, fails
 
 
 def test_tinylemma_instances_occur_only_where_crossing_law_a_fails():
@@ -865,7 +871,7 @@ def test_tinylemma_instances_occur_only_where_crossing_law_a_fails():
                     r.check == "crossing-no-edge-inside-intersection" and not r.passed
                     for r in ALL_CHECKS["crossing-lemmas"](g, p)
                 )
-    assert (with_instances, with_law_a_failing) == (55, 55)
+    assert (with_instances, with_law_a_failing) == (51, 51)
 
 
 # The diamond 0-1-3-2 (diagonal 1-2) with a pendant edge 2-4, split by hand
@@ -912,13 +918,15 @@ def test_tinylemma_names_the_witness_of_the_role_with_the_lower_cf():
 # ---------------------------------------------------------------------------
 # every sweep check judges the partition it is handed
 
-# Of the 4,664 partitions from tampered_partitions on the 772 connected
+# Of the 6,055 partitions from tampered_partitions on the 772 connected
 # labeled graphs with n <= 5, how many give each check a failing record.
 # The 772 true partitions give none.  No tampering meets the tiny lemma's
-# hypotheses; its kill is the 41 random groupings pinned above.
+# hypotheses; its kill is the 39 random groupings pinned above.  Only
+# orientation-count reads orientability, so it alone kills the 1,391
+# partitions that state one class's orientability wrong.
 KILLS = {
     "colouring-count": 2929,
-    "orientation-count": 2929,
+    "orientation-count": 4320,
     "partition-laws": 2152,
     "class-subgraph-single-class": 1977,
     "shortest-path-single-class": 1966,
@@ -948,5 +956,34 @@ def test_every_check_fails_on_tampered_partitions_and_passes_on_true_ones():
                     if not all(r.passed for r in check(g, p))
                 )
             partitions += 1 + len(tampered)
-    assert partitions == 4664
+    assert partitions == 6055
     assert {name: kills[name] for name in ALL_CHECKS} == KILLS
+
+
+def test_orientability_stated_wrong_fails_orientation_count_alone():
+    # C5's one class is contradictory, and P4's is orientable: each stated
+    # the other way is caught by the brute-force orientation count.
+    for g, witness in ((cycle(5), "brute=0 expected=2"), (path(4), "brute=2 expected=0")):
+        true, *tampered = tampered_partitions(g)
+        (p,) = [p for p in tampered if p.classes == true.classes]
+        assert p.contradictions != true.contradictions
+        (record,) = ALL_CHECKS["orientation-count"](g, p)
+        assert (record.passed, record.witness) == (False, witness)
+    # On every connected graph with n <= 5, each class's orientability
+    # stated wrong fails orientation-count and no other check: 12 times
+    # a contradictory class (the labeled C5s) stated orientable, 1,379
+    # times an orientable one stated contradictory.
+    stated: Counter = Counter()
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            true, *tampered = tampered_partitions(g)
+            for p in tampered:
+                if p.classes != true.classes:
+                    continue
+                failing = [
+                    name for name, check in ALL_CHECKS.items()
+                    if not all(r.passed for r in check(g, p))
+                ]
+                assert failing == ["orientation-count"], (g.edges, p.contradictions)
+                stated[all(w is None for w in p.contradictions)] += 1
+    assert stated == {True: 12, False: 1379}
