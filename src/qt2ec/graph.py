@@ -58,8 +58,11 @@ class Graph:
         # runs in about linear time; a set would hand it the edges in hash
         # order.  An edge that is not a pair of ints is caught by what it
         # breaks: the unpacking or the range test here, or the shifts further
-        # down; only a bool id needs a test of its own.
-        canonical: dict[EdgePair, None] = {}
+        # down; only a bool id needs a test of its own.  A repeated edge keeps
+        # its first spelling, so the later ones take those tests as a graph
+        # of their own.
+        canonical: dict[EdgePair, EdgePair] = {}
+        later: list[EdgePair] = []
         for edge in edges:
             try:
                 u, v = edge
@@ -71,7 +74,11 @@ class Graph:
                 raise
             except (TypeError, ValueError):
                 raise _not_a_pair(edge) from None
-            canonical[(u, v) if u < v else (v, u)] = None
+            pair = (u, v) if u < v else (v, u)
+            if canonical.setdefault(pair, pair) is not pair:
+                later.append(pair)
+        if later:
+            Graph(n, later)
         self.n = n
         self.edges: tuple[EdgePair, ...] = tuple(sorted(canonical))
         if labels is not None:

@@ -17,9 +17,10 @@ own class count in one union-find over the graph's edges.
 from __future__ import annotations
 
 import time
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Callable, Iterator
 from functools import lru_cache, partial
+from itertools import chain, islice
 from random import Random
 from sys import intern
 
@@ -183,19 +184,14 @@ def _check_corpus_n(n: int) -> None:
         raise ContractError(f"corpus size must be 1..{MAX_CORPUS_N}, got {n}")
 
 
-def _labeled_masks(n: int, connected_only: bool) -> Iterator[int]:
-    pairs = _pair_table(n)
-    for mask in range(1 << len(pairs)):
-        if not connected_only or _mask_connected(pairs, n, mask):
-            yield mask
-
-
 def enumerate_labeled_graphs(n: int, connected_only: bool = True) -> Iterator[Graph]:
     """All labeled graphs on n vertices in ascending edge-mask order, which
     is graph6 order."""
     _check_corpus_n(n)
-    for mask in _labeled_masks(n, connected_only):
-        yield graph_from_mask(n, mask)
+    pairs = _pair_table(n)
+    for mask in range(1 << len(pairs)):
+        if not connected_only or _mask_connected(pairs, n, mask):
+            yield graph_from_mask(n, mask)
 
 
 # The number of connected labeled graphs on n = 1..7 vertices (OEIS A001187).
@@ -535,56 +531,63 @@ class SweepConfig(
 Row = tuple[str, bool, str, str | None, str | None, float | None]
 
 
-def _record_order(r: CheckResult | Row) -> tuple[str, str]:
-    """``(check, witness or "")``, at the same positions in records and rows."""
-    return r[0], r[3] or ""
+def _record_order(r: CheckResult | Row) -> tuple[str, str, str]:
+    """``(graph6 key, check, witness or "")``, at the same positions in
+    records and rows."""
+    return r[2], r[0], r[3] or ""
 
 
-def _run_checks(checks: list[tuple[str, CheckFn]], item: tuple[int, int]) -> list[Row]:
-    """The checks of the ``(name, check)`` pairs, in name order, on the
-    corpus graph ``item = (n, mask)``, as plain ``(check, passed, key,
-    witness, detail, seconds)`` tuples keyed by graph6: the fields of
-    ``CheckResult`` in order, which pickle far cheaper than records on
-    their way back from a pool worker.  The rows come sorted by
-    ``(check, witness or "")``; the sort is stable, so records that tie
-    keep the order their check returned them in.  A check's records are
-    sorted first, so its time goes on the first of them in that order and
-    the ``seconds`` sum to the time spent in checks.  Each detail is
-    interned: most are equal across graphs, and one shared string pickles
-    once per chunk of rows, not once per row."""
-    g = graph_from_mask(*item)
-    key = encode_graph6(g)
-    partition = compute_classes(g)
+def _run_checks(checks: list[tuple[str, CheckFn]], block: tuple[int, range | list[int]]) -> list[Row]:
+    """The checks of the ``(name, check)`` pairs, in name order, on each
+    connected graph of the corpus block ``(n, masks)``, in mask order, as
+    plain ``(check, passed, key, witness, detail, seconds)`` tuples keyed
+    by graph6: the fields of ``CheckResult`` in order, which pickle far
+    cheaper than records on their way back from a pool worker.  The rows
+    come sorted by ``(key, check, witness or "")``; the sort is stable, so
+    records that tie keep the order their check returned them in.  A
+    check's records are sorted first, so its time goes on the first of
+    them in that order and the ``seconds`` sum to the time spent in checks.
+    Each detail is interned: most are equal across graphs, and one shared
+    string pickles once per block of rows, not once per row."""
+    n, masks = block
     out: list[Row] = []
-    for _, check in checks:
-        started = time.perf_counter()
-        records = check(g, partition)
-        seconds: float | None = time.perf_counter() - started
-        if len(records) > 1:
-            records = sorted(records, key=_record_order)
-        for name, passed, _, witness, detail, _ in records:
-            out.append((name, passed, key, witness, detail and intern(detail), seconds))
-            seconds = None
+    for mask in filter(partial(_mask_connected, _pair_table(n), n), masks):
+        g = graph_from_mask(n, mask)
+        key = encode_graph6(g)
+        partition = compute_classes(g)
+        for _, check in checks:
+            started = time.perf_counter()
+            records = check(g, partition)
+            seconds: float | None = time.perf_counter() - started
+            if len(records) > 1:
+                records = sorted(records, key=_record_order)
+            for name, passed, _, witness, detail, _ in records:
+                out.append((name, passed, key, witness, detail and intern(detail), seconds))
+                seconds = None
     out.sort(key=_record_order)
     return out
 
 
-def _records(run: Callable, items: list[tuple[int, int]], threads: int) -> Iterator[CheckResult]:
-    """``run`` over each corpus item, in item order, in a pool of
-    ``threads`` worker processes or, with one thread, in this one; each
-    graph's rows become ``CheckResult`` records as they arrive.  When the
-    consumer closes it early, or a check raises, the pool's pending chunks
-    are cancelled and its workers joined before this generator ends."""
+def _records(run: Callable, blocks: Iterator, threads: int) -> Iterator[CheckResult]:
+    """``run`` over each corpus block, in order, in this process or in a
+    pool of ``threads`` workers with at most ``4 * threads`` blocks in
+    flight; the rows become ``CheckResult`` records as they arrive.  When
+    the consumer closes it early, or a check raises, the pool's pending
+    blocks are cancelled and its workers joined before this generator
+    ends."""
     if threads == 1:
-        for rows in map(run, items):
-            yield from map(_record_of_row, rows)
+        yield from map(_record_of_row, chain.from_iterable(map(run, blocks)))
         return
     # Imported here: the module costs every CLI call tens of ms.
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=threads)
     try:
-        for rows in pool.map(run, items, chunksize=64):
+        futures = (pool.submit(run, block) for block in blocks)
+        pending = deque(islice(futures, 4 * threads))
+        while pending:
+            rows = pending.popleft().result()
+            pending.extend(islice(futures, 1))
             yield from map(_record_of_row, rows)
     finally:
         pool.shutdown(cancel_futures=True)
@@ -603,17 +606,17 @@ def sweep_records(
     This is the one place that decides the corpus (connected graphs only)
     and keys the records: checks return unkeyed records, and each gets the
     graph6 key of its graph here.  Failures become records (never
-    exceptions).  ``cfg`` is checked and the corpus listed before this
+    exceptions).  ``cfg`` is checked and the sample drawn before this
     returns, so a bad config raises ContractError and a ``sample_n6``
     larger than the connected six-vertex graphs raises RefusalError before
-    any check runs.  The corpus items ``(n, mask)`` are listed in graph6
-    order, which holds each graph once: a mask is the integer of its
-    graph's graph6 bits (:func:`_pair_table`), so n ascending, each n's
-    masks as ``_labeled_masks`` yields them and the seeded sample sorted
-    as plain ints are that order.  The serial loop and the pool workers
-    alike map one function, ``_run_checks`` bound to the sorted checks,
-    over them in that order; each graph's rows come back already in
-    per-graph order, so the records come out sorted by (graph6, check,
+    any check runs.  The corpus is never listed: it goes out in blocks
+    ``(n, masks)``, 64 consecutive masks of one n or up to 64 of the sorted
+    sample, and ``meta["graphs"]`` counts it from ``_CONNECTED_COUNTS``.
+    A mask is the integer of its graph's graph6 bits (:func:`_pair_table`),
+    so the blocks hold each graph once, in graph6 order.  The serial loop
+    and the pool workers alike map one function, ``_run_checks`` bound to
+    the sorted checks, over the blocks in that order, and each block's rows
+    come back sorted, so the records come out sorted by (graph6, check,
     witness or "") as they are made, and multi-worker runs give the same
     stream.  The records are made as they are asked for; a consumer that
     stops early should ``close()`` the iterator, which shuts its pool down.
@@ -645,20 +648,20 @@ def sweep_records(
             valid = ", ".join(sorted(table))
             raise ContractError(f"unknown check {name!r}; expected one of: {valid}")
 
-    items = [(n, mask) for n in range(1, cfg.max_n + 1) for mask in _labeled_masks(n, True)]
+    corpus: list = [(n, range(1 << n * (n - 1) // 2)) for n in range(1, cfg.max_n + 1)]
     if cfg.sample_n6:
-        sample = _sample_connected_masks(6, cfg.sample_n6, cfg.seed)
-        items.extend((6, mask) for mask in sorted(sample))
+        corpus.append((6, sorted(_sample_connected_masks(6, cfg.sample_n6, cfg.seed))))
+    blocks = ((n, masks[lo : lo + 64]) for n, masks in corpus for lo in range(0, len(masks), 64))
     meta = {
         "max_n": cfg.max_n,
         "connected_only": True,  # always; kept in the report schema
         "checks": names,
         "sample_n6": cfg.sample_n6,
         "seed": cfg.seed,
-        "graphs": len(items),
+        "graphs": sum(_CONNECTED_COUNTS[: cfg.max_n]) + (cfg.sample_n6 or 0),
     }
     run = partial(_run_checks, [(name, table[name]) for name in names])
-    return meta, _records(run, items, cfg.threads)
+    return meta, _records(run, blocks, cfg.threads)
 
 
 def theorem_sweep(

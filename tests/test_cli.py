@@ -495,15 +495,15 @@ def breaks_on_three_vertices(g, p):
 
 def test_a_check_that_raises_leaves_the_lines_written_and_is_no_write_error(capsys, monkeypatch):
     # JSON lines are written as the records arrive: the header before any
-    # check runs, and serially the records of K1 and K2 before the check
-    # breaks (on the pool all six graphs share one chunk, which fails
-    # whole).  The OSError is the check's, not a failed write.
+    # check runs, and the records of K1 and K2 before the check breaks, on
+    # the pool too, where each n's masks go out in blocks of their own.
+    # The OSError is the check's, not a failed write.
     monkeypatch.setitem(ALL_CHECKS, "breaks-on-three-vertices", breaks_on_three_vertices)
-    for threads, keys in (("1", [None, "@", "A_"]), ("2", [None])):
+    for threads in ("1", "2"):
         with pytest.raises(OSError, match="the check broke on a three-vertex graph"):
             main(["verify", "--max-n", "3", "--checks", "breaks-on-three-vertices", "--threads", threads, "--out", "json"])
         out = capsys.readouterr().out.splitlines()
-        assert [json.loads(line).get("graph6") for line in out] == keys, threads
+        assert [json.loads(line).get("graph6") for line in out] == [None, "@", "A_"], threads
 
 
 def test_verify_unknown_check_names_the_valid_ones(capsys):
@@ -530,22 +530,22 @@ def test_verify_empty_checks_is_an_unknown_check(capsys):
     ],
 )
 def test_verify_refuses_empty_sweeps(capsys, monkeypatch, argv, message):
-    # Each refusal comes before the corpus is built.
-    def no_corpus(*args):
-        raise AssertionError("corpus built before the refusal")
+    # Each refusal comes before the record stream is made.
+    def no_stream(*args):
+        raise AssertionError("record stream made before the refusal")
 
-    monkeypatch.setattr(qt2ec.oracle, "_labeled_masks", no_corpus)
+    monkeypatch.setattr(qt2ec.oracle, "_records", no_stream)
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert message in err
 
 
 def test_verify_refuses_thread_counts_out_of_range(capsys, monkeypatch):
-    # Each refusal comes before any corpus graph is built or pool started.
-    def no_corpus(*args):
-        raise AssertionError("corpus built before the refusal")
+    # Each refusal comes before the record stream, let alone a pool, exists.
+    def no_stream(*args):
+        raise AssertionError("record stream made before the refusal")
 
-    monkeypatch.setattr(qt2ec.oracle, "_labeled_masks", no_corpus)
+    monkeypatch.setattr(qt2ec.oracle, "_records", no_stream)
     for value in ("65", "0", "-3"):
         code, out, err = run(capsys, "verify", "--max-n", "2", "--threads", value)
         assert code == 2 and out == ""

@@ -101,6 +101,10 @@ def test_constructor_names_the_first_bad_edge_in_input_order():
         # in its (min, max) form.
         ([(0, True), (True, 2)], re.escape("edge (0, True) is not a pair of int vertex ids")),
         ([(2, 1), (2, False)], re.escape("edge (False, 2) is not a pair of int vertex ids")),
+        # A repeated edge is refused for a bad id as its first spelling is.
+        ([(0, 1), (0, True)], re.escape("edge (0, True) is not a pair of int vertex ids")),
+        ([(0, 1), (0, 1.0)], re.escape("edge (0, 1.0) is not a pair of int vertex ids")),
+        ([(1, 0), (0, 1.0)], re.escape("edge (0, 1.0) is not a pair of int vertex ids")),
     ]
     for edges, message in cases:
         with pytest.raises(ContractError, match=f"^{message}$"):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import pickle
 import re
+from functools import partial
 
 import pytest
 
@@ -33,6 +34,7 @@ from qt2ec.oracle import (
     graph_from_mask,
     sample_connected_graphs,
     subset_witness_count,
+    sweep_records,
 )
 from qt2ec.report import VerificationReport, json_lines
 from qt2ec.structure import NESTED, ClassPairRelation
@@ -122,8 +124,11 @@ def test_sample_connected_graphs_seeded():
 
 
 def test_connected_counts_match_the_enumerated_corpus():
+    # The sweep's header counts its graphs from this table, and its worker
+    # keeps the masks that _mask_connected accepts.
     for n in range(1, 7):
-        assert oracle._CONNECTED_COUNTS[n - 1] == sum(1 for _ in oracle._labeled_masks(n, True))
+        connected = partial(oracle._mask_connected, oracle._pair_table(n), n)
+        assert oracle._CONNECTED_COUNTS[n - 1] == sum(map(connected, range(1 << n * (n - 1) // 2)))
 
 
 def test_a_mask_is_its_graphs_graph6_bits():
@@ -347,11 +352,11 @@ def test_sweep_unknown_check_rejected():
 @pytest.mark.parametrize("max_n", [0, -1, True, 2.5])
 def test_sweep_refuses_empty_corpus(monkeypatch, max_n):
     # True would sweep n = 1 and 2.5 fail in range(); both are refused as
-    # not ints, before the corpus is built.
-    def no_corpus(*args):
-        raise AssertionError("corpus built before the max_n check")
+    # not ints, before the record stream is made.
+    def no_stream(*args):
+        raise AssertionError("record stream made before the max_n check")
 
-    monkeypatch.setattr(oracle, "_labeled_masks", no_corpus)
+    monkeypatch.setattr(oracle, "_records", no_stream)
     message = "max_n must be 1" if type(max_n) is int else f"max_n must be an int, got {max_n!r}"
     with pytest.raises(ContractError, match=message):
         theorem_sweep(SweepConfig(max_n=max_n))
@@ -359,11 +364,11 @@ def test_sweep_refuses_empty_corpus(monkeypatch, max_n):
 
 @pytest.mark.parametrize("threads", [0, -1, MAX_SWEEP_THREADS + 1, 10**6, 1.5, True, "2"])
 def test_sweep_refuses_thread_counts_out_of_range(monkeypatch, threads):
-    # The check must fire before the corpus, let alone a pool, exists.
-    def no_corpus(*args):
-        raise AssertionError("corpus built before the threads check")
+    # The check must fire before the record stream, let alone a pool, exists.
+    def no_stream(*args):
+        raise AssertionError("record stream made before the threads check")
 
-    monkeypatch.setattr(oracle, "_labeled_masks", no_corpus)
+    monkeypatch.setattr(oracle, "_records", no_stream)
     message = f"threads must be 1..{MAX_SWEEP_THREADS}, got {threads}"
     if type(threads) is not int:
         message = re.escape(f"threads must be an int, got {threads!r}")
@@ -377,12 +382,13 @@ def test_sweep_refuses_negative_sample(monkeypatch):
     with pytest.raises(ContractError, match="sample_n6 must be 0 or more"):
         theorem_sweep(SweepConfig(max_n=2, sample_n6=-5))
     # 1.5 would draw 2 graphs and head the report with 1.5; it is refused
-    # before the corpus is built.
+    # before the sample is drawn or the record stream made.
     def no_corpus(*args):
         raise AssertionError("corpus built before the sample_n6 check")
 
     with monkeypatch.context() as patched:
-        patched.setattr(oracle, "_labeled_masks", no_corpus)
+        patched.setattr(oracle, "_sample_connected_masks", no_corpus)
+        patched.setattr(oracle, "_records", no_corpus)
         with pytest.raises(ContractError, match=re.escape("sample_n6 must be an int, got 1.5")):
             theorem_sweep(SweepConfig(max_n=2, sample_n6=1.5))
     for sample in (0, None):
@@ -390,15 +396,17 @@ def test_sweep_refuses_negative_sample(monkeypatch):
         assert theorem_sweep(cfg).meta["graphs"] == 2
 
 
-def test_sweep_refuses_a_sample_it_would_not_run(monkeypatch):
+def test_sweep_refuses_a_sample_it_would_not_run():
     # From max_n = 6 the corpus holds every six-vertex graph, so a sample
-    # would go unrun; 0 and None stay valid.  The corpus is stubbed empty.
-    monkeypatch.setattr(oracle, "_labeled_masks", lambda n, connected_only: iter(()))
-    for max_n in (6, 7):
+    # would go unrun; 0 and None stay valid.  The metadata comes before any
+    # check runs, and the stream is closed unread.
+    for max_n, graphs in ((6, 27_476), (7, 1_893_732)):
         with pytest.raises(ContractError, match=f"sample_n6 needs max_n below 6, got max_n={max_n}"):
             theorem_sweep(SweepConfig(max_n=max_n, sample_n6=5))
         for sample in (0, None):
-            assert theorem_sweep(SweepConfig(max_n=max_n, sample_n6=sample)).meta["graphs"] == 0
+            meta, records = sweep_records(SweepConfig(max_n=max_n, sample_n6=sample))
+            records.close()
+            assert meta["graphs"] == graphs
 
 
 def test_sweep_sample_n6_extends_corpus():

@@ -18,6 +18,7 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import combinations, groupby
 from pathlib import Path
@@ -240,15 +241,20 @@ def test_no_worker_outlives_a_failed_pool_sweep():
 
 
 def test_no_worker_outlives_a_stream_stopped_early():
-    # The corpus and the metadata come before any check runs; the pool
-    # starts at the first record and is shut down when the stream closes.
+    # The metadata comes before any check runs, and at once: the corpus is
+    # not listed.  The pool starts at the first record and is shut down
+    # when the stream closes.
     meta, records = sweep_records(SweepConfig(max_n=5, threads=2), {"must-not-run": must_not_run})
     assert meta["graphs"] == 772 and multiprocessing.active_children() == []
     records.close()
-    meta, records = sweep_records(SweepConfig(max_n=6, threads=2))
-    assert next(records).graph_key == "@"
-    records.close()
-    assert multiprocessing.active_children() == []
+    for max_n, graphs in ((6, 27_476), (7, 1_893_732)):
+        started = time.perf_counter()
+        meta, records = sweep_records(SweepConfig(max_n=max_n, threads=2))
+        assert time.perf_counter() - started < 1, max_n
+        assert meta["graphs"] == graphs and multiprocessing.active_children() == []
+        assert next(records).graph_key == "@"
+        records.close()
+        assert multiprocessing.active_children() == []
 
 
 def test_each_check_time_is_stamped_once_per_graph():
@@ -357,7 +363,7 @@ def test_cli_import_does_not_load_the_process_pool():
 
 def test_worker_rows_do_not_pickle_report_objects():
     checks = sorted(ALL_CHECKS.items())
-    rows = _run_checks(checks, (4, 0b111111))  # K4
+    rows = _run_checks(checks, (4, [0b111111]))  # K4, a one-mask block
     assert rows and all(type(row) is tuple and len(row) == 6 for row in rows)
     assert b"qt2ec.report" not in pickle.dumps(rows)
 
