@@ -26,8 +26,12 @@ _GRAPH6_CHARS = dict.fromkeys(range(63, 127))
 class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
-    Edges are canonical ``(min, max)`` pairs carrying a dense index assigned
-    in lexicographic pair order.  Adjacency is kept as one int bitset per
+    Each given edge is checked once, in input order: it must be a pair of
+    ids that are exactly ``int`` (not a bool, a float or an int subclass),
+    not a self-loop, and in range; the first that is not is a
+    ContractError that names it as given.  A repeated edge collapses to
+    one.  Edges are canonical ``(min, max)`` pairs carrying a dense index
+    assigned in lexicographic pair order.  Adjacency is kept as one int bitset per
     vertex because neighbour-pair scans (induced-P3 enumeration) dominate
     the workload.  The one edge map, ``_edge_at[u][v]``, gives the index
     of edge {u, v}; its keys come out ascending, and they are the one
@@ -56,29 +60,20 @@ class Graph:
         # A dict keeps the edges in input order.  The family generators give
         # them mostly sorted and graph_from_mask sorted, so the sort below
         # runs in about linear time; a set would hand it the edges in hash
-        # order.  An edge that is not a pair of ints is caught by what it
-        # breaks: the unpacking or the range test here, or the shifts further
-        # down; only a bool id needs a test of its own.  A repeated edge keeps
-        # its first spelling, so the later ones take those tests as a graph
-        # of their own.
-        canonical: dict[EdgePair, EdgePair] = {}
-        later: list[EdgePair] = []
+        # order.
+        canonical: dict[EdgePair, None] = {}
         for edge in edges:
             try:
                 u, v = edge
-                if u == v:
-                    raise ContractError(f"self-loop at vertex {u}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ContractError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            except ContractError:
-                raise
             except (TypeError, ValueError):
-                raise _not_a_pair(edge) from None
-            pair = (u, v) if u < v else (v, u)
-            if canonical.setdefault(pair, pair) is not pair:
-                later.append(pair)
-        if later:
-            Graph(n, later)
+                u = v = None
+            if type(u) is not int or type(v) is not int:
+                raise ContractError(f"edge {edge!r} is not a pair of int vertex ids")
+            if u == v:
+                raise ContractError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ContractError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+            canonical[(u, v) if u < v else (v, u)] = None
         self.n = n
         self.edges: tuple[EdgePair, ...] = tuple(sorted(canonical))
         if labels is not None:
@@ -88,27 +83,16 @@ class Graph:
             if len(set(labels)) != n:
                 raise ContractError("vertex labels must be unique")
         self.labels: tuple[str, ...] | None = labels
-        # A bool id passes every test above, and the range test admits it
-        # only as vertex 0 or 1, so only the edges whose low end is 0 or 1,
-        # the first ones in sorted order, can hold one.
-        for u, v in self.edges:
-            if u > 1:
-                break
-            if type(u) is bool or type(v) is bool:
-                raise _not_a_pair((u, v))
 
         # The edges arrive sorted, so each vertex's lower neighbours come
         # first and every row of the edge map is keyed in ascending order.
         adj = [0] * n
         edge_at: list[dict[int, int]] = [{} for _ in range(n)]
-        try:
-            for i, (u, v) in enumerate(self.edges):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                edge_at[u][v] = i
-                edge_at[v][u] = i
-        except TypeError:
-            raise _not_a_pair((u, v)) from None
+        for i, (u, v) in enumerate(self.edges):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            edge_at[u][v] = i
+            edge_at[v][u] = i
         self._adj_bits = tuple(adj)
         self._edge_at = tuple(edge_at)
         self._partition = None
@@ -118,13 +102,13 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self._edge_at[v])
+        return tuple(self._edge_at[_vertex(self, v)])
 
     def adjacency_bits(self, v: int) -> int:
-        return self._adj_bits[v]
+        return self._adj_bits[_vertex(self, v)]
 
     def degree(self, v: int) -> int:
-        return len(self._edge_at[v])
+        return len(self._edge_at[_vertex(self, v)])
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self._edge_at[u]
@@ -140,6 +124,7 @@ class Graph:
         return self.edges[index]
 
     def label(self, v: int) -> str:
+        _vertex(self, v)
         return self.labels[v] if self.labels is not None else str(v)
 
     def vertex_names(self) -> tuple[str, ...]:
@@ -161,9 +146,7 @@ class Graph:
         # "+1", "1_0" and non-ASCII digits.
         if v is None or str(v) != label:
             raise ContractError(f"unknown vertex label {label!r}")
-        if not 0 <= v < self.n:
-            raise ContractError(f"vertex {v} outside range 0..{self.n - 1}")
-        return v
+        return _vertex(self, v)
 
     def __eq__(self, other: object) -> bool:
         return other is self or (
@@ -179,24 +162,25 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _not_a_pair(edge: object) -> ContractError:
-    return ContractError(f"edge {edge!r} is not a pair of int vertex ids")
+def _vertex(g: Graph, v: object) -> int:
+    """``v`` if it is a vertex of ``g``, an exact int in 0..n-1; anything
+    else, a negative id that indexing would wrap included, is a
+    ContractError."""
+    if type(v) is not int or not 0 <= v < g.n:
+        raise ContractError(f"vertex {v!r} outside range 0..{g.n - 1}")
+    return v
 
 
 def check_edge_record(g: Graph, values: tuple, allowed: tuple, record: str, value: str) -> None:
     """Raise ContractError unless ``values`` holds one of ``allowed``, of
-    its own type (``True`` equals 1 but is not a bit), per edge."""
+    its own type (``True`` equals 1 but is not a bit), per edge; the first
+    bad value is named."""
     if len(values) != g.m:
         raise ContractError(f"{record} covers {len(values)} edges, graph has {g.m}")
     types = set(map(type, allowed))
-    try:
-        valid = set(values).issubset(allowed) and types.issuperset(map(type, values))
-    except TypeError:  # an unhashable value; the loop below names it
-        valid = False
-    if not valid:
-        for x in values:
-            if type(x) not in types or x not in allowed:
-                raise ContractError(f"invalid {value} {x!r}")
+    for x in values:
+        if type(x) not in types or x not in allowed:
+            raise ContractError(f"invalid {value} {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +442,7 @@ def induced_p3s(g: Graph) -> Iterator[tuple[int, int, int]]:
 def _vertex_bits(g: Graph, vertices: VertexSet) -> int:
     inside = 0
     for v in vertices:
-        if not 0 <= v < g.n:
-            raise ContractError(f"vertex {v} outside range 0..{g.n - 1}")
-        inside |= 1 << v
+        inside |= 1 << _vertex(g, v)
     return inside
 
 
@@ -468,10 +450,10 @@ def is_module_set(g: Graph, vertices: VertexSet) -> bool:
     """True iff every vertex outside the set is adjacent to all of it or
     to none of it (the set is a module / homogeneous set)."""
     inside = _vertex_bits(g, vertices)
-    for v in range(g.n):
+    for v, row in enumerate(g._adj_bits):
         if (inside >> v) & 1:
             continue
-        hit = g.adjacency_bits(v) & inside
+        hit = row & inside
         if hit != 0 and hit != inside:
             return False
     return True

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import re
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -82,6 +83,9 @@ def test_constructor_output_does_not_depend_on_input_order(seed: int):
 
 
 def test_constructor_names_the_first_bad_edge_in_input_order():
+    class Id(int):
+        pass
+
     cases = [
         ([(0, 1), (2, 2), (0, 5)], "self-loop at vertex 2"),
         ([(0, 1), (0, 5), (2, 2)], r"edge \(0, 5\) outside vertex range 0\.\.2"),
@@ -93,14 +97,16 @@ def test_constructor_names_the_first_bad_edge_in_input_order():
         ([("0", "1")], re.escape("edge ('0', '1') is not a pair of int vertex ids")),
         ([(0, 1), None], "edge None is not a pair of int vertex ids"),
         ([(0, 1, 2)], re.escape("edge (0, 1, 2) is not a pair of int vertex ids")),
-        # A float id passes the self-loop and range tests, so it is named,
-        # in its (min, max) form, only when no edge fails those.
-        ([(1.0, 0)], re.escape("edge (0, 1.0) is not a pair of int vertex ids")),
-        ([(0, 1.5), (2, 2)], "self-loop at vertex 2"),
-        # A bool id equals 0 or 1 and passes those tests too; it is named
-        # in its (min, max) form.
+        # An id must be exactly an int: a float, a Fraction, a bool or an
+        # int subclass is refused even where it equals a vertex, and the
+        # first such edge is named as given, before any later edge's
+        # self-loop or range error.
+        ([(1.0, 0)], re.escape("edge (1.0, 0) is not a pair of int vertex ids")),
+        ([(0, 1.5), (2, 2)], re.escape("edge (0, 1.5) is not a pair of int vertex ids")),
+        ([(0, Fraction(1))], re.escape("edge (0, Fraction(1, 1)) is not a pair of int vertex ids")),
+        ([(0, 1), (Id(2), 1)], re.escape("edge (2, 1) is not a pair of int vertex ids")),
         ([(0, True), (True, 2)], re.escape("edge (0, True) is not a pair of int vertex ids")),
-        ([(2, 1), (2, False)], re.escape("edge (False, 2) is not a pair of int vertex ids")),
+        ([(2, 1), (2, False)], re.escape("edge (2, False) is not a pair of int vertex ids")),
         # A repeated edge is refused for a bad id as its first spelling is.
         ([(0, 1), (0, True)], re.escape("edge (0, True) is not a pair of int vertex ids")),
         ([(0, 1), (0, 1.0)], re.escape("edge (0, 1.0) is not a pair of int vertex ids")),
@@ -114,6 +120,36 @@ def test_constructor_names_the_first_bad_edge_in_input_order():
     for n in (2.0, "3", True):
         with pytest.raises(ContractError, match=f"^vertex count must be an int, got {re.escape(repr(n))}$"):
             Graph(n)
+
+
+def test_constructor_refuses_numpy_integer_ids():
+    # 1 << np.int64(65) wraps, so a numpy id that reached the row build
+    # would give vertex 0 a row without vertex 65.
+    np = pytest.importorskip("numpy")
+    for edges in ([(0, np.int64(65)), (np.int64(65), 66)], [(np.int64(0), np.int64(1)), (1, 2)]):
+        message = f"edge {edges[0]!r} is not a pair of int vertex ids"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            Graph(70, edges)
+
+
+def test_vertex_queries_refuse_what_is_not_a_vertex():
+    # A negative id once read the row it wraps to: neighbors(-1) gave
+    # vertex 2's neighbours.
+    g = Graph(3, [(1, 2)], labels=["a", "b", "c"])
+    queries = [
+        (g.neighbors, (1,)),
+        (g.degree, 1),
+        (g.adjacency_bits, 0b010),
+        (g.label, "c"),
+        (Graph(3, [(1, 2)]).label, "2"),
+        (lambda v: is_module_set(g, [1, v]), True),
+        (lambda v: is_connected(g, [1, v]), True),
+    ]
+    for query, at_2 in queries:
+        assert query(2) == at_2
+        for v in (-1, 3, 1.0, True, None):
+            with pytest.raises(ContractError, match=f"^vertex {re.escape(repr(v))} outside range 0\\.\\.2$"):
+                query(v)
 
 
 def test_constructor_reads_a_one_shot_iterator_once():
