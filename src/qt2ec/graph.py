@@ -31,9 +31,9 @@ class Graph:
     not a self-loop, and in range; the first that is not is a
     ContractError that names it as given.  A repeated edge collapses to
     one.  Edges are canonical ``(min, max)`` pairs carrying a dense index
-    assigned in lexicographic pair order.  Adjacency is kept as one int bitset per
-    vertex because neighbour-pair scans (induced-P3 enumeration) dominate
-    the workload.  The one edge map, ``_edge_at[u][v]``, gives the index
+    assigned in lexicographic pair order.  Adjacency is kept as one int
+    bitset per vertex because neighbour-pair scans (induced-P3
+    enumeration) dominate the workload.  The one edge map, ``_edge_at[u][v]``, gives the index
     of edge {u, v}; its keys come out ascending, and they are the one
     neighbour list, which :meth:`neighbors`, :meth:`degree` and
     :func:`induced_p3_edges` read.  Walks over the bitsets go through
@@ -166,7 +166,9 @@ def _vertex(g: Graph, v: object) -> int:
     """``v`` if it is a vertex of ``g``, an exact int in 0..n-1; anything
     else, a negative id that indexing would wrap included, is a
     ContractError."""
-    if type(v) is not int or not 0 <= v < g.n:
+    if type(v) is not int:
+        raise ContractError(f"vertex {v!r} is not an int vertex id")
+    if not 0 <= v < g.n:
         raise ContractError(f"vertex {v!r} outside range 0..{g.n - 1}")
     return v
 

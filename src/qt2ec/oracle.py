@@ -29,6 +29,7 @@ from .colouring import count_homogeneous_witness_classes, find_homogeneous_witne
 from .errors import ContractError, RefusalError
 from .graph import (
     Graph,
+    encode_graph6,
     induced_p3_edges,
     is_complete_multipartite,
     is_connected,
@@ -164,16 +165,6 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     """The graph of an edge mask in :func:`_pair_table`'s layout; its edges
     go to ``Graph`` sorted."""
     return Graph(n, [pair for bit, pair in _row_order(n) if mask >> bit & 1])
-
-
-def _mask_key(n: int, mask: int) -> str:
-    """The graph6 line of ``graph_from_mask(n, mask)``, for n <= 62, written
-    from the mask: ``chr(63 + n)``, then the mask's n(n-1)/2 bits, padded
-    with zeros to a multiple of six, six to a character."""
-    nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    bits = mask << pad
-    return chr(63 + n) + "".join([chr(63 + (bits >> s & 63)) for s in range(nbits + pad - 6, -1, -6)])
 
 
 def _mask_connected(pairs: tuple[tuple[int, int], ...], n: int, mask: int) -> bool:
@@ -551,20 +542,18 @@ def _run_checks(checks: list[tuple[str, CheckFn]], block: tuple[int, range | lis
     connected graph of the corpus block ``(n, masks)``, in mask order, as
     plain ``(check, passed, key, witness, detail, seconds)`` tuples keyed
     by graph6: the fields of ``CheckResult`` in order, which pickle far
-    cheaper than records on their way back from a pool worker.  Each key
-    is written from its mask by :func:`_mask_key`, not encoded from the
-    graph.  The rows come sorted by ``(key, check, witness or "")``; the
-    sort is stable, so records that tie keep the order their check
-    returned them in.  A check's records are sorted first, so its time
-    goes on the first of them in that order and the ``seconds`` sum to the
-    time spent in checks.  Each detail is interned: most are equal across
-    graphs, and one shared string pickles once per block of rows, not once
-    per row."""
+    cheaper than records on their way back from a pool worker.  The rows
+    come sorted by ``(key, check, witness or "")``; the sort is stable, so
+    records that tie keep the order their check returned them in.  A
+    check's records are sorted first, so its time goes on the first of
+    them in that order and the ``seconds`` sum to the time spent in checks.
+    Each detail is interned: most are equal across graphs, and one shared
+    string pickles once per block of rows, not once per row."""
     n, masks = block
     out: list[Row] = []
     for mask in filter(partial(_mask_connected, _pair_table(n), n), masks):
         g = graph_from_mask(n, mask)
-        key = _mask_key(n, mask)
+        key = encode_graph6(g)
         partition = compute_classes(g)
         for _, check in checks:
             started = time.perf_counter()
@@ -616,8 +605,7 @@ def sweep_records(
 
     This is the one place that decides the corpus (connected graphs only)
     and keys the records: checks return unkeyed records, and each gets the
-    graph6 key of its graph here, written from the graph's mask
-    (:func:`_mask_key`).  Failures become records (never
+    graph6 key of its graph here.  Failures become records (never
     exceptions).  ``cfg`` is checked and the sample drawn before this
     returns, so a bad config raises ContractError and a ``sample_n6``
     larger than the connected six-vertex graphs raises RefusalError before

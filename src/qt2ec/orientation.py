@@ -49,8 +49,8 @@ class Orientation(namedtuple("Orientation", "graph bits")):
         return out
 
     def reversed(self) -> "Orientation":
-        return Orientation(
-            self.graph, tuple(None if b is None else 1 - b for b in self.bits)
+        return Orientation._make(
+            (self.graph, tuple(None if b is None else 1 - b for b in self.bits))
         )
 
     def format_arcs(self, sep: str = "\n") -> str:

@@ -145,14 +145,6 @@ def test_a_mask_is_its_graphs_graph6_bits():
             assert graph_from_mask(n, 1).edges == ((n - 2, n - 1),)
 
 
-def test_the_sweep_key_written_from_a_mask_is_its_graphs_graph6_line():
-    # The sweep keys its records with _mask_key, not with the encoder:
-    # every mask, connected or not, of every n <= 6.
-    for n in range(1, 7):
-        for mask in range(1 << n * (n - 1) // 2):
-            assert oracle._mask_key(n, mask) == encode_graph6(graph_from_mask(n, mask)), (n, mask)
-
-
 def test_an_unmeetable_sample_is_refused_before_any_draw(monkeypatch):
     def no_draw(*args):
         raise AssertionError("a mask was drawn before the refusal")
