@@ -47,7 +47,7 @@ from itertools import product
 from operator import itemgetter, xor
 
 from .errors import ContractError, RefusalError
-from .graph import EdgePair, Graph
+from .graph import EdgePair, Graph, check_index
 
 # The most classes an enumeration of the 2^k colourings or orientations takes.
 DEFAULT_ENUMERATION_CAP = 20
@@ -74,7 +74,8 @@ class EdgeClassPartition(
         return len(self.classes)
 
     def class_edges(self, class_id: int) -> tuple[EdgePair, ...]:
-        return tuple(map(self.graph.edges.__getitem__, self.classes[class_id]))
+        members = self.classes[check_index(class_id, self.k, "class")]
+        return tuple(map(self.graph.edges.__getitem__, members))
 
     def class_of_pair(self, u: int, v: int) -> int:
         return self.class_of[self.graph.edge_index(u, v)]

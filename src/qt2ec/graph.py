@@ -111,17 +111,20 @@ class Graph:
         return len(self._edge_at[_vertex(self, v)])
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether {u, v} is an edge: False for an int id outside 0..n-1,
+        and a ContractError for an id that is not an int."""
+        if type(u) is not int or type(v) is not int:
+            _vertex(self, v if type(u) is int else u)
         return 0 <= u < self.n and v in self._edge_at[u]
 
     def edge_index(self, u: int, v: int) -> int:
         """Dense index of edge {u, v}; unknown edges are a contract error."""
-        index = self._edge_at[u].get(v) if 0 <= u < self.n else None
-        if index is None:
+        if not self.has_edge(u, v):
             raise ContractError(f"no edge {(u, v) if u < v else (v, u)} in graph")
-        return index
+        return self._edge_at[u][v]
 
     def edge(self, index: int) -> EdgePair:
-        return self.edges[index]
+        return self.edges[check_index(index, self.m, "edge index")]
 
     def label(self, v: int) -> str:
         _vertex(self, v)
@@ -171,6 +174,17 @@ def _vertex(g: Graph, v: object) -> int:
     if not 0 <= v < g.n:
         raise ContractError(f"vertex {v!r} outside range 0..{g.n - 1}")
     return v
+
+
+def check_index(i: object, size: int, kind: str) -> int:
+    """``i`` if it is an exact int in 0..size-1, an edge index or a class
+    id; anything else, a negative one that indexing would wrap included,
+    is a ContractError that names it as a ``kind``."""
+    if type(i) is not int:
+        raise ContractError(f"{kind} {i!r} is not an int")
+    if not 0 <= i < size:
+        raise ContractError(f"{kind} {i!r} outside {kind} range 0..{size - 1}")
+    return i
 
 
 def check_edge_record(g: Graph, values: tuple, allowed: tuple, record: str, value: str) -> None:

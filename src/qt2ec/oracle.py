@@ -37,7 +37,7 @@ from .graph import (
     reach,
 )
 from .orientation import OrientationFeasibility
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, VerificationReport, verdict
 from .structure import (
     NESTED,
     check_crossing_lemmas,
@@ -52,8 +52,9 @@ MAX_CORPUS_N = 7
 MAX_SWEEP_THREADS = 64
 
 # A structural check judges the partition it is handed, not the graph's
-# memoised one, and returns its unkeyed records; a standalone call reads
-# them as they are, and only sweep_records keys them.  Two checks are
+# memoised one, and returns its unkeyed records, each made by
+# report.verdict, so it passes exactly when it names no witness; a
+# standalone call reads them as they are, and only sweep_records keys them.  Two checks are
 # exceptions: hf1f2-witness and unique-hf1f2 call
 # find_homogeneous_witness(g) and count_homogeneous_witness_classes(g),
 # which read the graph's memoised partition, so a tampered p does not reach
@@ -284,33 +285,23 @@ PENDANT_INTERPRETATION = (
 
 
 def _vacuous(name: str, detail: str) -> list[CheckResult]:
-    return [CheckResult(name, True, detail=detail)]
+    return [verdict(name, detail=detail)]
 
 
 def _check_colouring_count(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     brute = brute_force_colouring_count(g)
     expected = 1 << p.k
-    ok = brute == expected
-    return [
-        CheckResult(
-            "colouring-count",
-            ok,
-            witness=None if ok else f"brute={brute} expected=2^{p.k}={expected}",
-        )
-    ]
+    if brute != expected:
+        return [verdict("colouring-count", f"brute={brute} expected=2^{p.k}={expected}")]
+    return [verdict("colouring-count")]
 
 
 def _check_orientation_count(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     brute = _orientation_count(g)
     expected = OrientationFeasibility(p).count
-    ok = brute == expected
-    return [
-        CheckResult(
-            "orientation-count",
-            ok,
-            witness=None if ok else f"brute={brute} expected={expected}",
-        )
-    ]
+    if brute != expected:
+        return [verdict("orientation-count", f"brute={brute} expected={expected}")]
+    return [verdict("orientation-count")]
 
 
 def _check_class_subgraph_single_class(
@@ -356,12 +347,11 @@ def _check_class_subgraph_single_class(
     for e, root in enumerate(parent):
         if root == e:
             sub_ks[class_of[e]] += 1
-    witness = None
     for cid, sub_k in enumerate(sub_ks):
         if sub_k != 1:
             witness = f"class {cid} splits into {sub_k} classes as its own graph"
-            break
-    return [CheckResult("class-subgraph-single-class", witness is None, witness=witness)]
+            return [verdict("class-subgraph-single-class", witness)]
+    return [verdict("class-subgraph-single-class")]
 
 
 def _check_shortest_paths(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
@@ -376,11 +366,10 @@ def _check_shortest_paths(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     """
     straddle = first_straddle(g, p)
     if straddle is None:
-        return [CheckResult("shortest-path-single-class", True)]
+        return [verdict("shortest-path-single-class")]
     u, v, w = straddle
     cids = sorted((p.class_of_pair(u, v), p.class_of_pair(v, w)))
-    witness = f"shortest path {[u, v, w]} uses classes {cids}"
-    return [CheckResult("shortest-path-single-class", False, witness=witness)]
+    return [verdict("shortest-path-single-class", f"shortest path {[u, v, w]} uses classes {cids}")]
 
 
 def _check_pendant_classes(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
@@ -392,29 +381,18 @@ def _check_pendant_classes(g: Graph, p: EdgeClassPartition) -> list[CheckResult]
         shared |= seen & verts
         seen |= verts
     pendant = [cid for cid, verts in enumerate(p.vertex_sets) if not verts <= shared]
-    ok = len(pendant) <= 1
-    return [
-        CheckResult(
-            "pendant-class-bound",
-            ok,
-            witness=None if ok else f"pendant classes {pendant}",
-            detail=PENDANT_INTERPRETATION,
-        )
-    ]
+    if len(pendant) > 1:
+        return [verdict("pendant-class-bound", f"pendant classes {pendant}", PENDANT_INTERPRETATION)]
+    return [verdict("pendant-class-bound", detail=PENDANT_INTERPRETATION)]
 
 
 def _check_two_class_nesting(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     if p.k != 2:
         return _vacuous("two-class-nesting", f"k={p.k}, vacuous")
-    rel = class_pair_relation(g, p, 0, 1)
-    ok = rel.tag == NESTED
-    return [
-        CheckResult(
-            "two-class-nesting",
-            ok,
-            witness=None if ok else f"two-class pair is {rel.tag}",
-        )
-    ]
+    tag = class_pair_relation(g, p, 0, 1).tag
+    if tag != NESTED:
+        return [verdict("two-class-nesting", f"two-class pair is {tag}")]
+    return [verdict("two-class-nesting")]
 
 
 def _check_three_class(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
@@ -426,18 +404,11 @@ def _check_three_class(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     tripartite = parts is not None and len(parts) == 3
     everything = frozenset(range(g.n))
     spanning = next((cid for cid in range(3) if p.vertex_sets[cid] == everything), None)
-    ok = tripartite or spanning is not None
-    detail = None
+    if not tripartite and spanning is None:
+        return [verdict("three-class-classification", "neither complete tripartite nor spanning class")]
     if tripartite and spanning is not None:
-        detail = f"both: tripartite and spanning class {spanning}"
-    return [
-        CheckResult(
-            "three-class-classification",
-            ok,
-            witness=None if ok else "neither complete tripartite nor spanning class",
-            detail=detail,
-        )
-    ]
+        return [verdict("three-class-classification", detail=f"both: tripartite and spanning class {spanning}")]
+    return [verdict("three-class-classification")]
 
 
 def _check_crossing_lemmas(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
@@ -456,26 +427,17 @@ def _check_hf1f2_witness(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
             problems.append(f"witness {sorted(witness_set)} is not a module")
         if not is_connected(g, witness_set):
             problems.append(f"witness {sorted(witness_set)} induces a disconnected graph")
-    ok = not problems
-    return [
-        CheckResult("hf1f2-witness", ok, witness=None if ok else "; ".join(problems))
-    ]
+    return [verdict("hf1f2-witness", "; ".join(problems) or None)]
 
 
 def _check_unique_hf1f2(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     subset_count = subset_witness_count(g)
     class_count = count_homogeneous_witness_classes(g)
     uniquely = p.k == 2
-    ok = (subset_count == 1) == uniquely and (class_count == 1) == uniquely
-    detail = f"subset-count={subset_count} class-derived={class_count} k={p.k}"
-    return [
-        CheckResult(
-            "unique-hf1f2",
-            ok,
-            witness=None if ok else detail,
-            detail=detail if ok else None,
-        )
-    ]
+    counts = f"subset-count={subset_count} class-derived={class_count} k={p.k}"
+    if (subset_count == 1) != uniquely or (class_count == 1) != uniquely:
+        return [verdict("unique-hf1f2", counts)]
+    return [verdict("unique-hf1f2", detail=counts)]
 
 
 def _check_final_equivalence(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
@@ -485,14 +447,9 @@ def _check_final_equivalence(g: Graph, p: EdgeClassPartition) -> list[CheckResul
     if brute == 0:
         return _vacuous("final-equivalence", "not orientable, skipped")
     trivial_only = p.k == 1
-    ok = (brute == 2) == trivial_only
-    return [
-        CheckResult(
-            "final-equivalence",
-            ok,
-            witness=None if ok else f"orientations={brute} trivial-only={trivial_only}",
-        )
-    ]
+    if (brute == 2) != trivial_only:
+        return [verdict("final-equivalence", f"orientations={brute} trivial-only={trivial_only}")]
+    return [verdict("final-equivalence")]
 
 
 ALL_CHECKS: dict[str, CheckFn] = {

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterator, Sequence
 
 from .classes import DEFAULT_ENUMERATION_CAP, class_choices, compute_classes
 from .errors import ContractError, InfeasibilityError
-from .graph import Graph, check_edge_record, induced_p3_edges
+from .graph import Graph, check_edge_record, check_index, induced_p3_edges
 
 
 class Orientation(namedtuple("Orientation", "graph bits")):
@@ -40,13 +40,8 @@ class Orientation(namedtuple("Orientation", "graph bits")):
         return tuple(i for i, b in enumerate(self.bits) if b is not None)
 
     def arcs(self) -> list[tuple[int, int]]:
-        out = []
-        for i, b in enumerate(self.bits):
-            if b is None:
-                continue
-            u, v = self.graph.edge(i)
-            out.append((u, v) if b == 0 else (v, u))
-        return out
+        pairs = zip(self.graph.edges, self.bits)
+        return [(u, v) if b == 0 else (v, u) for (u, v), b in pairs if b is not None]
 
     def reversed(self) -> "Orientation":
         return Orientation._make(
@@ -104,7 +99,7 @@ class OrientationFeasibility(namedtuple("OrientationFeasibility", "partition")):
         return (1 << self.k) if self.orientable else 0
 
     def class_consistent(self, class_id: int) -> bool:
-        return self.partition.contradictions[class_id] is None
+        return self.partition.contradictions[check_index(class_id, self.k, "class")] is None
 
 
 def is_quasi_transitive_orientation(

@@ -16,7 +16,9 @@ class CheckResult(
 ):
     """One verdict for one named check on one graph.
 
-    Failing records always carry a reproducible witness.  ``graph_key`` is
+    Every check of the package makes its records with :func:`verdict`, so
+    a record passes exactly when it names no witness, and a failing one
+    always carries a reproducible witness.  ``graph_key`` is
     the graph6 encoding of the graph under test; ``sweep_records`` sets
     it, and the records of a standalone verifier such as
     ``verify_partition_laws`` leave it empty.  In a theorem sweep a
@@ -29,6 +31,13 @@ class CheckResult(
     """
 
     __slots__ = ()
+
+
+def verdict(check: str, witness: str | None = None, detail: str | None = None) -> CheckResult:
+    """The unkeyed record of ``check``: it fails exactly when it names a
+    ``witness``.  A record is its fields in order, so ``tuple.__new__``
+    builds it in one C call."""
+    return tuple.__new__(CheckResult, (check, witness is None, "", witness, detail, None))
 
 
 class VerificationReport(namedtuple("VerificationReport", "results meta")):

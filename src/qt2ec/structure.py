@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from .classes import EdgeClassPartition
 from .errors import ContractError
-from .graph import Graph, induced_p3_edges, reach
-from .report import CheckResult
+from .graph import Graph, check_index, induced_p3_edges, reach
+from .report import CheckResult, verdict
 
 DISJOINT = "disjoint"
 NESTED = "nested"
@@ -43,8 +43,8 @@ def class_pair_relation(
 ) -> ClassPairRelation:
     if p.graph != g:
         raise ContractError("partition does not belong to this graph")
-    if not (0 <= c < p.k and 0 <= d < p.k):
-        raise ContractError(f"class pair ({c}, {d}) outside class range 0..{p.k - 1}")
+    check_index(c, p.k, "class")
+    check_index(d, p.k, "class")
     if c == d:
         raise ContractError("class pair must be distinct")
     vc, vd = p.vertex_sets[c], p.vertex_sets[d]
@@ -140,7 +140,7 @@ def check_crossing_lemmas(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
             ("crossing-no-piece-is-join", join),
             ("crossing-cross-edges-one-class", spread),
         )
-        results.extend(CheckResult(name, w is None, witness=w) for name, w in laws)
+        results.extend(verdict(name, w) for name, w in laws)
     return results
 
 
@@ -188,14 +188,8 @@ def check_tinylemma_instances(
                         instances += 1
                         if witness is None and not g.has_edge(u, x):
                             witness = f"u={u} v={v} x={x} y={y}: edge ({u}, {x}) missing"
-    return [
-        CheckResult(
-            "tinylemma-forced-edge",
-            witness is None,
-            witness=witness,
-            detail=f"instances={instances}; hypotheses: {TINY_LEMMA_HYPOTHESES}",
-        )
-    ]
+    detail = f"instances={instances}; hypotheses: {TINY_LEMMA_HYPOTHESES}"
+    return [verdict("tinylemma-forced-edge", witness, detail)]
 
 
 def first_straddle(g: Graph, p: EdgeClassPartition) -> tuple[int, int, int] | None:
@@ -243,7 +237,7 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
         if reach(adj, span & -span) != span:
             witness = f"class {cid} spans a disconnected subgraph"
             break
-    results.append(CheckResult("partition-class-connected", witness is None, witness=witness))
+    results.append(verdict("partition-class-connected", witness))
 
     # Checks (b) and (d) are one predicate: incident edges from different
     # classes whose far ends are non-adjacent form a straddling induced P3.
@@ -252,7 +246,7 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     if straddle is not None:
         u, v, w = straddle
         witness = f"edges {(u, v)} and {(v, w)} differ in class but {(u, w)} is a non-edge"
-    results.append(CheckResult("partition-cross-class-adjacency", witness is None, witness=witness))
+    results.append(verdict("partition-cross-class-adjacency", witness))
 
     # Distinct classes may share a vertex set only inside one component, so
     # the global comparison is exactly the per-component law.
@@ -263,8 +257,8 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
             witness = f"classes {seen[verts]} and {cid} share vertex set {sorted(verts)}"
             break
         seen[verts] = cid
-    results.append(CheckResult("partition-distinct-vertex-sets", witness is None, witness=witness))
+    results.append(verdict("partition-distinct-vertex-sets", witness))
 
     witness = None if straddle is None else f"induced P3 {straddle} straddles two classes"
-    results.append(CheckResult("partition-p3-same-class", witness is None, witness=witness))
+    results.append(verdict("partition-p3-same-class", witness))
     return results

@@ -36,7 +36,7 @@ from qt2ec.oracle import (
     subset_witness_count,
     sweep_records,
 )
-from qt2ec.report import VerificationReport, json_lines
+from qt2ec.report import VerificationReport, json_lines, verdict
 from qt2ec.structure import NESTED, ClassPairRelation
 
 
@@ -498,6 +498,13 @@ def test_check_result_is_an_immutable_hashable_record():
     assert len({r, keyed, CheckResult(*tuple(r))}) == 2
     assert pickle.loads(pickle.dumps(keyed)) == keyed
     assert type(pickle.loads(pickle.dumps(keyed))) is CheckResult
+
+
+def test_a_verdict_fails_exactly_when_it_names_a_witness():
+    assert verdict("c") == CheckResult("c", True)
+    assert verdict("c", detail="d") == CheckResult("c", True, detail="d")
+    assert verdict("c", "w", "d") == CheckResult("c", False, witness="w", detail="d")
+    assert type(verdict("c")) is CheckResult
 
 
 def test_the_sweep_records_are_named_tuples_of_their_fields():

@@ -954,13 +954,15 @@ def test_every_check_fails_on_tampered_partitions_and_passes_on_true_ones():
         for g in enumerate_labeled_graphs(n):
             true, *tampered = tampered_partitions(g)
             for name, check in ALL_CHECKS.items():
-                assert all(r.passed for r in check(g, true)), (name, g.edges)
+                records = check(g, true)
+                assert all(r.passed for r in records), (name, g.edges)
+                assert all(r.passed == (r.witness is None) for r in records), (name, g.edges)
             for p in tampered:
-                kills.update(
-                    name
-                    for name, check in ALL_CHECKS.items()
-                    if not all(r.passed for r in check(g, p))
-                )
+                for name, check in ALL_CHECKS.items():
+                    records = check(g, p)
+                    assert all(r.passed == (r.witness is None) for r in records), (name, g.edges)
+                    if not all(r.passed for r in records):
+                        kills[name] += 1
             partitions += 1 + len(tampered)
     assert partitions == 6055
     assert {name: kills[name] for name in ALL_CHECKS} == KILLS

@@ -12,6 +12,7 @@ from qt2ec import (
     class_pair_relation,
     compute_classes,
     is_complete_multipartite,
+    orientability,
     verify_partition_laws,
 )
 from qt2ec.families import (
@@ -74,6 +75,20 @@ def test_pair_relation_refuses_class_ids_out_of_range():
     for c, d in ((-3, 0), (0, 3), (3, 0), (0, -1)):
         with pytest.raises(ContractError, match="outside class range 0..2"):
             class_pair_relation(g, p, c, d)
+
+
+def test_class_lookups_refuse_ids_that_are_not_class_ids():
+    # K4 - e has classes 0..2: -1 must not wrap round to class 2.
+    g = figure_graph("k4_minus_e")
+    p = compute_classes(g)
+    feasibility = orientability(g)
+    for cid in (-1, 3):
+        for lookup in (p.class_edges, feasibility.class_consistent):
+            with pytest.raises(ContractError, match=f"^class {cid} outside class range 0\\.\\.2$"):
+                lookup(cid)
+    for lookup in (p.class_edges, feasibility.class_consistent, lambda c: class_pair_relation(g, p, 0, c)):
+        with pytest.raises(ContractError, match=r"^class 1\.0 is not an int$"):
+            lookup(1.0)
 
 
 def test_pair_relation_pieces_cover_union():
