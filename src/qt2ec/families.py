@@ -21,17 +21,29 @@ _FIG1_RIGHT_EDGES = [
 ]
 
 
+# Every builder makes canonical (min, max) pairs of int ids in range, each
+# once, so it builds through Graph._make, which skips the per-edge check.
+# That holds only for int parameters, so each builder checks its own first.
+def _check_param(builder: str, name: str, value: object, least: int) -> None:
+    """Refuse ``value`` unless it is exactly an ``int`` of at least ``least``."""
+    if type(value) is not int:
+        raise ContractError(f"{builder} needs an int {name}, got {value!r}")
+    if value < least:
+        raise ContractError(f"{builder} needs {name} >= {least}, got {value}")
+
+
 def threshold_alternating(n: int) -> Graph:
     """Threshold graph built by alternately adding a universal then an
     independent vertex, starting from K1 (so v2, v4, ... are universal on
     arrival).  Has exactly n/2 edge classes.
     """
-    if n < 2 or n % 2:
+    _check_param("threshold_alternating", "n", n, 2)
+    if n % 2:
         raise ContractError(f"threshold_alternating needs an even n >= 2, got {n}")
     edges = []
     for i in range(1, n, 2):  # dense index i is v_{i+1}, universal on arrival
         edges.extend((j, i) for j in range(i))
-    return Graph(n, edges, labels=[f"v{i + 1}" for i in range(n)])
+    return Graph._make(n, edges, labels=[f"v{i + 1}" for i in range(n)])
 
 
 def triangle_with_tail(k: int) -> Graph:
@@ -41,13 +53,12 @@ def triangle_with_tail(k: int) -> Graph:
     k = 1 degenerates to the triangle (no induced P3, three singleton
     classes), which the generator permits but the 2-class golden excludes.
     """
-    if k < 1:
-        raise ContractError(f"triangle_with_tail needs k >= 1, got {k}")
+    _check_param("triangle_with_tail", "k", k, 1)
     u, v = k, k + 1
     edges = [(i, i + 1) for i in range(k - 1)]
     edges += [(u, v), (0, u), (0, v)]
     labels = [f"w{i}" for i in range(k)] + ["u", "v"]
-    return Graph(k + 2, edges, labels=labels)
+    return Graph._make(k + 2, edges, labels=labels)
 
 
 def double_path_apex(k: int) -> Graph:
@@ -56,47 +67,46 @@ def double_path_apex(k: int) -> Graph:
     Exactly three edge classes (each path, and the apex star) with the
     apex class spanning every vertex; never complete tripartite for k >= 2.
     """
-    if k < 2:
-        raise ContractError(f"double_path_apex needs k >= 2, got {k}")
+    _check_param("double_path_apex", "k", k, 2)
     apex = 2 * k
     edges = [(i, i + 1) for i in range(k - 1)]
     edges += [(k + i, k + i + 1) for i in range(k - 1)]
     edges += [(i, apex) for i in range(2 * k)]
     labels = [f"p{i}" for i in range(k)] + [f"q{i}" for i in range(k)] + ["apex"]
-    return Graph(2 * k + 1, edges, labels=labels)
+    return Graph._make(2 * k + 1, edges, labels=labels)
 
 
 def figure_graph(which: str) -> Graph:
     """Hard-coded figure fixtures: ``fig1_left``, ``fig1_right``,
     ``k4_minus_e`` (K4 with the edge between vertices 2 and 3 removed)."""
     if which == "fig1_left":
-        return Graph(6, _FIG1_LEFT_EDGES, labels=[f"v{i + 1}" for i in range(6)])
+        return Graph._make(6, _FIG1_LEFT_EDGES, labels=[f"v{i + 1}" for i in range(6)])
     if which == "fig1_right":
-        return Graph(6, _FIG1_RIGHT_EDGES, labels=list("abcdef"))
+        return Graph._make(6, _FIG1_RIGHT_EDGES, labels=list("abcdef"))
     if which == "k4_minus_e":
-        return Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        return Graph._make(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     raise ContractError(f"unknown figure graph {which!r}")
 
 
 def path(k: int) -> Graph:
-    if k < 1:
-        raise ContractError(f"path needs k >= 1, got {k}")
-    return Graph(k, [(i, i + 1) for i in range(k - 1)])
+    _check_param("path", "k", k, 1)
+    return Graph._make(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def cycle(k: int) -> Graph:
-    if k < 3:
-        raise ContractError(f"cycle needs k >= 3, got {k}")
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
+    _check_param("cycle", "k", k, 3)
+    return Graph._make(k, [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ContractError(f"complete needs n >= 1, got {n}")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    _check_param("complete", "n", n, 1)
+    return Graph._make(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def complete_multipartite(*part_sizes: int) -> Graph:
+    for s in part_sizes:
+        if type(s) is not int:
+            raise ContractError(f"complete_multipartite needs int part sizes, got {s!r}")
     if not part_sizes or any(s < 1 for s in part_sizes):
         raise ContractError(f"parts must be nonempty, got {part_sizes}")
     bounds = []
@@ -111,19 +121,21 @@ def complete_multipartite(*part_sizes: int) -> Graph:
         for u in part
         for v in other
     ]
-    return Graph(start, edges)
+    return Graph._make(start, edges)
 
 
 def join_with_k1(g: Graph) -> Graph:
     """Add one vertex adjacent to everything; the result is always
     properly colourable when ``g`` is connected with >= 2 vertices."""
+    if not isinstance(g, Graph):
+        raise ContractError(f"join_with_k1 needs a Graph, got {g!r}")
     labels = None
     if g.labels is not None:
         apex = "apex"
         while apex in g.labels:
             apex += "_"
         labels = list(g.labels) + [apex]
-    return Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in range(g.n)], labels=labels)
+    return Graph._make(g.n + 1, g.edges + tuple((v, g.n) for v in range(g.n)), labels=labels)
 
 
 FAMILY_USAGE = (
@@ -167,6 +179,8 @@ def family_from_spec(spec: str) -> Graph:
     asking for more than ``MAX_FAMILY_SIZE`` of either, or for more than
     ``MAX_FAMILY_VERTICES`` vertices, is refused before any edge is built.
     """
+    if not isinstance(spec, str):
+        raise ContractError(f"family spec {spec!r} is not a string")
     whole = spec = spec.strip()
     joins = 0
     while spec.startswith("join_k1:"):

@@ -30,8 +30,15 @@ class Graph:
     ids that are exactly ``int`` (not a bool, a float or an int subclass),
     not a self-loop, and in range; the first that is not is a
     ContractError that names it as given.  A repeated edge collapses to
-    one.  Edges are canonical ``(min, max)`` pairs carrying a dense index
-    assigned in lexicographic pair order.  Adjacency is kept as one int
+    one.  The package's own producers, :func:`parse_graph6`, the builders
+    of :mod:`qt2ec.families` and ``oracle.graph_from_mask``, build through
+    :meth:`_make` instead, which skips that check: each makes its edges as
+    canonical pairs of int ids in range, each once, from bit positions,
+    from another graph's edges or from int parameters that the builder
+    checks first.  Both constructors check the vertex count and the
+    labels, and fill the same fields.  Edges are canonical ``(min, max)``
+    pairs carrying a dense index assigned in lexicographic pair order.
+    Adjacency is kept as one int
     bitset per vertex because neighbour-pair scans (induced-P3
     enumeration) dominate the workload.  The one edge map, ``_edge_at[u][v]``, gives the index
     of edge {u, v}; its keys come out ascending, and they are the one
@@ -53,14 +60,11 @@ class Graph:
         edges: Iterable[EdgePair] = (),
         labels: Sequence[str] | None = None,
     ):
-        if type(n) is not int:
-            raise ContractError(f"vertex count must be an int, got {n!r}")
-        if n < 0:
-            raise ContractError(f"vertex count must be non-negative, got {n}")
-        # A dict keeps the edges in input order.  The family generators give
-        # them mostly sorted and graph_from_mask sorted, so the sort below
-        # runs in about linear time; a set would hand it the edges in hash
-        # order.
+        _check_vertex_count(n)
+        # A dict keeps the edges in input order, so edges given sorted or
+        # nearly so, as parse_edge_list hands on a file written in pair
+        # order, reach the sort in about linear time; a set would hand it
+        # the edges in hash order.
         canonical: dict[EdgePair, None] = {}
         for edge in edges:
             try:
@@ -74,8 +78,29 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ContractError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             canonical[(u, v) if u < v else (v, u)] = None
+        self._fill(n, canonical, labels)
+
+    @classmethod
+    def _make(
+        cls,
+        n: int,
+        edges: Iterable[EdgePair],
+        labels: Sequence[str] | None = None,
+    ) -> Graph:
+        """The graph the public constructor builds from ``edges``, with no
+        per-edge check: for the package's own producers, whose edges are
+        canonical ``(min, max)`` pairs of exact ints in 0..n-1, each pair
+        once, in any order.  The vertex count and the labels are checked."""
+        _check_vertex_count(n)
+        g = cls.__new__(cls)
+        g._fill(n, edges, labels)
+        return g
+
+    def _fill(self, n: int, edges: Iterable[EdgePair], labels: Sequence[str] | None) -> None:
+        """Both constructors' common part: the fields, from ``n`` and the
+        distinct canonical ``edges`` in any order."""
         self.n = n
-        self.edges: tuple[EdgePair, ...] = tuple(sorted(canonical))
+        self.edges: tuple[EdgePair, ...] = tuple(sorted(edges))
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
@@ -163,6 +188,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _check_vertex_count(n: object) -> None:
+    if type(n) is not int:
+        raise ContractError(f"vertex count must be an int, got {n!r}")
+    if n < 0:
+        raise ContractError(f"vertex count must be non-negative, got {n}")
 
 
 def _vertex(g: Graph, v: object) -> int:
@@ -310,7 +342,8 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError("nonzero padding bits in graph6 stream")
     # Column j holds pairs (0, j) .. (j - 1, j) at bits end - j .. end - 1.
     # Each pair goes to its row's list, so the rows joined in order hand
-    # Graph its edges in pair order.
+    # Graph._make its edges in pair order, each a canonical pair in range
+    # once.
     rows: list[list[EdgePair]] = [[] for _ in range(n)]
     j = end = 1
     b = bits.find("1", 0, nbits)
@@ -321,7 +354,7 @@ def parse_graph6(text: str) -> Graph:
         i = b - end + j
         rows[i].append((i, j))
         b = bits.find("1", b + 1, nbits)
-    return Graph(n, chain.from_iterable(rows))
+    return Graph._make(n, chain.from_iterable(rows))
 
 
 # encode_graph6 writes its bit stream in blocks of about this many bits.

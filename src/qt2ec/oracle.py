@@ -163,9 +163,9 @@ def _row_order(n: int) -> tuple[tuple[int, tuple[int, int]], ...]:
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
-    """The graph of an edge mask in :func:`_pair_table`'s layout; its edges
-    go to ``Graph`` sorted."""
-    return Graph(n, [pair for bit, pair in _row_order(n) if mask >> bit & 1])
+    """The graph of an edge mask in :func:`_pair_table`'s layout; its edges,
+    canonical pairs in range, each once, go to ``Graph._make`` sorted."""
+    return Graph._make(n, [pair for bit, pair in _row_order(n) if mask >> bit & 1])
 
 
 def _mask_connected(pairs: tuple[tuple[int, int], ...], n: int, mask: int) -> bool:

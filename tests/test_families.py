@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,51 @@ def test_standard_generators():
         complete(0)
     with pytest.raises(ContractError):
         complete_multipartite(1, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        threshold_alternating,
+        triangle_with_tail,
+        double_path_apex,
+        path,
+        cycle,
+        complete,
+        complete_multipartite,
+        lambda bad: complete_multipartite(bad, 2),
+        lambda bad: complete_multipartite(2, 3, bad),
+        figure_graph,
+        join_with_k1,
+        family_from_spec,
+    ],
+    ids=[
+        "threshold_alternating",
+        "triangle_with_tail",
+        "double_path_apex",
+        "path",
+        "cycle",
+        "complete",
+        "complete_multipartite",
+        "complete_multipartite-first-of-two",
+        "complete_multipartite-last-of-three",
+        "figure_graph",
+        "join_with_k1",
+        "family_from_spec",
+    ],
+)
+def test_every_builder_refuses_a_parameter_that_is_not_an_int_before_building(build, monkeypatch):
+    # The builders skip the edge check, so a bool, float or numpy id that
+    # reached the edges would be stored as it is.  Each is refused, named.
+    np = pytest.importorskip("numpy")
+
+    def no_build(cls, *args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "_make", classmethod(no_build))
+    for bad in (True, 2.0, np.int64(4)):
+        with pytest.raises(ContractError, match=re.escape(repr(bad))):
+            build(bad)
 
 
 def test_join_with_k1_always_properly_colourable():

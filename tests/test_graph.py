@@ -36,7 +36,7 @@ from qt2ec import (
 )
 from qt2ec.graph import reach
 from qt2ec.colouring import EdgeColouring
-from qt2ec.families import complete, complete_multipartite, cycle, figure_graph, path
+from qt2ec.families import complete, complete_multipartite, cycle, family_from_spec, figure_graph, path
 from qt2ec.oracle import enumerate_labeled_graphs
 from qt2ec.orientation import Orientation
 
@@ -80,6 +80,110 @@ def test_constructor_output_does_not_depend_on_input_order(seed: int):
     assert [g.neighbors(v) for v in range(n)] == [ref.neighbors(v) for v in range(n)]
     for v in range(n):
         assert list(g._edge_at[v]) == sorted(g._edge_at[v])
+
+
+def _built_both_ways(monkeypatch, build) -> list[tuple[Graph, Graph]]:
+    """Each graph ``build()`` makes through ``Graph._make``, paired with
+    the public constructor's build of the same arguments, after checking
+    that the edges are what ``_make`` trusts them to be: canonical pairs
+    of exact ints in range, each once."""
+    made = []
+    make = Graph._make.__func__
+
+    def recording(cls, n, edges, labels=None):
+        edges = list(edges)
+        assert all(type(u) is int and type(v) is int and 0 <= u < v < n for u, v in edges)
+        assert len(set(edges)) == len(edges)
+        g = make(cls, n, edges, labels)
+        made.append((g, Graph(n, edges, labels)))
+        return g
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "_make", classmethod(recording))
+        build()
+    return made
+
+
+def _assert_same_fields(g: Graph, ref: Graph) -> None:
+    assert (g.n, g.edges, g.labels, g._adj_bits) == (ref.n, ref.edges, ref.labels, ref._adj_bits)
+    assert [list(row.items()) for row in g._edge_at] == [list(row.items()) for row in ref._edge_at]
+    assert g._partition is None
+
+
+def _gnp(rng: Random, n: int, p: float) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _permutation_graph(rng: Random, n: int) -> Graph:
+    perm = rng.sample(range(n), n)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if perm[u] > perm[v]])
+
+
+def _cograph(rng: Random, n: int) -> Graph:
+    # Merge random pieces, one vertex each at the start, by disjoint union
+    # or by join, until one is left.
+    pieces = [[v] for v in range(n)]
+    edges = []
+    while len(pieces) > 1:
+        a = pieces.pop(rng.randrange(len(pieces)))
+        b = pieces.pop(rng.randrange(len(pieces)))
+        if rng.random() < 0.5:
+            edges += [(u, v) for u in a for v in b]
+        pieces.append(a + b)
+    return Graph(n, edges)
+
+
+def test_make_builds_what_the_public_constructor_builds(monkeypatch):
+    one_arg = {
+        "threshold": range(2, 31, 2),
+        "triangle_tail": range(1, 16),
+        "double_path_apex": range(2, 16),
+        "path": range(1, 16),
+        "cycle": range(3, 16),
+        "complete": range(1, 16),
+    }
+    specs = [f"{name},{k}" for name, ks in one_arg.items() for k in ks]
+    specs += ["k4_minus_e", "fig1_left", "fig1_right"]
+    specs += [
+        "complete_multipartite," + ",".join(map(str, parts))
+        for parts in ([1], [4], [1, 1], [2, 3], [3, 2], [1, 2, 3], [3, 1, 2, 5], [4, 4, 4, 4], [16, 16, 16, 16, 16])
+    ]
+    specs += [
+        "join_k1:" * depth + base
+        for depth in (1, 2, 3)
+        for base in ("path,1", "cycle,5", "fig1_left", "k4_minus_e", "threshold,6", "complete_multipartite,2,3")
+    ]
+    for spec in specs:
+        made = _built_both_ways(monkeypatch, lambda: family_from_spec(spec))
+        assert len(made) == 1 + spec.count("join_k1:"), spec
+        for g, ref in made:
+            _assert_same_fields(g, ref)
+
+    # graph_from_mask, then parse_graph6, on every labeled graph with n <= 5.
+    for n in range(1, 6):
+        made = _built_both_ways(monkeypatch, lambda: list(enumerate_labeled_graphs(n, connected_only=False)))
+        assert len(made) == 2 ** (n * (n - 1) // 2)
+        for source, ref in made:
+            _assert_same_fields(source, ref)
+            (parsed, ref), = _built_both_ways(monkeypatch, lambda: parse_graph6(encode_graph6(source)))
+            _assert_same_fields(parsed, ref)
+            assert parsed == source
+
+    # parse_graph6 on the benchmark's large kernel shapes.
+    rng = Random(36)
+    shapes = [
+        _gnp(rng, 70, 0.5),
+        _gnp(rng, 200, 8 / 200),
+        _permutation_graph(rng, 65),
+        _cograph(rng, 70),
+        family_from_spec("threshold,80"),
+        family_from_spec("complete_multipartite,9,9,9,9,9,9,9,9,8"),
+        family_from_spec("double_path_apex,90"),
+    ]
+    for source in shapes:
+        (parsed, ref), = _built_both_ways(monkeypatch, lambda: parse_graph6(encode_graph6(source)))
+        _assert_same_fields(parsed, ref)
+        assert parsed == source
 
 
 def test_constructor_names_the_first_bad_edge_in_input_order():
@@ -828,6 +932,33 @@ def test_only_graph_and_the_forcing_kernel_name_graph_private_fields():
                 offenders += [f"{source.name}:{line} {name}" for line, name in names]
     assert offenders == []
     assert kernel_reads > 0  # the scan does see the fields where they are read
+
+
+def test_only_graph6_the_families_and_graph_from_mask_call_graph_make():
+    # Graph._make skips the per-edge check, so only producers whose edges
+    # are valid by construction may call it; parse_edge_list and the CLI
+    # hand the public constructor what a user wrote.
+    package = Path(qt2ec.__file__).parent
+    callers = set()
+    for source in sorted(package.glob("*.py")):
+        for node in ast.parse(source.read_text(encoding="utf-8")).body:
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and sub.attr == "_make"
+                    and getattr(sub.value, "id", None) not in ("Orientation", "EdgeColouring")
+                ):
+                    callers.add(f"{source.stem}.{getattr(node, 'name', sub.lineno)}")
+    builders = {
+        "threshold_alternating", "triangle_with_tail", "double_path_apex", "figure_graph",
+        "path", "cycle", "complete", "complete_multipartite", "join_with_k1",
+    }
+    assert callers == {f"families.{name}" for name in builders} | {
+        "graph.parse_graph6",
+        "oracle.graph_from_mask",
+    }
+    assert "graph.parse_edge_list" not in callers
+    assert not any(caller.startswith("cli.") for caller in callers)
 
 
 FAST_PATH = ("graph", "classes", "colouring", "orientation", "families", "errors", "cli")
