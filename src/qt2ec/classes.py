@@ -99,8 +99,11 @@ def compute_classes(g: Graph) -> EdgeClassPartition:
 def class_choices(p: EdgeClassPartition, cap: int, oriented: bool = False) -> Iterator[tuple]:
     """For each mask 0..2^k-1 in turn, each edge's class's bit of it (bit i
     is class i's), or with ``oriented`` the edge's canonical bit flipped by
-    it.  Raises when called, in order: a negative cap, with ``oriented`` a
-    class that has no orientation, and more than ``cap`` classes."""
+    it.  Raises when called, in order: a cap that is not an int or is
+    negative, with ``oriented`` a class that has no orientation, and more
+    than ``cap`` classes."""
+    if type(cap) is not int:
+        raise ContractError(f"enumeration cap must be an int, got {cap!r}")
     if cap < 0:
         raise ContractError(f"enumeration cap must be at least 0, got {cap}")
     if oriented and any(w is not None for w in p.contradictions):

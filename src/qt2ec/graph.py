@@ -30,13 +30,14 @@ class Graph:
     ids that are exactly ``int`` (not a bool, a float or an int subclass),
     not a self-loop, and in range; the first that is not is a
     ContractError that names it as given.  A repeated edge collapses to
-    one.  The package's own producers, :func:`parse_graph6`, the builders
-    of :mod:`qt2ec.families` and ``oracle.graph_from_mask``, build through
-    :meth:`_make` instead, which skips that check: each makes its edges as
-    canonical pairs of int ids in range, each once, from bit positions,
-    from another graph's edges or from int parameters that the builder
-    checks first.  Both constructors check the vertex count and the
-    labels, and fill the same fields.  Edges are canonical ``(min, max)``
+    one.  That checked constructor is for library users.  Every graph the
+    package builds itself goes through :meth:`_make`, which skips the
+    check: the parsers, the builders of :mod:`qt2ec.families` and
+    ``oracle.graph_from_mask`` make their edges as canonical pairs of int
+    ids in range, each once, from token ids, bit positions, another
+    graph's edges or int parameters that the builder checks first.  Both
+    constructors check the vertex count and the labels, and fill the same
+    fields.  Edges are canonical ``(min, max)``
     pairs carrying a dense index assigned in lexicographic pair order.
     Adjacency is kept as one int
     bitset per vertex because neighbour-pair scans (induced-P3
@@ -62,9 +63,8 @@ class Graph:
     ):
         _check_vertex_count(n)
         # A dict keeps the edges in input order, so edges given sorted or
-        # nearly so, as parse_edge_list hands on a file written in pair
-        # order, reach the sort in about linear time; a set would hand it
-        # the edges in hash order.
+        # nearly so reach the sort in about linear time; a set would hand
+        # it the edges in hash order.
         canonical: dict[EdgePair, None] = {}
         for edge in edges:
             try:
@@ -248,9 +248,9 @@ def parse_edge_list(text: str) -> Graph:
     Duplicate edge lines collapse to a single edge.
     """
     index: dict[str, int] = {}
-    # Graph collapses duplicates and keeps the input order, so a file
-    # written in pair order reaches its sort already sorted.
-    edges: list[EdgePair] = []
+    # Distinct tokens get distinct int ids in range, so each canonical pair
+    # is one Graph._make takes; the dict drops repeats in input order.
+    edges: dict[EdgePair, None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
@@ -264,8 +264,9 @@ def parse_edge_list(text: str) -> Graph:
         a, b = tokens
         if a == b:
             raise FormatError(f"line {lineno}: self-loop on {a!r}")
-        edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
-    return Graph(len(index), edges, labels=list(index) or None)
+        u, v = index.setdefault(a, len(index)), index.setdefault(b, len(index))
+        edges[(u, v) if u < v else (v, u)] = None
+    return Graph._make(len(index), edges, labels=list(index) or None)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -168,31 +168,19 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     return Graph._make(n, [pair for bit, pair in _row_order(n) if mask >> bit & 1])
 
 
-def _mask_connected(pairs: tuple[tuple[int, int], ...], n: int, mask: int) -> bool:
-    """Connectivity of ``graph_from_mask(n, mask)`` straight from the mask."""
-    adj = [0] * n
-    while mask:
-        low = mask & -mask
-        u, v = pairs[low.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        mask ^= low
-    return n <= 1 or reach(adj, 1) == (1 << n) - 1
-
-
 def _check_corpus_n(n: int) -> None:
+    if type(n) is not int:
+        raise ContractError(f"corpus size must be an int, got {n!r}")
     if not 1 <= n <= MAX_CORPUS_N:
         raise ContractError(f"corpus size must be 1..{MAX_CORPUS_N}, got {n}")
 
 
 def enumerate_labeled_graphs(n: int, connected_only: bool = True) -> Iterator[Graph]:
     """All labeled graphs on n vertices in ascending edge-mask order, which
-    is graph6 order."""
+    is graph6 order.  A bad ``n`` is refused at the call."""
     _check_corpus_n(n)
-    pairs = _pair_table(n)
-    for mask in range(1 << len(pairs)):
-        if not connected_only or _mask_connected(pairs, n, mask):
-            yield graph_from_mask(n, mask)
+    graphs = map(partial(graph_from_mask, n), range(1 << n * (n - 1) // 2))
+    return filter(is_connected, graphs) if connected_only else graphs
 
 
 # The number of connected labeled graphs on n = 1..7 vertices (OEIS A001187).
@@ -201,9 +189,13 @@ _CONNECTED_COUNTS = (1, 1, 4, 38, 728, 26704, 1866256)
 
 def _sample_connected_masks(n: int, count: int, seed: int) -> list[int]:
     _check_corpus_n(n)
+    for name, value in (("count", count), ("seed", seed)):
+        if type(value) is not int:
+            raise ContractError(f"{name} must be an int, got {value!r}")
+    if count < 0:
+        raise ContractError(f"count must be 0 or more, got {count}")
     if count > _CONNECTED_COUNTS[n - 1]:
         raise RefusalError(f"fewer than {count} connected graphs exist at n={n}")
-    pairs = _pair_table(n)
     # A draw reads the upper triangle row by row, its bit i the i-th pair in
     # row order, so what a seed names is not tied to the mask layout.
     row_bits = [1 << bit for bit, _ in _row_order(n)]
@@ -211,7 +203,7 @@ def _sample_connected_masks(n: int, count: int, seed: int) -> list[int]:
     seen: set[int] = set()
     out: list[int] = []
     while len(out) < count:
-        drawn = rng.getrandbits(len(pairs))
+        drawn = rng.getrandbits(len(row_bits))
         mask = 0
         while drawn:
             low = drawn & -drawn
@@ -220,7 +212,7 @@ def _sample_connected_masks(n: int, count: int, seed: int) -> list[int]:
         if mask in seen:
             continue
         seen.add(mask)
-        if _mask_connected(pairs, n, mask):
+        if is_connected(graph_from_mask(n, mask)):
             out.append(mask)
     return out
 
@@ -508,8 +500,7 @@ def _run_checks(checks: list[tuple[str, CheckFn]], block: tuple[int, range | lis
     string pickles once per block of rows, not once per row."""
     n, masks = block
     out: list[Row] = []
-    for mask in filter(partial(_mask_connected, _pair_table(n), n), masks):
-        g = graph_from_mask(n, mask)
+    for g in filter(is_connected, map(partial(graph_from_mask, n), masks)):
         key = encode_graph6(g)
         partition = compute_classes(g)
         for _, check in checks:
@@ -572,22 +563,23 @@ def sweep_records(
     A mask is the integer of its graph's graph6 bits (:func:`_pair_table`),
     so the blocks hold each graph once, in graph6 order.  The serial loop
     and the pool workers alike map one function, ``_run_checks`` bound to
-    the sorted checks, over the blocks in that order, and each block's rows
-    come back sorted, so the records come out sorted by (graph6, check,
-    witness or "") as they are made, and multi-worker runs give the same
-    stream.  The records are made as they are asked for; a consumer that
-    stops early should ``close()`` the iterator, which shuts its pool down.
-    ``max_n``, ``threads`` and a non-None ``sample_n6`` must be ints, and
-    ``threads`` 1..``MAX_SWEEP_THREADS``: a pool starts all its workers at
-    once.  ``registry`` is a test hook replacing the default check table;
-    it runs with ``cfg.threads`` like the default one.  The pool pickles
-    the table by reference, so its checks must be module-level functions:
-    with ``threads`` above 1 a closure fails at once, unpicklable
-    (``AttributeError: Can't pickle local object`` on CPython 3.11), and
-    never hangs.
+    the sorted checks, over the blocks in that order; it builds each mask's
+    graph and keeps the connected ones.  Each block's rows come back
+    sorted, so the records come out sorted by (graph6, check, witness or
+    "") as they are made, and multi-worker runs give the same stream.  The
+    records are made as they are asked for; a consumer that stops early
+    should ``close()`` the iterator, which shuts its pool down.
+    ``max_n``, ``threads``, ``seed`` and a non-None ``sample_n6`` must be
+    ints, and ``threads`` 1..``MAX_SWEEP_THREADS``: a pool starts all its
+    workers at once.  ``registry`` is a test hook replacing the default
+    check table; it runs with ``cfg.threads`` like the default one.  The
+    pool pickles the table by reference, so its checks must be
+    module-level functions: with ``threads`` above 1 a closure fails at
+    once, unpicklable (``AttributeError: Can't pickle local object`` on
+    CPython 3.11), and never hangs.
     """
     table = registry if registry is not None else ALL_CHECKS
-    for field in ("max_n", "threads", "sample_n6"):
+    for field in ("max_n", "threads", "sample_n6", "seed"):
         value = getattr(cfg, field)
         if type(value) is not int and not (field == "sample_n6" and value is None):
             raise ContractError(f"{field} must be an int, got {value!r}")

@@ -93,6 +93,7 @@ def replay(argv: list[str], stdin: str) -> tuple[int, str, str]:
             except SystemExit as exc:
                 code = exc.code
     finally:
+        sys.stdin.close()
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,8 @@ from qt2ec import (
     OrientationFeasibility,
     RefusalError,
     compute_classes,
+    enumerate_colourings,
+    enumerate_orientations,
     induced_p3s,
     is_connected,
     is_module_set,
@@ -174,6 +177,17 @@ def test_class_choices_check_the_cap_when_called():
     with pytest.raises(RefusalError, match="enumeration cap exceeded: 1 classes > cap 0"):
         class_choices(p, 0)
     assert len(list(class_choices(p, 1))) == 2
+
+
+@pytest.mark.parametrize("cap", [2.5, True, "3", None, 3.0])
+def test_an_enumeration_cap_that_is_not_an_int_is_refused(cap):
+    # 2.5 and True were taken as caps; "3" and None failed with a bare
+    # TypeError at the comparison.  C5 has no orientation, so the orientation
+    # call shows the cap is checked first.
+    for enumerate_ in (enumerate_colourings, enumerate_orientations):
+        for g in (path(4), cycle(5)):
+            with pytest.raises(ContractError, match=re.escape(f"enumeration cap must be an int, got {cap!r}")):
+                enumerate_(g, cap=cap)
 
 
 # ---------------------------------------------------------------------------

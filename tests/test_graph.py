@@ -423,26 +423,26 @@ def _parsed(parse, text: str) -> tuple:
     return (g.n, g.edges, g.labels)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "a\tb\r\nb\t c\r\n",
-        "  # indented comment\n\t#tab comment\na b\n #\n",
-        "vertices:a b\nb c\n",
-        "vertices:\nvertices: \na b\n",
-        "  vertices:  x   y\ty\n",
-        "vertices:# not a comment\n",
-        "a b\nb a\na b\nc a\na c\n",
-        "a b\nc c\n",
-        "a\n",
-        "a b c\n",
-        "a b\n\n   \n\x0c\nlone\n",
-        "x y\x1cy z z w\x85w x\n",
-        "a b\n# vertices: late\nvertices: late a\nlate b\n",
-        "",
-        "\n\r\n",
-    ],
-)
+_TRICKY_EDGE_LISTS = [
+    "a\tb\r\nb\t c\r\n",
+    "  # indented comment\n\t#tab comment\na b\n #\n",
+    "vertices:a b\nb c\n",
+    "vertices:\nvertices: \na b\n",
+    "  vertices:  x   y\ty\n",
+    "vertices:# not a comment\n",
+    "a b\nb a\na b\nc a\na c\n",
+    "a b\nc c\n",
+    "a\n",
+    "a b c\n",
+    "a b\n\n   \n\x0c\nlone\n",
+    "x y\x1cy z z w\x85w x\n",
+    "a b\n# vertices: late\nvertices: late a\nlate b\n",
+    "",
+    "\n\r\n",
+]
+
+
+@pytest.mark.parametrize("text", _TRICKY_EDGE_LISTS)
 def test_parse_edge_list_matches_the_reference_on_tricky_text(text):
     assert _parsed(parse_edge_list, text) == _parsed(_reference_parse_edge_list, text)
 
@@ -454,6 +454,23 @@ _EDGE_LIST_PIECES = ["a", "b", "é", "#", "vertices:", " ", "\t", "\n", "\r\n", 
 @settings(max_examples=300, deadline=None)
 def test_parse_edge_list_matches_the_reference(text):
     assert _parsed(parse_edge_list, text) == _parsed(_reference_parse_edge_list, text)
+
+
+def _assert_parsed_as_the_reference(text: str) -> None:
+    """parse_edge_list builds every field the reference parser's checked
+    constructor builds from the same edges, or raises its FormatError."""
+    try:
+        ref = _reference_parse_edge_list(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(exc))}$"):
+            parse_edge_list(text)
+        return
+    _assert_same_fields(parse_edge_list(text), ref)
+
+
+@pytest.mark.parametrize("text", _TRICKY_EDGE_LISTS)
+def test_parse_edge_list_fills_what_the_checked_constructor_fills_on_tricky_text(text):
+    _assert_parsed_as_the_reference(text)
 
 
 def test_edge_list_round_trip_keeps_isolated_vertices():
@@ -487,6 +504,17 @@ def test_edge_list_round_trip_from_tricky_text(text):
         return
     again = parse_edge_list(format_edge_list(g))
     assert (again.n, again.edges, again.labels) == (g.n, g.edges, g.labels)
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_EDGE_LIST_PIECES), max_size=40).map("".join),
+        st.lists(_EDGE_LIST_LINES, max_size=8).map("\n".join),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_edge_list_fills_what_the_checked_constructor_fills(text):
+    _assert_parsed_as_the_reference(text)
 
 
 @pytest.mark.parametrize(
@@ -934,12 +962,14 @@ def test_only_graph_and_the_forcing_kernel_name_graph_private_fields():
     assert kernel_reads > 0  # the scan does see the fields where they are read
 
 
-def test_only_graph6_the_families_and_graph_from_mask_call_graph_make():
+def test_every_graph_the_package_builds_goes_through_graph_make():
     # Graph._make skips the per-edge check, so only producers whose edges
-    # are valid by construction may call it; parse_edge_list and the CLI
-    # hand the public constructor what a user wrote.
+    # are valid by construction may call it: the parsers, whose ids are
+    # exact ints in range, the families and graph_from_mask.  The checked
+    # constructor is for library users: no module of the package calls it.
     package = Path(qt2ec.__file__).parent
     callers = set()
+    checked = []
     for source in sorted(package.glob("*.py")):
         for node in ast.parse(source.read_text(encoding="utf-8")).body:
             for sub in ast.walk(node):
@@ -949,15 +979,18 @@ def test_only_graph6_the_families_and_graph_from_mask_call_graph_make():
                     and getattr(sub.value, "id", None) not in ("Orientation", "EdgeColouring")
                 ):
                     callers.add(f"{source.stem}.{getattr(node, 'name', sub.lineno)}")
+                if isinstance(sub, ast.Call) and "Graph" in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None)):
+                    checked.append(f"{source.name}:{sub.lineno}")
+    assert checked == []
     builders = {
         "threshold_alternating", "triangle_with_tail", "double_path_apex", "figure_graph",
         "path", "cycle", "complete", "complete_multipartite", "join_with_k1",
     }
     assert callers == {f"families.{name}" for name in builders} | {
         "graph.parse_graph6",
+        "graph.parse_edge_list",
         "oracle.graph_from_mask",
     }
-    assert "graph.parse_edge_list" not in callers
     assert not any(caller.startswith("cli.") for caller in callers)
 
 

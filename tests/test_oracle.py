@@ -125,10 +125,10 @@ def test_sample_connected_graphs_seeded():
 
 def test_connected_counts_match_the_enumerated_corpus():
     # The sweep's header counts its graphs from this table, and its worker
-    # keeps the masks that _mask_connected accepts.
+    # keeps each mask whose graph is connected.
     for n in range(1, 7):
-        connected = partial(oracle._mask_connected, oracle._pair_table(n), n)
-        assert oracle._CONNECTED_COUNTS[n - 1] == sum(map(connected, range(1 << n * (n - 1) // 2)))
+        graphs = map(partial(graph_from_mask, n), range(1 << n * (n - 1) // 2))
+        assert oracle._CONNECTED_COUNTS[n - 1] == sum(map(is_connected, graphs))
 
 
 def test_a_mask_is_its_graphs_graph6_bits():
@@ -149,9 +149,42 @@ def test_an_unmeetable_sample_is_refused_before_any_draw(monkeypatch):
     def no_draw(*args):
         raise AssertionError("a mask was drawn before the refusal")
 
-    monkeypatch.setattr(oracle, "_mask_connected", no_draw)
+    monkeypatch.setattr(oracle, "graph_from_mask", no_draw)
     with pytest.raises(RefusalError, match="fewer than 26705 connected graphs exist at n=6"):
         sample_connected_graphs(6, 26705, 0)
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: enumerate_labeled_graphs(3.0), "corpus size must be an int, got 3.0"),
+        (lambda: enumerate_labeled_graphs(True), "corpus size must be an int, got True"),
+        (lambda: sample_connected_graphs(6.0, 2, 1), "corpus size must be an int, got 6.0"),
+        (lambda: sample_connected_graphs(6, 2.0, 1), "count must be an int, got 2.0"),
+        (lambda: sample_connected_graphs(6, True, 0), "count must be an int, got True"),
+        (lambda: sample_connected_graphs(6, -1, 0), "count must be 0 or more, got -1"),
+        (lambda: sample_connected_graphs(6, 2, None), "seed must be an int, got None"),
+        (lambda: sample_connected_graphs(6, 2, 1.0), "seed must be an int, got 1.0"),
+        (lambda: sample_connected_graphs(6, 2, [1]), "seed must be an int, got [1]"),
+    ],
+)
+def test_the_corpus_functions_refuse_what_they_cannot_use(call, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("seed", [None, [1], 1.0, True, "1"])
+def test_the_sweep_refuses_a_seed_that_is_not_an_int(monkeypatch, seed):
+    # None drew a new sample on every call and headed the report with
+    # "seed": null; [1] failed inside random with a bare TypeError.
+    def no_corpus(*args):
+        raise AssertionError("corpus built before the seed check")
+
+    monkeypatch.setattr(oracle, "_sample_connected_masks", no_corpus)
+    monkeypatch.setattr(oracle, "_records", no_corpus)
+    for sample in (2, None):
+        with pytest.raises(ContractError, match=f"^{re.escape(f'seed must be an int, got {seed!r}')}$"):
+            sweep_records(SweepConfig(max_n=1, sample_n6=sample, seed=seed))
 
 
 def test_a_sample_of_every_connected_graph_is_met():
