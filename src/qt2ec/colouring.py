@@ -10,7 +10,7 @@ exhaustive checks live in :mod:`qt2ec.oracle`.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .classes import DEFAULT_ENUMERATION_CAP, class_choices, compute_classes
 from .errors import ContractError, RefusalError
@@ -25,8 +25,8 @@ class EdgeColouring(namedtuple("EdgeColouring", "graph colours")):
 
     __slots__ = ()
 
-    def __new__(cls, graph: Graph, colours: tuple[str, ...]) -> EdgeColouring:
-        check_edge_record(graph, colours, (RED, BLUE), "colouring", "colour")
+    def __new__(cls, graph: Graph, colours: Iterable[str]) -> EdgeColouring:
+        colours = check_edge_record(graph, colours, (RED, BLUE), "colouring", "colour")
         return tuple.__new__(cls, (graph, colours))
 
 

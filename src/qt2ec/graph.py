@@ -32,9 +32,10 @@ class Graph:
     ContractError that names it as given.  A repeated edge collapses to
     one.  That checked constructor is for library users.  Every graph the
     package builds itself goes through :meth:`_make`, which skips the
-    check: the parsers, the builders of :mod:`qt2ec.families` and
-    ``oracle.graph_from_mask`` make their edges as canonical pairs of int
-    ids in range, each once, from token ids, bit positions, another
+    check: this module's decoders :func:`parse_edge_list`,
+    :func:`parse_graph6` and :func:`graph_from_mask`, and the
+    :mod:`qt2ec.families` builders, make their edges as canonical pairs of
+    int ids in range, each once, from token ids, bit positions, another
     graph's edges or int parameters that the builder checks first.  Both
     constructors check the vertex count and the labels, and fill the same
     fields.  Edges are canonical ``(min, max)``
@@ -66,7 +67,7 @@ class Graph:
         # nearly so reach the sort in about linear time; a set would hand
         # it the edges in hash order.
         canonical: dict[EdgePair, None] = {}
-        for edge in edges:
+        for edge in _iterate(edges, "edges"):
             try:
                 u, v = edge
             except (TypeError, ValueError):
@@ -102,7 +103,7 @@ class Graph:
         self.n = n
         self.edges: tuple[EdgePair, ...] = tuple(sorted(edges))
         if labels is not None:
-            labels = tuple(str(s) for s in labels)
+            labels = tuple(map(str, _iterate(labels, "labels")))
             if len(labels) != n:
                 raise ContractError(f"expected {n} labels, got {len(labels)}")
             if len(set(labels)) != n:
@@ -168,7 +169,7 @@ class Graph:
                 raise ContractError(f"unknown vertex label {label!r}") from None
         try:
             v = int(label)
-        except ValueError:
+        except (TypeError, ValueError):
             v = None
         # Only the names vertex_names() prints: int() also takes "01",
         # "+1", "1_0" and non-ASCII digits.
@@ -190,6 +191,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _iterate(values: object, name: str) -> Iterator:
+    """An iterator over ``values``, the argument ``name``; if ``values`` is
+    not iterable, a ContractError that names both."""
+    try:
+        return iter(values)  # type: ignore[call-overload]
+    except TypeError:
+        raise ContractError(f"{name} must be iterable, got {values!r}") from None
+
+
 def _check_vertex_count(n: object) -> None:
     if type(n) is not int:
         raise ContractError(f"vertex count must be an int, got {n!r}")
@@ -209,9 +219,9 @@ def _vertex(g: Graph, v: object) -> int:
 
 
 def check_index(i: object, size: int, kind: str) -> int:
-    """``i`` if it is an exact int in 0..size-1, an edge index or a class
-    id; anything else, a negative one that indexing would wrap included,
-    is a ContractError that names it as a ``kind``."""
+    """``i`` if it is an exact int in 0..size-1, an edge index, a class id
+    or an edge mask; anything else, a negative one that indexing would
+    wrap included, is a ContractError that names it as a ``kind``."""
     if type(i) is not int:
         raise ContractError(f"{kind} {i!r} is not an int")
     if not 0 <= i < size:
@@ -219,16 +229,22 @@ def check_index(i: object, size: int, kind: str) -> int:
     return i
 
 
-def check_edge_record(g: Graph, values: tuple, allowed: tuple, record: str, value: str) -> None:
-    """Raise ContractError unless ``values`` holds one of ``allowed``, of
-    its own type (``True`` equals 1 but is not a bit), per edge; the first
-    bad value is named."""
+def check_edge_record(g: Graph, values: Iterable, allowed: tuple, record: str, value: str) -> tuple:
+    """``values`` as a tuple, once checked: a ContractError unless ``g`` is
+    a Graph and ``values`` holds one of ``allowed``, of its own type
+    (``True`` equals 1 but is not a bit), per edge; the first bad value is
+    named."""
+    if not isinstance(g, Graph):
+        raise ContractError(f"{record} needs a Graph, got {g!r}")
+    if type(values) is not tuple:
+        values = tuple(_iterate(values, f"{value}s"))
     if len(values) != g.m:
         raise ContractError(f"{record} covers {len(values)} edges, graph has {g.m}")
     types = set(map(type, allowed))
     for x in values:
         if type(x) not in types or x not in allowed:
             raise ContractError(f"invalid {value} {x!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +430,29 @@ def encode_graph6(g: Graph) -> str:
     return out.decode()
 
 
+_MASK_PAIRS: dict[int, tuple[tuple[int, EdgePair], ...]] = {}
+
+
+def mask_pairs(n: int) -> tuple[tuple[int, EdgePair], ...]:
+    """``(mask bit, pair)`` for the pairs of n vertices in row order, the
+    order ``Graph`` sorts its edges in.  A mask is the integer of its graph's
+    graph6 bits: graph6 writes pair (i, j) as bit j(j-1)/2 + i of N =
+    n(n-1)/2, so mask bit N - 1 - (j(j-1)/2 + i) is that pair."""
+    if n not in _MASK_PAIRS:
+        _check_vertex_count(n)
+        last = n * (n - 1) // 2 - 1
+        _MASK_PAIRS[n] = tuple((last - j * (j - 1) // 2 - i, (i, j)) for i in range(n) for j in range(i + 1, n))
+    return _MASK_PAIRS[n]
+
+
+def graph_from_mask(n: int, mask: int) -> Graph:
+    """The graph of an edge mask in :func:`mask_pairs`'s layout; a mask that
+    is not an exact int in 0..2^N - 1 is a ContractError that names it."""
+    pairs = mask_pairs(n)
+    check_index(mask, 1 << len(pairs), "edge mask")
+    return Graph._make(n, [pair for bit, pair in pairs if mask >> bit & 1])
+
+
 _CLASS_STYLES = ("solid", "dashed", "dotted", "bold")
 
 
@@ -491,7 +530,7 @@ def induced_p3s(g: Graph) -> Iterator[tuple[int, int, int]]:
 
 def _vertex_bits(g: Graph, vertices: VertexSet) -> int:
     inside = 0
-    for v in vertices:
+    for v in _iterate(vertices, "vertex set"):
         inside |= 1 << _vertex(g, v)
     return inside
 

@@ -30,10 +30,12 @@ from .errors import ContractError, RefusalError
 from .graph import (
     Graph,
     encode_graph6,
+    graph_from_mask,
     induced_p3_edges,
     is_complete_multipartite,
     is_connected,
     is_module_set,
+    mask_pairs,
     reach,
 )
 from .orientation import OrientationFeasibility
@@ -145,29 +147,6 @@ def _orientation_count(g: Graph) -> int:
 # corpus generation
 
 
-@lru_cache(maxsize=None)
-def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
-    """The vertex pairs of n vertices in edge-mask bit order.  graph6 writes
-    the upper triangle column by column, pair (0, 1) first, and mask bit b
-    is the pair it writes (N - 1 - b)-th, N = n(n-1)/2: a mask is the
-    integer of its graph's graph6 bits, so ascending masks have ascending
-    graph6 keys."""
-    return tuple((u, v) for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1))
-
-
-@lru_cache(maxsize=None)
-def _row_order(n: int) -> tuple[tuple[int, tuple[int, int]], ...]:
-    """``(mask bit, pair)`` for the pairs of n vertices in row order, (0, 1),
-    (0, 2), ..., the order ``Graph`` sorts its edges in."""
-    return tuple(sorted(enumerate(_pair_table(n)), key=lambda bit_pair: bit_pair[1]))
-
-
-def graph_from_mask(n: int, mask: int) -> Graph:
-    """The graph of an edge mask in :func:`_pair_table`'s layout; its edges,
-    canonical pairs in range, each once, go to ``Graph._make`` sorted."""
-    return Graph._make(n, [pair for bit, pair in _row_order(n) if mask >> bit & 1])
-
-
 def _check_corpus_n(n: int) -> None:
     if type(n) is not int:
         raise ContractError(f"corpus size must be an int, got {n!r}")
@@ -198,7 +177,7 @@ def _sample_connected_masks(n: int, count: int, seed: int) -> list[int]:
         raise RefusalError(f"fewer than {count} connected graphs exist at n={n}")
     # A draw reads the upper triangle row by row, its bit i the i-th pair in
     # row order, so what a seed names is not tied to the mask layout.
-    row_bits = [1 << bit for bit, _ in _row_order(n)]
+    row_bits = [1 << bit for bit, _ in mask_pairs(n)]
     rng = Random(seed)
     seen: set[int] = set()
     out: list[int] = []
@@ -560,7 +539,7 @@ def sweep_records(
     any check runs.  The corpus is never listed: it goes out in blocks
     ``(n, masks)``, 64 consecutive masks of one n or up to 64 of the sorted
     sample, and ``meta["graphs"]`` counts it from ``_CONNECTED_COUNTS``.
-    A mask is the integer of its graph's graph6 bits (:func:`_pair_table`),
+    A mask is the integer of its graph's graph6 bits (``graph.mask_pairs``),
     so the blocks hold each graph once, in graph6 order.  The serial loop
     and the pool workers alike map one function, ``_run_checks`` bound to
     the sorted checks, over the blocks in that order; it builds each mask's
@@ -591,7 +570,10 @@ def sweep_records(
         raise ContractError(f"sample_n6 needs max_n below 6, got max_n={cfg.max_n}")
     if not 1 <= cfg.threads <= MAX_SWEEP_THREADS:
         raise ContractError(f"threads must be 1..{MAX_SWEEP_THREADS}, got {cfg.threads}")
-    names = sorted(cfg.checks) if cfg.checks is not None else sorted(table)
+    try:
+        names = sorted(cfg.checks) if cfg.checks is not None else sorted(table)
+    except TypeError:
+        raise ContractError(f"checks must be an iterable of check names, got {cfg.checks!r}") from None
     for name in names:
         if name not in table:
             valid = ", ".join(sorted(table))

@@ -14,7 +14,7 @@ definitional validity check scans induced P3s itself.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .classes import DEFAULT_ENUMERATION_CAP, class_choices, compute_classes
 from .errors import ContractError, InfeasibilityError
@@ -27,8 +27,8 @@ class Orientation(namedtuple("Orientation", "graph bits")):
 
     __slots__ = ()
 
-    def __new__(cls, graph: Graph, bits: tuple[int | None, ...]) -> Orientation:
-        check_edge_record(graph, bits, (0, 1, None), "orientation", "direction bit")
+    def __new__(cls, graph: Graph, bits: Iterable[int | None]) -> Orientation:
+        bits = check_edge_record(graph, bits, (0, 1, None), "orientation", "direction bit")
         return tuple.__new__(cls, (graph, bits))
 
     @property
@@ -131,7 +131,10 @@ def partial_orientation(g: Graph, seed: tuple[int, int]) -> Orientation:
     the other way.  A class that admits no orientation raises
     InfeasibilityError carrying an edge the forcing orients both ways.
     """
-    u, v = seed
+    try:
+        u, v = seed
+    except (TypeError, ValueError):
+        raise ContractError(f"seed arc {seed!r} is not a pair of vertex ids") from None
     p = compute_classes(g)
     start = g.edge_index(u, v)
     cid = p.class_of[start]

@@ -77,6 +77,20 @@ def test_partial_colouring_is_contract_error():
         is_quasi_transitive_colouring(path(3), EdgeColouring(cycle(4), ("R",) * 4))
 
 
+def test_colours_are_kept_as_a_tuple():
+    # A string of colours was kept as the string, unequal to the record
+    # built from the same colours as a tuple.
+    g = path(4)
+    spelled = EdgeColouring(g, "RRB")
+    assert spelled.colours == ("R", "R", "B")
+    assert spelled == EdgeColouring(g, ("R", "R", "B"))
+    assert hash(spelled) == hash(EdgeColouring(g, ["R", "R", "B"]))
+    with pytest.raises(ContractError, match="^colours must be iterable, got 5$"):
+        EdgeColouring(g, 5)
+    with pytest.raises(ContractError, match="^colouring needs a Graph, got None$"):
+        EdgeColouring(None, ())
+
+
 def test_colouring_of_the_wrong_length_is_contract_error():
     with pytest.raises(ContractError, match="colouring covers 1 edges, graph has 2"):
         EdgeColouring(path(3), ("R",))

@@ -213,10 +213,14 @@ def test_family_from_spec():
 )
 def test_family_spec_size_is_counted_exactly(spec, monkeypatch):
     g = family_from_spec(spec)
-    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_SIZE", max(g.n, g.m))
+    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_VERTICES", g.n)
+    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_EDGES", g.m)
     assert family_from_spec(spec) == g
-    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_SIZE", max(g.n, g.m) - 1)
-    with pytest.raises(RefusalError):
+    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_EDGES", g.m - 1)
+    with pytest.raises(RefusalError, match=f"has {g.m} edges; the cap is {g.m - 1} edges$"):
+        family_from_spec(spec)
+    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_VERTICES", g.n - 1)
+    with pytest.raises(RefusalError, match=f"has {g.n} vertices; the cap is {g.n - 1} vertices$"):
         family_from_spec(spec)
 
 
@@ -249,7 +253,8 @@ def test_oversized_family_specs_refuse_before_building_an_edge():
 
 
 def test_specs_over_the_vertex_cap_refuse_before_building_an_edge():
-    # These specs pass the million-edge cap.  path,1000000 would need tens
+    # All but path,2000000 pass the million-edge cap; it is over both caps,
+    # and the vertex cap is checked first.  path,1000000 would need tens
     # of GB of adjacency bitsets; the child caps its own address space at
     # 512 MiB, so a spec that did build would die of MemoryError there.
     code = (
@@ -257,7 +262,7 @@ def test_specs_over_the_vertex_cap_refuse_before_building_an_edge():
         "from qt2ec.cli import main; "
         "print([main(['classes', '--family', spec]) for spec in sys.argv[1:]])"
     )
-    specs = ["path,1000000", "cycle,50001", "join_k1:path,50000", "complete_multipartite,49999,2"]
+    specs = ["path,1000000", "cycle,50001", "join_k1:path,50000", "complete_multipartite,49999,2", "path,2000000"]
     src = str(Path(qt2ec.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code, *specs],

@@ -34,7 +34,7 @@ from qt2ec import (
     partial_orientation,
     to_dot,
 )
-from qt2ec.graph import reach
+from qt2ec.graph import graph_from_mask, mask_pairs, reach
 from qt2ec.colouring import EdgeColouring
 from qt2ec.families import complete, complete_multipartite, cycle, family_from_spec, figure_graph, path
 from qt2ec.oracle import enumerate_labeled_graphs
@@ -215,6 +215,9 @@ def test_constructor_names_the_first_bad_edge_in_input_order():
         ([(0, 1), (0, True)], re.escape("edge (0, True) is not a pair of int vertex ids")),
         ([(0, 1), (0, 1.0)], re.escape("edge (0, 1.0) is not a pair of int vertex ids")),
         ([(1, 0), (0, 1.0)], re.escape("edge (0, 1.0) is not a pair of int vertex ids")),
+        # Edges that are not iterable at all, named as given.
+        (5, "edges must be iterable, got 5"),
+        (None, "edges must be iterable, got None"),
     ]
     for edges, message in cases:
         with pytest.raises(ContractError, match=f"^{message}$"):
@@ -257,6 +260,10 @@ def test_vertex_queries_refuse_what_is_not_a_vertex():
         for v in (1.0, True, None):
             with pytest.raises(ContractError, match=f"^vertex {re.escape(repr(v))} is not an int vertex id$"):
                 query(v)
+    for vertex_set in (1, 0.5):
+        for query in (is_module_set, is_connected):
+            with pytest.raises(ContractError, match=f"^vertex set must be iterable, got {vertex_set}$"):
+                query(g, vertex_set)
 
 
 def test_constructor_reads_a_one_shot_iterator_once():
@@ -286,6 +293,8 @@ def test_constructor_rejects_bad_labels():
         Graph(2, [(0, 1)], labels=["a"])
     with pytest.raises(ContractError, match="vertex labels must be unique"):
         Graph(2, [(0, 1)], labels=["a", "a"])
+    with pytest.raises(ContractError, match="^labels must be iterable, got 5$"):
+        Graph(2, [(0, 1)], labels=5)
 
 
 def test_vertex_by_label_rejects_unknown_labels_and_ids():
@@ -302,6 +311,8 @@ def test_vertex_by_label_rejects_unknown_labels_and_ids():
     for label in ("2", "-1"):
         with pytest.raises(ContractError, match=rf"vertex {label} outside range 0\.\.1"):
             plain.vertex_by_label(label)
+    with pytest.raises(ContractError, match="^unknown vertex label None$"):
+        plain.vertex_by_label(None)
 
 
 def test_unknown_edge_is_contract_error():
@@ -659,6 +670,42 @@ def test_graph6_minimal_headers_round_trip():
         assert encode_graph6(parse_graph6(text)) == text
 
 
+def test_each_mask_bit_is_its_pairs_graph6_bit():
+    # mask_pairs against graph6 itself, to n = 8: the graph of each one-bit
+    # mask has the table's pair as its one edge, and the mask is the
+    # integer of the first N bits of that graph's graph6 body.
+    for n in range(9):
+        pairs = mask_pairs(n)
+        bits = n * (n - 1) // 2
+        assert [pair for _, pair in pairs] == list(combinations(range(n), 2))
+        assert sorted(bit for bit, _ in pairs) == list(range(bits))
+        for bit, pair in pairs:
+            g = graph_from_mask(n, 1 << bit)
+            assert g.edges == (pair,)
+            body = "".join(format(ord(c) - 63, "06b") for c in encode_graph6(g)[1:])
+            assert int(body[:bits], 2) == 1 << bit
+
+
+@pytest.mark.parametrize(
+    ("n", "mask", "message"),
+    [
+        # -1 read as every pair, 9 as mask 1, and 1.0 failed inside >>.
+        (3, -1, "edge mask -1 outside edge mask range 0..7"),
+        (3, 8, "edge mask 8 outside edge mask range 0..7"),
+        (3, 9, "edge mask 9 outside edge mask range 0..7"),
+        (1, 1, "edge mask 1 outside edge mask range 0..0"),
+        (3, 1.0, "edge mask 1.0 is not an int"),
+        (3, True, "edge mask True is not an int"),
+        (3, None, "edge mask None is not an int"),
+        (3.0, 1, "vertex count must be an int, got 3.0"),
+        (-1, 0, "vertex count must be non-negative, got -1"),
+    ],
+)
+def test_graph_from_mask_refuses_what_is_not_a_mask_of_n(n, mask, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        graph_from_mask(n, mask)
+
+
 # ---------------------------------------------------------------------------
 # DOT
 
@@ -989,7 +1036,7 @@ def test_every_graph_the_package_builds_goes_through_graph_make():
     assert callers == {f"families.{name}" for name in builders} | {
         "graph.parse_graph6",
         "graph.parse_edge_list",
-        "oracle.graph_from_mask",
+        "graph.graph_from_mask",
     }
     assert not any(caller.startswith("cli.") for caller in callers)
 

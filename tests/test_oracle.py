@@ -375,6 +375,12 @@ def test_sweep_check_selection():
     assert report.meta["checks"] == ["colouring-count"]
 
 
+def test_sweep_refuses_checks_that_are_not_names():
+    for checks in (5, [1, "colouring-count"]):
+        with pytest.raises(ContractError, match=f"^checks must be an iterable of check names, got {re.escape(repr(checks))}$"):
+            sweep_records(SweepConfig(max_n=3, checks=checks))
+
+
 def test_sweep_unknown_check_rejected():
     with pytest.raises(ContractError, match="unknown check"):
         theorem_sweep(SweepConfig(max_n=3, checks=frozenset({"nope"})))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,25 @@ def test_direction_bits_other_than_0_1_none_rejected(bits):
         Orientation(path(3), bits)
 
 
+def test_validity_refuses_an_orientation_of_another_graph():
+    with pytest.raises(ContractError, match="^orientation belongs to a different graph$"):
+        is_quasi_transitive_orientation(path(3), Orientation(cycle(4), (0,) * 4))
+
+
+def test_orientation_bits_are_kept_as_a_tuple():
+    # Bits given as a list were kept as the list: the record was
+    # unhashable and unequal to the one built from the same bits as a tuple.
+    g = path(3)
+    listed = Orientation(g, [0, None])
+    assert type(listed.bits) is tuple
+    assert listed == Orientation(g, (0, None))
+    assert hash(listed) == hash(Orientation(g, (0, None)))
+    with pytest.raises(ContractError, match="^direction bits must be iterable, got None$"):
+        Orientation(g, None)
+    with pytest.raises(ContractError, match="^orientation needs a Graph, got None$"):
+        Orientation(None, ())
+
+
 def test_orientation_of_the_wrong_length_is_contract_error():
     with pytest.raises(ContractError, match="orientation covers 3 edges, graph has 2"):
         Orientation(path(3), (0, 1, None))
@@ -135,6 +155,13 @@ def test_gamma_infeasible_on_odd_forcing_cycle():
 def test_gamma_unknown_seed_edge():
     with pytest.raises(ContractError):
         partial_orientation(path(3), (0, 2))
+
+
+@pytest.mark.parametrize("seed", [(0,), None, (0, 1, 2), 5])
+def test_gamma_refuses_a_seed_that_is_not_a_pair(seed):
+    # Each once raised a bare ValueError or TypeError from the unpacking.
+    with pytest.raises(ContractError, match=f"^seed arc {re.escape(repr(seed))} is not a pair of vertex ids$"):
+        partial_orientation(path(3), seed)
 
 
 def test_gamma_reversal_pairs_small_corpus():
