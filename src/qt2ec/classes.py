@@ -47,7 +47,7 @@ from itertools import product
 from operator import itemgetter, xor
 
 from .errors import ContractError, RefusalError
-from .graph import EdgePair, Graph, check_index
+from .graph import EdgePair, Graph, check_index, check_type
 
 # The most classes an enumeration of the 2^k colourings or orientations takes.
 DEFAULT_ENUMERATION_CAP = 20
@@ -88,6 +88,7 @@ def compute_classes(g: Graph) -> EdgeClassPartition:
     Output is deterministic: classes are sorted by their least edge index
     and edge lists are sorted.
     """
+    check_type(g, Graph, "compute_classes")
     # The memo holds the fields, not the partition: a partition refers to
     # its graph, and that cycle would keep every dropped graph alive until
     # the cyclic collector ran.

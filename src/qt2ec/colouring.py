@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 
 from .classes import DEFAULT_ENUMERATION_CAP, class_choices, compute_classes
 from .errors import ContractError, RefusalError
-from .graph import Graph, check_edge_record, induced_p3_edges, is_connected, is_module_set
+from .graph import Graph, check_edge_record, check_type, induced_p3_edges, is_connected, is_module_set
 
 RED = "R"
 BLUE = "B"
@@ -53,6 +53,8 @@ def is_quasi_transitive_colouring(
     Returns ``(True, None)`` or ``(False, (u, v, w))`` with a violating
     triple.  Does not consult the class partition.
     """
+    check_type(g, Graph, "is_quasi_transitive_colouring")
+    check_type(c, EdgeColouring, "is_quasi_transitive_colouring")
     if c.graph != g:
         raise ContractError("colouring belongs to a different graph")
     for u, v, w, i, j in induced_p3_edges(g):
@@ -82,6 +84,7 @@ def classify_colourability(g: Graph) -> ColourabilityClass:
     Only connected graphs with at least one edge are classified; anything
     else is refused.
     """
+    check_type(g, Graph, "classify_colourability")
     if g.m == 0:
         raise RefusalError("classification requires at least one edge")
     if not is_connected(g):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import ContractError, RefusalError
-from .graph import Graph
+from .graph import Graph, check_type
 
 # 6-vertex figure fixtures, vertex v_i at dense index i-1.  The left graph
 # has twelve edges and four edge classes; the right one is the ten-edge
@@ -24,6 +24,9 @@ _FIG1_RIGHT_EDGES = [
 # Every builder makes canonical (min, max) pairs of int ids in range, each
 # once, so it builds through Graph._make, which skips the per-edge check.
 # That holds only for int parameters, so each builder checks its own first.
+# The builders of more than a few edges make them in pair order, the order
+# Graph sorts them in, so the sort is one linear pass; join_with_k1 hands
+# over two ascending runs, which the sort merges in one pass.
 def _check_param(builder: str, name: str, value: object, least: int) -> None:
     """Refuse ``value`` unless it is exactly an ``int`` of at least ``least``."""
     if type(value) is not int:
@@ -40,9 +43,9 @@ def threshold_alternating(n: int) -> Graph:
     _check_param("threshold_alternating", "n", n, 2)
     if n % 2:
         raise ContractError(f"threshold_alternating needs an even n >= 2, got {n}")
-    edges = []
-    for i in range(1, n, 2):  # dense index i is v_{i+1}, universal on arrival
-        edges.extend((j, i) for j in range(i))
+    # Dense index i is v_{i+1}, so each odd i is universal on arrival: j
+    # is joined to every odd i above it, the least being j + 1 | 1.
+    edges = [(j, i) for j in range(n) for i in range(j + 1 | 1, n, 2)]
     return Graph._make(n, edges, labels=[f"v{i + 1}" for i in range(n)])
 
 
@@ -69,9 +72,11 @@ def double_path_apex(k: int) -> Graph:
     """
     _check_param("double_path_apex", "k", k, 2)
     apex = 2 * k
-    edges = [(i, i + 1) for i in range(k - 1)]
-    edges += [(k + i, k + i + 1) for i in range(k - 1)]
-    edges += [(i, apex) for i in range(2 * k)]
+    edges = []
+    for u in range(2 * k):
+        if u % k < k - 1:  # u's successor on its path
+            edges.append((u, u + 1))
+        edges.append((u, apex))
     labels = [f"p{i}" for i in range(k)] + [f"q{i}" for i in range(k)] + ["apex"]
     return Graph._make(2 * k + 1, edges, labels=labels)
 
@@ -95,7 +100,7 @@ def path(k: int) -> Graph:
 
 def cycle(k: int) -> Graph:
     _check_param("cycle", "k", k, 3)
-    return Graph._make(k, [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)])
+    return Graph._make(k, [(0, 1), (0, k - 1)] + [(i, i + 1) for i in range(1, k - 1)])
 
 
 def complete(n: int) -> Graph:
@@ -114,21 +119,15 @@ def complete_multipartite(*part_sizes: int) -> Graph:
     for size in part_sizes:
         bounds.append(range(start, start + size))
         start += size
-    edges = [
-        (u, v)
-        for i, part in enumerate(bounds)
-        for other in bounds[i + 1:]
-        for u in part
-        for v in other
-    ]
+    # Each vertex is joined to every vertex of the later parts.
+    edges = [(u, v) for part in bounds for u in part for v in range(part.stop, start)]
     return Graph._make(start, edges)
 
 
 def join_with_k1(g: Graph) -> Graph:
     """Add one vertex adjacent to everything; the result is always
     properly colourable when ``g`` is connected with >= 2 vertices."""
-    if not isinstance(g, Graph):
-        raise ContractError(f"join_with_k1 needs a Graph, got {g!r}")
+    check_type(g, Graph, "join_with_k1")
     labels = None
     if g.labels is not None:
         apex = "apex"

@@ -26,11 +26,17 @@ _GRAPH6_CHARS = dict.fromkeys(range(63, 127))
 class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
-    Each given edge is checked once, in input order: it must be a pair of
-    ids that are exactly ``int`` (not a bool, a float or an int subclass),
-    not a self-loop, and in range; the first that is not is a
-    ContractError that names it as given.  A repeated edge collapses to
-    one.  That checked constructor is for library users.  Every graph the
+    The edge rule: each given edge is checked once, in input order.  It
+    must be a pair of ids that are exactly ``int`` (not a bool, a float or
+    an int subclass), not a self-loop, and in range; the first that is not
+    is a ContractError that names it as given.  The check branches once on
+    the order of the two ids, so a self-loop is named before its range,
+    and tests the range on the ordered pair, low end against 0 and high
+    end against n.  An exact tuple given low end first is kept as its own
+    canonical key; only another edge gets a new tuple.  A repeated edge
+    collapses to one.
+
+    That checked constructor is for library users.  Every graph the
     package builds itself goes through :meth:`_make`, which skips the
     check: this module's decoders :func:`parse_edge_list`,
     :func:`parse_graph6` and :func:`graph_from_mask`, and the
@@ -38,20 +44,21 @@ class Graph:
     int ids in range, each once, from token ids, bit positions, another
     graph's edges or int parameters that the builder checks first.  Both
     constructors check the vertex count and the labels, and fill the same
-    fields.  Edges are canonical ``(min, max)``
-    pairs carrying a dense index assigned in lexicographic pair order.
-    Adjacency is kept as one int
-    bitset per vertex because neighbour-pair scans (induced-P3
-    enumeration) dominate the workload.  The one edge map, ``_edge_at[u][v]``, gives the index
-    of edge {u, v}; its keys come out ascending, and they are the one
-    neighbour list, which :meth:`neighbors`, :meth:`degree` and
-    :func:`induced_p3_edges` read.  Walks over the bitsets go through
-    :func:`reach`, the package's one bitset BFS function (the forcing
-    kernel grows its co-components in its own star walk), and induced
-    P3s through :func:`induced_p3_edges`.  External string labels, when
-    present, map one-to-one onto the dense ids.  Only the forcing kernel in
-    :mod:`qt2ec.classes` reads these fields outside this module, and
-    ``compute_classes`` memoises its partition's fields in ``_partition``.
+    fields.
+
+    Edges are canonical ``(min, max)`` pairs carrying a dense index
+    assigned in lexicographic pair order.  Adjacency is kept as one int
+    bitset per vertex, which the set-at-a-time work reads: the forcing
+    kernel's star walk, :func:`reach` (the package's one bitset BFS
+    function), the module and multipartite tests and the graph6 writer.
+    The one edge map, ``_edge_at[u][v]``, gives the index of edge {u, v};
+    its keys come out ascending, and they are the one neighbour list,
+    which :meth:`neighbors`, :meth:`degree` and :func:`induced_p3_edges`
+    read, the scan also testing adjacency there.  External string labels,
+    when present, map one-to-one onto the dense ids.  Only the forcing
+    kernel in :mod:`qt2ec.classes` reads these fields outside this module,
+    and ``compute_classes`` memoises its partition's fields in
+    ``_partition``.
     """
 
     __slots__ = ("n", "edges", "labels", "_adj_bits", "_edge_at", "_partition")
@@ -74,11 +81,18 @@ class Graph:
                 u = v = None
             if type(u) is not int or type(v) is not int:
                 raise ContractError(f"edge {edge!r} is not a pair of int vertex ids")
-            if u == v:
+            # One branch on the order of the ends, then the range of the
+            # ordered pair: an exact tuple given low end first is its own key.
+            if u < v:
+                if u < 0 or v >= n:
+                    raise ContractError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+                canonical[edge if type(edge) is tuple else (u, v)] = None
+            elif v < u:
+                if v < 0 or u >= n:
+                    raise ContractError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+                canonical[(v, u)] = None
+            else:
                 raise ContractError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ContractError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            canonical[(u, v) if u < v else (v, u)] = None
         self._fill(n, canonical, labels)
 
     @classmethod
@@ -229,13 +243,22 @@ def check_index(i: object, size: int, kind: str) -> int:
     return i
 
 
+def check_type(value: object, kind: type, call: str) -> None:
+    """A ContractError that names ``value`` unless it is a ``kind``.  Each
+    public call that takes a graph, a record, a text or a sweep config
+    checks it once, so a wrong argument is not a bare Python error from
+    deep inside."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ContractError(f"{call} needs {article} {kind.__name__}, got {value!r}")
+
+
 def check_edge_record(g: Graph, values: Iterable, allowed: tuple, record: str, value: str) -> tuple:
     """``values`` as a tuple, once checked: a ContractError unless ``g`` is
     a Graph and ``values`` holds one of ``allowed``, of its own type
     (``True`` equals 1 but is not a bit), per edge; the first bad value is
     named."""
-    if not isinstance(g, Graph):
-        raise ContractError(f"{record} needs a Graph, got {g!r}")
+    check_type(g, Graph, record)
     if type(values) is not tuple:
         values = tuple(_iterate(values, f"{value}s"))
     if len(values) != g.m:
@@ -263,6 +286,7 @@ def parse_edge_list(text: str) -> Graph:
     ``vertices: a b c`` declares vertices up front (isolated ones included).
     Duplicate edge lines collapse to a single edge.
     """
+    check_type(text, str, "parse_edge_list")
     index: dict[str, int] = {}
     # Distinct tokens get distinct int ids in range, so each canonical pair
     # is one Graph._make takes; the dict drops repeats in input order.
@@ -294,6 +318,7 @@ def format_edge_list(g: Graph) -> str:
     label that is empty or holds whitespace, or an edge whose two names
     both start so, cannot be written: that is a ContractError.
     """
+    check_type(g, Graph, "format_edge_list")
     names = g.vertex_names()
     for name in names:
         if name.split() != [name]:
@@ -318,6 +343,7 @@ def parse_graph6(text: str) -> Graph:
     re-encodes to itself.  The bits are decoded as :func:`encode_graph6`
     writes them, through base64, and then scanned for ones.
     """
+    check_type(text, str, "parse_graph6")
     s = text.strip()
     if s.startswith(_GRAPH6_HEADER):
         s = s[len(_GRAPH6_HEADER):]
@@ -406,6 +432,7 @@ def encode_graph6(g: Graph) -> str:
     characters are those of the whole triangle encoded at once, while the
     memory beyond the output stays one block's worth however large n is.
     """
+    check_type(g, Graph, "encode_graph6")
     n = g.n
     if n <= 62:
         head = chr(n + 63)
@@ -472,6 +499,7 @@ def to_dot(g: Graph, overlay: object = None) -> str:
     from .classes import EdgeClassPartition
     from .orientation import Orientation
 
+    check_type(g, Graph, "to_dot")
     if overlay is not None and getattr(overlay, "graph", None) != g:
         raise ContractError("overlay refers to edges of a different graph")
     directed = isinstance(overlay, Orientation)
@@ -511,14 +539,22 @@ def induced_p3_edges(g: Graph) -> Iterator[tuple[int, int, int, int, int]]:
     in its order, as ``(u, v, w, i, j)`` with ``i`` the index of edge uv
     and ``j`` that of vw, both read from the centre's edge-map row.  Since
     ``u < w`` and the edges are indexed in pair order, ``i < j`` whether
-    v lies below, between or above u and w."""
-    adj = g._adj_bits
-    for v, to_v in enumerate(g._edge_at):
+    v lies below, between or above u and w.
+
+    Whether u and w are adjacent is a lookup of w in u's edge-map row, not
+    a bit of u's adjacency bitset: shifting a row costs O(n) bits on a
+    large graph, and the lookup costs the same at any n."""
+    check_type(g, Graph, "induced_p3_edges")
+    return _p3_scan(g._edge_at)
+
+
+def _p3_scan(edge_at: Sequence[dict[int, int]]) -> Iterator[tuple[int, int, int, int, int]]:
+    for v, to_v in enumerate(edge_at):
         nbrs = tuple(to_v)
         for a, u in enumerate(nbrs):
-            row, i = adj[u], to_v[u]
+            to_u, i = edge_at[u], to_v[u]
             for w in nbrs[a + 1:]:
-                if not (row >> w) & 1:
+                if w not in to_u:
                     yield u, v, w, i, to_v[w]
 
 
@@ -538,6 +574,7 @@ def _vertex_bits(g: Graph, vertices: VertexSet) -> int:
 def is_module_set(g: Graph, vertices: VertexSet) -> bool:
     """True iff every vertex outside the set is adjacent to all of it or
     to none of it (the set is a module / homogeneous set)."""
+    check_type(g, Graph, "is_module_set")
     inside = _vertex_bits(g, vertices)
     for v, row in enumerate(g._adj_bits):
         if (inside >> v) & 1:
@@ -579,6 +616,7 @@ def is_complete_multipartite(g: Graph) -> list[tuple[int, ...]] | None:
     the same non-neighbourhood, that is, the same adjacency row.  Parts
     are sorted by their smallest vertex.
     """
+    check_type(g, Graph, "is_complete_multipartite")
     adj = g._adj_bits
     full = (1 << g.n) - 1
     seen = 0
@@ -597,6 +635,7 @@ def is_complete_multipartite(g: Graph) -> list[tuple[int, ...]] | None:
 def is_connected(g: Graph, vertices: VertexSet | None = None) -> bool:
     """True iff the subgraph induced on ``vertices`` (default: all of
     ``g``) is connected; no vertex or one vertex counts as connected."""
+    check_type(g, Graph, "is_connected")
     inside = (1 << g.n) - 1 if vertices is None else _vertex_bits(g, vertices)
     return reach(g._adj_bits, inside & -inside, inside) == inside
 

@@ -29,6 +29,7 @@ from .colouring import count_homogeneous_witness_classes, find_homogeneous_witne
 from .errors import ContractError, RefusalError
 from .graph import (
     Graph,
+    check_type,
     encode_graph6,
     graph_from_mask,
     induced_p3_edges,
@@ -124,6 +125,7 @@ def _count_parity_solutions(g: Graph, orient: bool) -> int:
 def brute_force_colouring_count(g: Graph) -> int:
     """Count quasi-transitive 2-edge-colourings by backtracking over the
     edges: every induced P3 must be monochromatic."""
+    check_type(g, Graph, "brute_force_colouring_count")
     return _count_parity_solutions(g, orient=False)
 
 
@@ -133,6 +135,7 @@ def brute_force_orientation_count(g: Graph) -> int:
     Validity is checked directly from the definition: the centre of every
     induced P3 must be a common head or a common tail.
     """
+    check_type(g, Graph, "brute_force_orientation_count")
     return _count_parity_solutions(g, orient=True)
 
 
@@ -229,6 +232,7 @@ def subset_witness_count(g: Graph) -> int:
     module iff every vertex outside it lies in one of the two, that is iff
     the mask and the two cover every vertex.
     """
+    check_type(g, Graph, "subset_witness_count")
     n = g.n
     if n > MAX_CORPUS_N:
         raise RefusalError(f"subset brute force capped at n = {MAX_CORPUS_N}, graph has {n}")
@@ -557,6 +561,7 @@ def sweep_records(
     once, unpicklable (``AttributeError: Can't pickle local object`` on
     CPython 3.11), and never hangs.
     """
+    check_type(cfg, SweepConfig, "sweep_records")
     table = registry if registry is not None else ALL_CHECKS
     for field in ("max_n", "threads", "sample_n6", "seed"):
         value = getattr(cfg, field)

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .classes import DEFAULT_ENUMERATION_CAP, class_choices, compute_classes
 from .errors import ContractError, InfeasibilityError
-from .graph import Graph, check_edge_record, check_index, induced_p3_edges
+from .graph import Graph, check_edge_record, check_index, check_type, induced_p3_edges
 
 
 class Orientation(namedtuple("Orientation", "graph bits")):
@@ -110,6 +110,8 @@ def is_quasi_transitive_orientation(
     Equivalently the centre of every induced P3 is a common head or a
     common tail.  Returns a violating triple on failure.
     """
+    check_type(g, Graph, "is_quasi_transitive_orientation")
+    check_type(o, Orientation, "is_quasi_transitive_orientation")
     if o.graph != g:
         raise ContractError("orientation belongs to a different graph")
     if not o.is_total:

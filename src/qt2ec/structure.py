@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .classes import EdgeClassPartition
 from .errors import ContractError
-from .graph import Graph, check_index, induced_p3_edges, reach
+from .graph import Graph, check_index, check_type, induced_p3_edges, reach
 from .report import CheckResult, verdict
 
 DISJOINT = "disjoint"
@@ -41,6 +41,8 @@ class ClassPairRelation(namedtuple("ClassPairRelation", "first second only_first
 def class_pair_relation(
     g: Graph, p: EdgeClassPartition, c: int, d: int
 ) -> ClassPairRelation:
+    check_type(g, Graph, "class_pair_relation")
+    check_type(p, EdgeClassPartition, "class_pair_relation")
     if p.graph != g:
         raise ContractError("partition does not belong to this graph")
     check_index(c, p.k, "class")
@@ -56,6 +58,8 @@ def crossing_pairs(g: Graph, p: EdgeClassPartition) -> list[ClassPairRelation]:
     the package's one scan for them.  Two vertex sets cross when they
     meet and neither holds the other, so only a crossing pair gets its
     relation built."""
+    check_type(g, Graph, "crossing_pairs")
+    check_type(p, EdgeClassPartition, "crossing_pairs")
     if p.graph != g:
         raise ContractError("partition does not belong to this graph")
     sets = p.vertex_sets
@@ -219,6 +223,8 @@ def verify_partition_laws(g: Graph, p: EdgeClassPartition) -> list[CheckResult]:
     the same predicate, decided by one scan and reported under both names.
     Failures carry a witness; an artificially tampered partition trips (d).
     """
+    check_type(g, Graph, "verify_partition_laws")
+    check_type(p, EdgeClassPartition, "verify_partition_laws")
     if p.graph != g or len(p.class_of) != g.m:
         raise ContractError("partition does not belong to this graph")
     results: list[CheckResult] = []

@@ -157,6 +157,84 @@ def test_every_builder_refuses_a_parameter_that_is_not_an_int_before_building(bu
             build(bad)
 
 
+def _handed_to_make(monkeypatch, build) -> tuple[Graph, list]:
+    """The graph ``build()`` returns and the edge list, in the order given,
+    of each graph it builds through ``Graph._make``."""
+    handed = []
+    make = Graph._make.__func__
+
+    def recording(cls, n, edges, labels=None):
+        edges = list(edges)
+        handed.append(edges)
+        return make(cls, n, edges, labels)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "_make", classmethod(recording))
+        g = build()
+    return g, handed
+
+
+def _reference(n: int, adjacent) -> Graph:
+    """The graph on n vertices with an edge {u, v} wherever ``adjacent(u, v)``."""
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if adjacent(u, v)])
+
+
+def _threshold_reference(n: int) -> Graph:
+    # Added one at a time from K1, vertex v_{i+1} at index i: every second
+    # vertex, v2, v4, ..., is joined to all the vertices before it, so
+    # u < v are adjacent exactly when v is at an odd index.
+    return _reference(n, lambda u, v: v % 2 == 1)
+
+
+def _multipartite_reference(sizes: tuple[int, ...]) -> Graph:
+    part = [p for p, size in enumerate(sizes) for _ in range(size)]
+    return _reference(len(part), lambda u, v: part[u] != part[v])
+
+
+def _double_path_apex_reference(k: int) -> Graph:
+    # Paths p0..p{k-1} and q0..q{k-1}, and an apex joined to all of them.
+    apex = 2 * k
+    return _reference(2 * k + 1, lambda u, v: v == apex or (v == u + 1 and u // k == v // k))
+
+
+MULTIPARTITE_SHAPES = [
+    (1,), (5,), (1, 1), (1, 4), (4, 1), (2, 3), (1, 1, 1), (1, 2, 1), (3, 1, 1),
+    (1, 1, 2, 1, 1), (2, 2, 2, 2), (9, 1, 9), (1, 2, 3, 4, 5), (9, 9, 9, 9, 9, 9, 9, 9, 8),
+]
+
+PAIR_ORDER_BUILDS = (
+    [(f"threshold,{n}", _threshold_reference(n)) for n in range(2, 61, 2)]
+    + [(f"complete_multipartite,{','.join(map(str, s))}", _multipartite_reference(s)) for s in MULTIPARTITE_SHAPES]
+    + [(f"double_path_apex,{k}", _double_path_apex_reference(k)) for k in range(2, 21)]
+    + [(f"cycle,{k}", _reference(k, lambda u, v, k=k: v - u in (1, k - 1))) for k in range(3, 21)]
+    + [(f"path,{k}", _reference(k, lambda u, v: v == u + 1)) for k in range(1, 21)]
+    + [(f"complete,{n}", _reference(n, lambda u, v: True)) for n in range(1, 21)]
+)
+
+
+def test_builders_hand_graph_make_their_edges_in_pair_order(monkeypatch):
+    # Graph sorts the edges it is given, in one linear pass when they come
+    # in pair order.  Each builder here makes them in that order, and
+    # builds the graph its definition gives.
+    for spec, reference in PAIR_ORDER_BUILDS:
+        g, handed = _handed_to_make(monkeypatch, lambda: family_from_spec(spec))
+        (edges,) = handed
+        assert g.edges == tuple(edges), spec
+        assert g == reference, spec
+
+
+@pytest.mark.parametrize("spec", ["path,1", "cycle,5", "threshold,8", "double_path_apex,3", "complete_multipartite,1,2,1"])
+def test_join_with_k1_adds_an_apex_after_the_graphs_own_edges(spec, monkeypatch):
+    # join_with_k1 hands over two ascending runs, the graph's own edges and
+    # then each vertex's edge to the apex, which the sort merges in one pass.
+    base = family_from_spec(spec)
+    joined, handed = _handed_to_make(monkeypatch, lambda: join_with_k1(base))
+    (edges,) = handed
+    apex = base.n
+    assert edges == list(base.edges) + [(v, apex) for v in range(apex)]
+    assert joined == _reference(apex + 1, lambda u, v: v == apex or base.has_edge(u, v))
+
+
 def test_join_with_k1_always_properly_colourable():
     for n in range(2, 6):
         for g in enumerate_labeled_graphs(n, connected_only=True):

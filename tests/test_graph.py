@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 import tracemalloc
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -229,6 +231,68 @@ def test_constructor_names_the_first_bad_edge_in_input_order():
             Graph(n)
 
 
+# Each refusal of the edge rule and its exact message, on vertices 0..2.
+EDGE_RULE_REFUSALS = [
+    # Not a pair.
+    ((0,), "edge (0,) is not a pair of int vertex ids"),
+    ((0, 1, 2), "edge (0, 1, 2) is not a pair of int vertex ids"),
+    ([0, 1, 2], "edge [0, 1, 2] is not a pair of int vertex ids"),
+    ("01", "edge '01' is not a pair of int vertex ids"),
+    (None, "edge None is not a pair of int vertex ids"),
+    (7, "edge 7 is not a pair of int vertex ids"),
+    # An id that is not an int.
+    ((0, 1.0), "edge (0, 1.0) is not a pair of int vertex ids"),
+    (("0", 1), "edge ('0', 1) is not a pair of int vertex ids"),
+    ((None, 1), "edge (None, 1) is not a pair of int vertex ids"),
+    # A bool, though it equals an int.
+    ((True, 2), "edge (True, 2) is not a pair of int vertex ids"),
+    ((0, False), "edge (0, False) is not a pair of int vertex ids"),
+    # A self-loop, named as such when it is out of range too.
+    ((1, 1), "self-loop at vertex 1"),
+    ((3, 3), "self-loop at vertex 3"),
+    ((-1, -1), "self-loop at vertex -1"),
+    # The low end out of range, given first or second.
+    ((-1, 2), "edge (-1, 2) outside vertex range 0..2"),
+    ((2, -1), "edge (2, -1) outside vertex range 0..2"),
+    # The high end out of range, given first or second.
+    ((0, 3), "edge (0, 3) outside vertex range 0..2"),
+    ((3, 0), "edge (3, 0) outside vertex range 0..2"),
+    # Both ends out of range.
+    ((-1, 3), "edge (-1, 3) outside vertex range 0..2"),
+    ((3, -1), "edge (3, -1) outside vertex range 0..2"),
+]
+
+
+@pytest.mark.parametrize("edge, message", EDGE_RULE_REFUSALS, ids=[repr(e) for e, _ in EDGE_RULE_REFUSALS])
+def test_edge_rule_refuses_each_bad_edge_with_its_message(edge, message):
+    # Alone, after good edges in either order, and before a later bad edge.
+    for edges in ([edge], [(0, 1), (2, 1), edge], iter([(1, 2), edge, (1, 1)])):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            Graph(3, edges)
+
+
+def test_edge_rule_builds_one_graph_from_every_spelling_of_the_edges():
+    Pair = namedtuple("Pair", "u v")
+    pairs = [(0, 1), (0, 4), (1, 2), (2, 4), (3, 4)]
+    spellings = {
+        "canonical tuples": pairs,
+        "reversed tuples": [(v, u) for u, v in pairs],
+        "lists": [[u, v] for u, v in pairs],
+        "reversed lists": [[v, u] for u, v in pairs],
+        "named tuples": [Pair(u, v) for u, v in pairs],
+        "mixed and repeated": [[0, 1], (4, 0), Pair(1, 2), (2, 4), (4, 3), (1, 0), [4, 2]],
+    }
+    ref = Graph._make(5, pairs)
+    for name, edges in spellings.items():
+        g = Graph(5, edges)
+        assert g == ref, name
+        assert all(type(e) is tuple for e in g.edges), name
+        assert [list(row.items()) for row in g._edge_at] == [list(row.items()) for row in ref._edge_at], name
+        assert g._adj_bits == ref._adj_bits, name
+    # An exact tuple given low end first is kept as the canonical key.
+    assert all(kept is given for kept, given in zip(Graph(5, pairs).edges, pairs))
+
+
 def test_constructor_refuses_numpy_integer_ids():
     # 1 << np.int64(65) wraps, so a numpy id that reached the row build
     # would give vertex 0 a row without vertex 65.
@@ -361,6 +425,76 @@ def test_neighbors_and_edge_index_agree_with_the_bitsets(g: Graph):
         assert g.neighbors(v) == tuple(u for u in range(g.n) if (row >> u) & 1)
     for i, (u, v) in enumerate(g.edges):
         assert g.edge_index(u, v) == g.edge_index(v, u) == i
+
+
+# Each public call handed None where it takes a graph, a record, a text or
+# a sweep config: the arguments (G, C, O and P stand for a graph and its
+# colouring, orientation and partition), the call that refuses it, and
+# the type it names.  Calls that hand the graph on at once are refused by
+# the call they hand it to.
+G, C, O, P = "graph", "colouring", "orientation", "partition"
+NOT_WHAT_IT_TAKES = [
+    ("compute_classes", (None,), "compute_classes", "a Graph"),
+    ("orientability", (None,), "compute_classes", "a Graph"),
+    ("count_colourings", (None,), "compute_classes", "a Graph"),
+    ("enumerate_colourings", (None,), "compute_classes", "a Graph"),
+    ("enumerate_orientations", (None,), "compute_classes", "a Graph"),
+    ("partial_orientation", (None, (0, 1)), "compute_classes", "a Graph"),
+    ("classify_colourability", (None,), "classify_colourability", "a Graph"),
+    ("find_homogeneous_witness", (None,), "is_connected", "a Graph"),
+    ("count_homogeneous_witness_classes", (None,), "is_connected", "a Graph"),
+    ("encode_graph6", (None,), "encode_graph6", "a Graph"),
+    ("format_edge_list", (None,), "format_edge_list", "a Graph"),
+    ("to_dot", (None,), "to_dot", "a Graph"),
+    ("induced_p3_edges", (None,), "induced_p3_edges", "a Graph"),
+    ("induced_p3s", (None,), "induced_p3_edges", "a Graph"),
+    ("is_complete_multipartite", (None,), "is_complete_multipartite", "a Graph"),
+    ("is_connected", (None,), "is_connected", "a Graph"),
+    ("is_module_set", (None, ()), "is_module_set", "a Graph"),
+    ("is_quasi_transitive_colouring", (None, C), "is_quasi_transitive_colouring", "a Graph"),
+    ("is_quasi_transitive_colouring", (G, None), "is_quasi_transitive_colouring", "an EdgeColouring"),
+    ("is_quasi_transitive_orientation", (None, O), "is_quasi_transitive_orientation", "a Graph"),
+    ("is_quasi_transitive_orientation", (G, None), "is_quasi_transitive_orientation", "an Orientation"),
+    ("verify_partition_laws", (None, P), "verify_partition_laws", "a Graph"),
+    ("verify_partition_laws", (G, None), "verify_partition_laws", "an EdgeClassPartition"),
+    ("check_crossing_lemmas", (None, P), "crossing_pairs", "a Graph"),
+    ("check_crossing_lemmas", (G, None), "crossing_pairs", "an EdgeClassPartition"),
+    ("check_tinylemma_instances", (None, P), "crossing_pairs", "a Graph"),
+    ("check_tinylemma_instances", (G, None), "crossing_pairs", "an EdgeClassPartition"),
+    ("class_pair_relation", (None, P, 0, 1), "class_pair_relation", "a Graph"),
+    ("class_pair_relation", (G, None, 0, 1), "class_pair_relation", "an EdgeClassPartition"),
+    ("brute_force_colouring_count", (None,), "brute_force_colouring_count", "a Graph"),
+    ("brute_force_orientation_count", (None,), "brute_force_orientation_count", "a Graph"),
+    ("subset_witness_count", (None,), "subset_witness_count", "a Graph"),
+    ("sweep_records", (None,), "sweep_records", "a SweepConfig"),
+    ("theorem_sweep", (None,), "sweep_records", "a SweepConfig"),
+    ("parse_edge_list", (None,), "parse_edge_list", "a str"),
+    ("parse_graph6", (None,), "parse_graph6", "a str"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, refuser, kind",
+    NOT_WHAT_IT_TAKES,
+    ids=[f"{name}-{args.index(None)}" for name, args, _, _ in NOT_WHAT_IT_TAKES],
+)
+def test_public_calls_refuse_what_they_do_not_take_naming_it(name, args, refuser, kind):
+    g = path(3)
+    fixtures = {G: g, C: EdgeColouring(g, "RR"), O: Orientation(g, (0, 1)), P: compute_classes(g)}
+    args = [fixtures.get(a, a) for a in args]
+    with pytest.raises(ContractError, match=f"^{refuser} needs {kind}, got None$"):
+        getattr(qt2ec, name)(*args)
+
+
+def test_every_public_call_on_a_graph_or_a_text_is_in_the_refusal_table():
+    takes = {"g", "text", "cfg"}
+    public = [
+        name
+        for name in qt2ec.__all__
+        if inspect.isfunction(getattr(qt2ec, name))
+        and next(iter(inspect.signature(getattr(qt2ec, name)).parameters), None) in takes
+    ]
+    assert sorted(set(public)) == sorted({name for name, _, _, _ in NOT_WHAT_IT_TAKES})
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +988,39 @@ def test_induced_p3_edges_carry_the_edge_indices_of_each_p3(g: Graph):
     for u, v, w, i, j in induced_p3_edges(g):
         assert (i, j) == (g.edge_index(u, v), g.edge_index(v, w))
         assert i < j
+
+
+def _naive_p3_edges(g: Graph) -> list[tuple[int, int, int, int, int]]:
+    """Every induced P3 u-v-w with u < w, found by trying each triple
+    against the edge list, sorted by (v, u, w), with the indices of uv and
+    vw read from ``g.edges``."""
+    edges = set(g.edges)
+
+    def adjacent(a: int, b: int) -> bool:
+        return (min(a, b), max(a, b)) in edges
+
+    paths = sorted(
+        (v, u, w)
+        for u, w in combinations(range(g.n), 2)
+        for v in range(g.n)
+        if v not in (u, w) and adjacent(u, v) and adjacent(v, w) and not adjacent(u, w)
+    )
+    index = g.edges.index
+    return [(u, v, w, index((min(u, v), max(u, v))), index((min(v, w), max(v, w)))) for v, u, w in paths]
+
+
+def test_induced_p3_edges_come_in_scan_order_on_every_small_graph():
+    # first_straddle returns the first straddle in this order, and that is
+    # the sweep's witness, so the order is pinned and not just the set.
+    graphs = [Graph(0)] + [g for n in range(1, 6) for g in enumerate_labeled_graphs(n, connected_only=False)]
+    for g in graphs:
+        assert list(induced_p3_edges(g)) == _naive_p3_edges(g), g.edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(gnp_graphs(max_n=12))
+def test_induced_p3_edges_come_in_scan_order(g: Graph):
+    assert list(induced_p3_edges(g)) == _naive_p3_edges(g)
 
 
 # ---------------------------------------------------------------------------
