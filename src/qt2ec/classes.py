@@ -46,8 +46,8 @@ from collections.abc import Iterator
 from itertools import product
 from operator import itemgetter, xor
 
-from .errors import ContractError, RefusalError
-from .graph import EdgePair, Graph, check_index, check_type
+from .errors import RefusalError
+from .graph import EdgePair, Graph, check_index, check_int, check_type
 
 # The most classes an enumeration of the 2^k colourings or orientations takes.
 DEFAULT_ENUMERATION_CAP = 20
@@ -103,10 +103,7 @@ def class_choices(p: EdgeClassPartition, cap: int, oriented: bool = False) -> It
     it.  Raises when called, in order: a cap that is not an int or is
     negative, with ``oriented`` a class that has no orientation, and more
     than ``cap`` classes."""
-    if type(cap) is not int:
-        raise ContractError(f"enumeration cap must be an int, got {cap!r}")
-    if cap < 0:
-        raise ContractError(f"enumeration cap must be at least 0, got {cap}")
+    check_int(cap, "enumeration cap", 0)
     if oriented and any(w is not None for w in p.contradictions):
         raise RefusalError("graph has no quasi-transitive orientation")
     if p.k > cap:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import ContractError, RefusalError
-from .graph import Graph, check_type
+from .graph import Graph, check_int, check_type, check_vertex_cap
 
 # 6-vertex figure fixtures, vertex v_i at dense index i-1.  The left graph
 # has twelve edges and four edge classes; the right one is the ten-edge
@@ -23,16 +23,11 @@ _FIG1_RIGHT_EDGES = [
 
 # Every builder makes canonical (min, max) pairs of int ids in range, each
 # once, so it builds through Graph._make, which skips the per-edge check.
-# That holds only for int parameters, so each builder checks its own first.
-# The builders of more than a few edges make them in pair order, the order
-# Graph sorts them in, so the sort is one linear pass; join_with_k1 hands
-# over two ascending runs, which the sort merges in one pass.
-def _check_param(builder: str, name: str, value: object, least: int) -> None:
-    """Refuse ``value`` unless it is exactly an ``int`` of at least ``least``."""
-    if type(value) is not int:
-        raise ContractError(f"{builder} needs an int {name}, got {value!r}")
-    if value < least:
-        raise ContractError(f"{builder} needs {name} >= {least}, got {value}")
+# That holds only for int parameters, so each builder checks its own first,
+# with check_int under a name such as "path's k".  The builders of more
+# than a few edges make them in pair order, the order Graph sorts them in,
+# so the sort is one linear pass; join_with_k1 hands over two ascending
+# runs, which the sort merges in one pass.
 
 
 def threshold_alternating(n: int) -> Graph:
@@ -40,7 +35,7 @@ def threshold_alternating(n: int) -> Graph:
     independent vertex, starting from K1 (so v2, v4, ... are universal on
     arrival).  Has exactly n/2 edge classes.
     """
-    _check_param("threshold_alternating", "n", n, 2)
+    check_int(n, "threshold_alternating's n", 2)
     if n % 2:
         raise ContractError(f"threshold_alternating needs an even n >= 2, got {n}")
     # Dense index i is v_{i+1}, so each odd i is universal on arrival: j
@@ -56,7 +51,7 @@ def triangle_with_tail(k: int) -> Graph:
     k = 1 degenerates to the triangle (no induced P3, three singleton
     classes), which the generator permits but the 2-class golden excludes.
     """
-    _check_param("triangle_with_tail", "k", k, 1)
+    check_int(k, "triangle_with_tail's k", 1)
     u, v = k, k + 1
     edges = [(i, i + 1) for i in range(k - 1)]
     edges += [(u, v), (0, u), (0, v)]
@@ -70,7 +65,7 @@ def double_path_apex(k: int) -> Graph:
     Exactly three edge classes (each path, and the apex star) with the
     apex class spanning every vertex; never complete tripartite for k >= 2.
     """
-    _check_param("double_path_apex", "k", k, 2)
+    check_int(k, "double_path_apex's k", 2)
     apex = 2 * k
     edges = []
     for u in range(2 * k):
@@ -94,29 +89,27 @@ def figure_graph(which: str) -> Graph:
 
 
 def path(k: int) -> Graph:
-    _check_param("path", "k", k, 1)
+    check_int(k, "path's k", 1)
     return Graph._make(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def cycle(k: int) -> Graph:
-    _check_param("cycle", "k", k, 3)
+    check_int(k, "cycle's k", 3)
     return Graph._make(k, [(0, 1), (0, k - 1)] + [(i, i + 1) for i in range(1, k - 1)])
 
 
 def complete(n: int) -> Graph:
-    _check_param("complete", "n", n, 1)
+    check_int(n, "complete's n", 1)
     return Graph._make(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def complete_multipartite(*part_sizes: int) -> Graph:
-    for s in part_sizes:
-        if type(s) is not int:
-            raise ContractError(f"complete_multipartite needs int part sizes, got {s!r}")
-    if not part_sizes or any(s < 1 for s in part_sizes):
+    if not part_sizes:
         raise ContractError(f"parts must be nonempty, got {part_sizes}")
     bounds = []
     start = 0
     for size in part_sizes:
+        check_int(size, "complete_multipartite's part size", 1)
         bounds.append(range(start, start + size))
         start += size
     # Each vertex is joined to every vertex of the later parts.
@@ -149,14 +142,6 @@ FAMILY_USAGE = (
 # near 1 GB.
 MAX_FAMILY_EDGES = 1_000_000
 
-# The most vertices a family spec may ask for.  A Graph keeps one bitset
-# per vertex at absolute bit positions, so memory grows as n^2 even on a
-# path.  At this cap, on a 2-vCPU VM, `classes` peaks at 214 MB on
-# path,50000 and at 756 MB on join_k1:join_k1:double_path_apex,24998,
-# whose apexes set a high bit in every row; the graph's rows are nearly
-# all of it.
-MAX_FAMILY_VERTICES = 50_000
-
 _FIGURES = {"k4_minus_e": (4, 5), "fig1_left": (6, 12), "fig1_right": (6, 10)}
 
 # Each one-parameter family's builder, and its (vertices, edges) for a
@@ -175,7 +160,7 @@ def family_from_spec(spec: str) -> Graph:
     """Build a generator graph from a CLI spec string like ``cycle,5``.
 
     The spec's vertex and edge counts follow from its parameters, so a spec
-    asking for more than ``MAX_FAMILY_VERTICES`` vertices, or else for more
+    asking for more than ``qt2ec.graph.MAX_VERTICES`` vertices, or else for more
     than ``MAX_FAMILY_EDGES`` edges, is refused before any edge is built.
     """
     if not isinstance(spec, str):
@@ -213,10 +198,7 @@ def family_from_spec(spec: str) -> Graph:
         raise ContractError(f"unknown family {spec!r}; expected one of: {FAMILY_USAGE}")
     for _ in range(joins):
         n, m = n + 1, m + n
-    if n > MAX_FAMILY_VERTICES:
-        raise RefusalError(
-            f"family {whole!r} has {n} vertices; the cap is {MAX_FAMILY_VERTICES} vertices"
-        )
+    check_vertex_cap(n, f"family {whole!r}")
     if m > MAX_FAMILY_EDGES:
         raise RefusalError(f"family {whole!r} has {m} edges; the cap is {MAX_FAMILY_EDGES} edges")
     g = build()

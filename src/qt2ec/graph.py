@@ -7,7 +7,7 @@ import binascii
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, RefusalError
 
 VertexSet = Iterable[int]
 EdgePair = tuple[int, int]
@@ -21,6 +21,22 @@ _GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 # str.translate with this table deletes every graph6 character, so what is
 # left of a line is its invalid characters, in order.
 _GRAPH6_CHARS = dict.fromkeys(range(63, 127))
+
+# The most vertices of a graph the package reads, from a family spec, an
+# edge list or a graph6 line.  A Graph keeps one bitset per vertex at
+# absolute bit positions, so memory grows as n^2 even on a path.  At this
+# cap, on a 2-vCPU VM, `classes` peaks at 214 MB on path,50000 and at
+# 756 MB on join_k1:join_k1:double_path_apex,24998, whose apexes set a
+# high bit in every row; the graph's rows are nearly all of it.  The
+# public Graph(...) is not capped: a library caller owns its memory.
+MAX_VERTICES = 50_000
+
+
+def check_vertex_cap(n: int, source: str) -> None:
+    """A RefusalError that names ``source`` if ``n`` exceeds
+    ``MAX_VERTICES``."""
+    if n > MAX_VERTICES:
+        raise RefusalError(f"{source} has {n} vertices; the cap is {MAX_VERTICES} vertices")
 
 
 class Graph:
@@ -54,8 +70,8 @@ class Graph:
     The one edge map, ``_edge_at[u][v]``, gives the index of edge {u, v};
     its keys come out ascending, and they are the one neighbour list,
     which :meth:`neighbors`, :meth:`degree` and :func:`induced_p3_edges`
-    read, the scan also testing adjacency there.  External string labels,
-    when present, map one-to-one onto the dense ids.  Only the forcing
+    read, the scan also testing adjacency there.  External labels, when
+    present, are distinct exact ``str``s, one per dense id.  Only the forcing
     kernel in :mod:`qt2ec.classes` reads these fields outside this module,
     and ``compute_classes`` memoises its partition's fields in
     ``_partition``.
@@ -69,7 +85,7 @@ class Graph:
         edges: Iterable[EdgePair] = (),
         labels: Sequence[str] | None = None,
     ):
-        _check_vertex_count(n)
+        check_int(n, "vertex count", 0)
         # A dict keeps the edges in input order, so edges given sorted or
         # nearly so reach the sort in about linear time; a set would hand
         # it the edges in hash order.
@@ -106,7 +122,7 @@ class Graph:
         per-edge check: for the package's own producers, whose edges are
         canonical ``(min, max)`` pairs of exact ints in 0..n-1, each pair
         once, in any order.  The vertex count and the labels are checked."""
-        _check_vertex_count(n)
+        check_int(n, "vertex count", 0)
         g = cls.__new__(cls)
         g._fill(n, edges, labels)
         return g
@@ -117,7 +133,13 @@ class Graph:
         self.n = n
         self.edges: tuple[EdgePair, ...] = tuple(sorted(edges))
         if labels is not None:
-            labels = tuple(map(str, _iterate(labels, "labels")))
+            # A str would iterate as one-character labels.
+            if isinstance(labels, str):
+                raise ContractError(f"labels must be a sequence of str, got {labels!r}")
+            labels = tuple(_iterate(labels, "labels"))
+            for label in labels:
+                if type(label) is not str:
+                    raise ContractError(f"vertex label {label!r} is not a str")
             if len(labels) != n:
                 raise ContractError(f"expected {n} labels, got {len(labels)}")
             if len(set(labels)) != n:
@@ -214,13 +236,6 @@ def _iterate(values: object, name: str) -> Iterator:
         raise ContractError(f"{name} must be iterable, got {values!r}") from None
 
 
-def _check_vertex_count(n: object) -> None:
-    if type(n) is not int:
-        raise ContractError(f"vertex count must be an int, got {n!r}")
-    if n < 0:
-        raise ContractError(f"vertex count must be non-negative, got {n}")
-
-
 def _vertex(g: Graph, v: object) -> int:
     """``v`` if it is a vertex of ``g``, an exact int in 0..n-1; anything
     else, a negative id that indexing would wrap included, is a
@@ -241,6 +256,22 @@ def check_index(i: object, size: int, kind: str) -> int:
     if not 0 <= i < size:
         raise ContractError(f"{kind} {i!r} outside {kind} range 0..{size - 1}")
     return i
+
+
+def check_int(value: object, name: str, least: int | None = None, most: int | None = None) -> int:
+    """``value`` if it is an exact int (not a bool, a float or an int
+    subclass) of at least ``least`` and at most ``most``, each bound when
+    given: the package's one rule for a count it is handed, a vertex
+    count, a cap, a family parameter or a sweep setting.  Anything else is
+    a ContractError that names it as ``name``.  ``most`` is given only
+    with ``least``."""
+    if type(value) is not int:
+        raise ContractError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least or most is not None and value > most:
+        if most is None:
+            raise ContractError(f"{name} must be at least {least}, got {value}")
+        raise ContractError(f"{name} must be {least}..{most}, got {value}")
+    return value
 
 
 def check_type(value: object, kind: type, call: str) -> None:
@@ -284,7 +315,9 @@ def parse_edge_list(text: str) -> Graph:
     Vertex tokens are arbitrary strings; dense ids follow first appearance.
     Blank lines and lines starting with ``#`` are skipped.  A header line
     ``vertices: a b c`` declares vertices up front (isolated ones included).
-    Duplicate edge lines collapse to a single edge.
+    Duplicate edge lines collapse to a single edge.  More than
+    ``MAX_VERTICES`` vertex tokens is a RefusalError, raised before any
+    adjacency row is built.
     """
     check_type(text, str, "parse_edge_list")
     index: dict[str, int] = {}
@@ -306,6 +339,7 @@ def parse_edge_list(text: str) -> Graph:
             raise FormatError(f"line {lineno}: self-loop on {a!r}")
         u, v = index.setdefault(a, len(index)), index.setdefault(b, len(index))
         edges[(u, v) if u < v else (v, u)] = None
+    check_vertex_cap(len(index), "edge list")
     return Graph._make(len(index), edges, labels=list(index) or None)
 
 
@@ -341,7 +375,9 @@ def parse_graph6(text: str) -> Graph:
     column, packed big-endian six bits per printable character offset 63.
     The header must use the shortest form that holds n, so accepted input
     re-encodes to itself.  The bits are decoded as :func:`encode_graph6`
-    writes them, through base64, and then scanned for ones.
+    writes them, through base64, and then scanned for ones.  Well-formed
+    input of more than ``MAX_VERTICES`` vertices is a RefusalError, raised
+    before the bits are decoded.
     """
     check_type(text, str, "parse_graph6")
     s = text.strip()
@@ -376,6 +412,7 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError(f"truncated graph6 bit stream: need {need} characters, got {len(body)}")
     if len(body) > need:
         raise FormatError("trailing data after graph6 bit stream")
+    check_vertex_cap(n, "graph6 graph")
 
     # Zero characters fill the last 4-character base64 group.
     body = body.translate(_GRAPH6_TO_BASE64) + b"A" * (-need % 4)
@@ -465,8 +502,10 @@ def mask_pairs(n: int) -> tuple[tuple[int, EdgePair], ...]:
     order ``Graph`` sorts its edges in.  A mask is the integer of its graph's
     graph6 bits: graph6 writes pair (i, j) as bit j(j-1)/2 + i of N =
     n(n-1)/2, so mask bit N - 1 - (j(j-1)/2 + i) is that pair."""
+    # Checked before the lookup, where 3.0 and True would find the tables
+    # of 3 and 1.
+    check_int(n, "vertex count", 0)
     if n not in _MASK_PAIRS:
-        _check_vertex_count(n)
         last = n * (n - 1) // 2 - 1
         _MASK_PAIRS[n] = tuple((last - j * (j - 1) // 2 - i, (i, j)) for i in range(n) for j in range(i + 1, n))
     return _MASK_PAIRS[n]

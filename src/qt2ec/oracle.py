@@ -29,6 +29,7 @@ from .colouring import count_homogeneous_witness_classes, find_homogeneous_witne
 from .errors import ContractError, RefusalError
 from .graph import (
     Graph,
+    check_int,
     check_type,
     encode_graph6,
     graph_from_mask,
@@ -150,17 +151,10 @@ def _orientation_count(g: Graph) -> int:
 # corpus generation
 
 
-def _check_corpus_n(n: int) -> None:
-    if type(n) is not int:
-        raise ContractError(f"corpus size must be an int, got {n!r}")
-    if not 1 <= n <= MAX_CORPUS_N:
-        raise ContractError(f"corpus size must be 1..{MAX_CORPUS_N}, got {n}")
-
-
 def enumerate_labeled_graphs(n: int, connected_only: bool = True) -> Iterator[Graph]:
     """All labeled graphs on n vertices in ascending edge-mask order, which
     is graph6 order.  A bad ``n`` is refused at the call."""
-    _check_corpus_n(n)
+    check_int(n, "corpus size", 1, MAX_CORPUS_N)
     graphs = map(partial(graph_from_mask, n), range(1 << n * (n - 1) // 2))
     return filter(is_connected, graphs) if connected_only else graphs
 
@@ -170,12 +164,9 @@ _CONNECTED_COUNTS = (1, 1, 4, 38, 728, 26704, 1866256)
 
 
 def _sample_connected_masks(n: int, count: int, seed: int) -> list[int]:
-    _check_corpus_n(n)
-    for name, value in (("count", count), ("seed", seed)):
-        if type(value) is not int:
-            raise ContractError(f"{name} must be an int, got {value!r}")
-    if count < 0:
-        raise ContractError(f"count must be 0 or more, got {count}")
+    check_int(n, "corpus size", 1, MAX_CORPUS_N)
+    check_int(count, "count", 0)
+    check_int(seed, "seed")
     if count > _CONNECTED_COUNTS[n - 1]:
         raise RefusalError(f"fewer than {count} connected graphs exist at n={n}")
     # A draw reads the upper triangle row by row, its bit i the i-th pair in
@@ -563,18 +554,13 @@ def sweep_records(
     """
     check_type(cfg, SweepConfig, "sweep_records")
     table = registry if registry is not None else ALL_CHECKS
-    for field in ("max_n", "threads", "sample_n6", "seed"):
-        value = getattr(cfg, field)
-        if type(value) is not int and not (field == "sample_n6" and value is None):
-            raise ContractError(f"{field} must be an int, got {value!r}")
-    if not 1 <= cfg.max_n <= MAX_CORPUS_N:
-        raise ContractError(f"max_n must be 1..{MAX_CORPUS_N}, got {cfg.max_n}")
-    if cfg.sample_n6 is not None and cfg.sample_n6 < 0:
-        raise ContractError(f"sample_n6 must be 0 or more, got {cfg.sample_n6}")
+    check_int(cfg.max_n, "max_n", 1, MAX_CORPUS_N)
+    check_int(cfg.threads, "threads", 1, MAX_SWEEP_THREADS)
+    if cfg.sample_n6 is not None:
+        check_int(cfg.sample_n6, "sample_n6", 0)
+    check_int(cfg.seed, "seed")
     if cfg.sample_n6 and cfg.max_n >= 6:
         raise ContractError(f"sample_n6 needs max_n below 6, got max_n={cfg.max_n}")
-    if not 1 <= cfg.threads <= MAX_SWEEP_THREADS:
-        raise ContractError(f"threads must be 1..{MAX_SWEEP_THREADS}, got {cfg.threads}")
     try:
         names = sorted(cfg.checks) if cfg.checks is not None else sorted(table)
     except TypeError:

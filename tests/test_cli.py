@@ -122,6 +122,14 @@ def test_graph6_stdin_pipeline(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[0] == "k=3"
 
 
+def test_input_over_the_vertex_cap_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr("qt2ec.graph.MAX_VERTICES", 3)
+    for text, fmt, source in (("a b\nc d\n", "edgelist", "edge list"), ("C]\n", "graph6", "graph6 graph")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "classes", "-", "--in", fmt)
+        assert (code, out, err) == (3, "", f"refused: {source} has 4 vertices; the cap is 3 vertices\n")
+
+
 def test_json_output_echoes_graph6_key(capsys):
     code, out, _ = run(
         capsys, "classes", "--family", "k4_minus_e", "--out", "json"
@@ -524,7 +532,7 @@ def test_verify_empty_checks_is_an_unknown_check(capsys):
     [
         (["--max-n", "0"], "max_n must be 1"),
         (["--max-n", "-2"], "max_n must be 1"),
-        (["--max-n", "2", "--sample-n6", "-5"], "sample_n6 must be 0 or more"),
+        (["--max-n", "2", "--sample-n6", "-5"], "sample_n6 must be at least 0"),
         (["--max-n", "6", "--sample-n6", "5"], "sample_n6 needs max_n below 6, got max_n=6"),
         (["--max-n", "7", "--sample-n6", "1"], "sample_n6 needs max_n below 6, got max_n=7"),
     ],

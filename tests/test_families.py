@@ -104,9 +104,9 @@ def test_standard_generators():
     assert complete_multipartite(1, 1, 2) == figure_graph("k4_minus_e")
     with pytest.raises(ContractError):
         cycle(2)
-    with pytest.raises(ContractError, match="path needs k >= 1, got 0"):
+    with pytest.raises(ContractError, match="path's k must be at least 1, got 0"):
         path(0)
-    with pytest.raises(ContractError, match="complete needs n >= 1, got 0"):
+    with pytest.raises(ContractError, match="complete's n must be at least 1, got 0"):
         complete(0)
     with pytest.raises(ContractError):
         complete_multipartite(1, 0)
@@ -291,13 +291,13 @@ def test_family_from_spec():
 )
 def test_family_spec_size_is_counted_exactly(spec, monkeypatch):
     g = family_from_spec(spec)
-    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_VERTICES", g.n)
+    monkeypatch.setattr("qt2ec.graph.MAX_VERTICES", g.n)
     monkeypatch.setattr("qt2ec.families.MAX_FAMILY_EDGES", g.m)
     assert family_from_spec(spec) == g
     monkeypatch.setattr("qt2ec.families.MAX_FAMILY_EDGES", g.m - 1)
     with pytest.raises(RefusalError, match=f"has {g.m} edges; the cap is {g.m - 1} edges$"):
         family_from_spec(spec)
-    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_VERTICES", g.n - 1)
+    monkeypatch.setattr("qt2ec.graph.MAX_VERTICES", g.n - 1)
     with pytest.raises(RefusalError, match=f"has {g.n} vertices; the cap is {g.n - 1} vertices$"):
         family_from_spec(spec)
 
@@ -358,8 +358,8 @@ def test_specs_over_the_vertex_cap_refuse_before_building_an_edge():
 @pytest.mark.parametrize("spec", ["path,9", "threshold,12", "join_k1:cycle,5", "complete_multipartite,3,1,2"])
 def test_family_vertex_cap_counts_exactly(spec, monkeypatch):
     g = family_from_spec(spec)
-    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_VERTICES", g.n)
+    monkeypatch.setattr("qt2ec.graph.MAX_VERTICES", g.n)
     assert family_from_spec(spec) == g
-    monkeypatch.setattr("qt2ec.families.MAX_FAMILY_VERTICES", g.n - 1)
+    monkeypatch.setattr("qt2ec.graph.MAX_VERTICES", g.n - 1)
     with pytest.raises(RefusalError, match=f"has {g.n} vertices; the cap is {g.n - 1} vertices"):
         family_from_spec(spec)

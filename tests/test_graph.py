@@ -23,6 +23,7 @@ from qt2ec import (
     ContractError,
     FormatError,
     Graph,
+    RefusalError,
     compute_classes,
     encode_graph6,
     format_edge_list,
@@ -224,7 +225,7 @@ def test_constructor_names_the_first_bad_edge_in_input_order():
     for edges, message in cases:
         with pytest.raises(ContractError, match=f"^{message}$"):
             Graph(3, edges)
-    with pytest.raises(ContractError, match="^vertex count must be non-negative, got -1$"):
+    with pytest.raises(ContractError, match="^vertex count must be at least 0, got -1$"):
         Graph(-1, [(0, 0)])
     for n in (2.0, "3", True):
         with pytest.raises(ContractError, match=f"^vertex count must be an int, got {re.escape(repr(n))}$"):
@@ -359,6 +360,24 @@ def test_constructor_rejects_bad_labels():
         Graph(2, [(0, 1)], labels=["a", "a"])
     with pytest.raises(ContractError, match="^labels must be iterable, got 5$"):
         Graph(2, [(0, 1)], labels=5)
+
+
+@pytest.mark.parametrize(
+    ("labels", "message"),
+    [
+        # Each used to be turned into strings: ("None", "1"), a refusal as
+        # not unique, and the labels "a", "b", "c".
+        ([None, "b", "c"], "vertex label None is not a str"),
+        (["a", 1, "1"], "vertex label 1 is not a str"),
+        ("abc", "labels must be a sequence of str, got 'abc'"),
+        (["a", "b", b"c"], "vertex label b'c' is not a str"),
+    ],
+)
+def test_both_constructors_refuse_labels_that_are_not_strs(labels, message):
+    for build in (Graph, Graph._make):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            build(3, [(0, 1)], labels=labels)
+    assert Graph(3, [(0, 1)], labels=("a", "1", "None")).labels == ("a", "1", "None")
 
 
 def test_vertex_by_label_rejects_unknown_labels_and_ids():
@@ -688,6 +707,30 @@ def test_format_edge_list_opens_each_line_with_an_edge_token():
 # graph6
 
 
+def test_the_parsers_refuse_more_vertices_than_the_cap(monkeypatch):
+    monkeypatch.setattr("qt2ec.graph.MAX_VERTICES", 5)
+    five, six = encode_graph6(path(5)), encode_graph6(path(6))
+    for g in (parse_edge_list("a b\nc d\nvertices: e"), parse_edge_list("vertices: a b c d e"), parse_graph6(five)):
+        assert g.n == 5
+    # One vertex over the cap is refused before Graph._make builds a row.
+    def no_build(cls, *args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Graph, "_make", classmethod(no_build))
+        for text in ("a b\nc d\ne f", "vertices: a b c d e\nf a"):
+            with pytest.raises(RefusalError, match="^edge list has 6 vertices; the cap is 5 vertices$"):
+                parse_edge_list(text)
+        with pytest.raises(RefusalError, match="^graph6 graph has 6 vertices; the cap is 5 vertices$"):
+            parse_graph6(six)
+        # Malformed graph6 input over the cap is still a format error.
+        for text, message in ((six[:-1], "truncated graph6 bit stream"), (six + "?", "trailing data")):
+            with pytest.raises(FormatError, match=message):
+                parse_graph6(text)
+    # The public constructor is not capped.
+    assert Graph(6, [(0, 5)]).n == 6
+
+
 def test_graph6_k2():
     # 'A' -> n=2, '_' -> 100000: the single triangle bit set.
     assert parse_graph6("A_") == Graph(2, [(0, 1)])
@@ -820,6 +863,15 @@ def test_each_mask_bit_is_its_pairs_graph6_bit():
             assert int(body[:bits], 2) == 1 << bit
 
 
+def test_mask_pairs_refuses_a_count_that_equals_a_tabled_one():
+    # 3.0 and True hash as 3 and 1: once those tables exist, a lookup
+    # before the check would find them.
+    mask_pairs(1), mask_pairs(3)
+    for n in (3.0, True):
+        with pytest.raises(ContractError, match=f"^vertex count must be an int, got {n!r}$"):
+            mask_pairs(n)
+
+
 @pytest.mark.parametrize(
     ("n", "mask", "message"),
     [
@@ -832,7 +884,7 @@ def test_each_mask_bit_is_its_pairs_graph6_bit():
         (3, True, "edge mask True is not an int"),
         (3, None, "edge mask None is not an int"),
         (3.0, 1, "vertex count must be an int, got 3.0"),
-        (-1, 0, "vertex count must be non-negative, got -1"),
+        (-1, 0, "vertex count must be at least 0, got -1"),
     ],
 )
 def test_graph_from_mask_refuses_what_is_not_a_mask_of_n(n, mask, message):

@@ -162,7 +162,7 @@ def test_an_unmeetable_sample_is_refused_before_any_draw(monkeypatch):
         (lambda: sample_connected_graphs(6.0, 2, 1), "corpus size must be an int, got 6.0"),
         (lambda: sample_connected_graphs(6, 2.0, 1), "count must be an int, got 2.0"),
         (lambda: sample_connected_graphs(6, True, 0), "count must be an int, got True"),
-        (lambda: sample_connected_graphs(6, -1, 0), "count must be 0 or more, got -1"),
+        (lambda: sample_connected_graphs(6, -1, 0), "count must be at least 0, got -1"),
         (lambda: sample_connected_graphs(6, 2, None), "seed must be an int, got None"),
         (lambda: sample_connected_graphs(6, 2, 1.0), "seed must be an int, got 1.0"),
         (lambda: sample_connected_graphs(6, 2, [1]), "seed must be an int, got [1]"),
@@ -418,7 +418,7 @@ def test_sweep_refuses_thread_counts_out_of_range(monkeypatch, threads):
 
 
 def test_sweep_refuses_negative_sample(monkeypatch):
-    with pytest.raises(ContractError, match="sample_n6 must be 0 or more"):
+    with pytest.raises(ContractError, match="sample_n6 must be at least 0"):
         theorem_sweep(SweepConfig(max_n=2, sample_n6=-5))
     # 1.5 would draw 2 graphs and head the report with 1.5; it is refused
     # before the sample is drawn or the record stream made.

@@ -7,8 +7,9 @@ class's own induced P3s and the forcing kernel run on each class as a
 graph of its own; the shortest-path check's verdict against the full
 shortest-path listing, and its witness against what a straddling P3 must
 be; the crossing-lemmas and tinylemma checks, which share one
-crossing-pair scan, against a crossing test per class pair; and a kill
-count per sweep check over tampered partitions."""
+crossing-pair scan, against a crossing test per class pair; a kill
+count per sweep check over tampered partitions; and the two witness
+checks on partitions injected into the graph's memo."""
 
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from qt2ec import (
     check_tinylemma_instances,
     class_pair_relation,
     compute_classes,
+    count_homogeneous_witness_classes,
     orientability,
     theorem_sweep,
 )
@@ -995,3 +997,54 @@ def test_orientability_stated_wrong_fails_orientation_count_alone():
                 assert failing == ["orientation-count"], (g.edges, p.contradictions)
                 stated[all(w is None for w in p.contradictions)] += 1
     assert stated == {True: 12, False: 1379}
+
+
+# ---------------------------------------------------------------------------
+# the witness checks read the graph's memoised partition
+
+# The paw: a triangle 0-1-2 with vertex 3 pendant at 0.  Its classes are
+# {01, 02, 03} and {12}.  {1, 2} is a connected module, vertex 3 splits
+# {0, 1}, and the module {1, 2, 3} induces a disconnected graph.
+PAW = [(0, 1), (0, 2), (0, 3), (1, 2)]
+EVERY_PAW_VERTEX = {0, 1, 2, 3}
+
+
+def inject_vertex_sets(g: Graph, *vertex_sets: set[int]) -> EdgeClassPartition:
+    """A partition of ``g`` with one class per set of ``vertex_sets``, each
+    read as that class's vertex set, put into the graph's memo, so that
+    the fast-path calls inside a check read it too."""
+    k = len(vertex_sets)
+    p = partition_of(g, [[e] for e in range(k - 1)] + [list(range(k - 1, g.m))])
+    p = p._replace(vertex_sets=tuple(map(frozenset, vertex_sets)))
+    g._partition = p[1:]
+    return p
+
+
+@pytest.mark.parametrize(
+    ("witness", "problem"),
+    [
+        ({3}, "witness size 1 out of range"),
+        ({0, 1}, "witness [0, 1] is not a module"),
+        ({1, 2, 3}, "witness [1, 2, 3] induces a disconnected graph"),
+    ],
+)
+def test_hf1f2_witness_names_each_problem_of_a_witness_injected_into_the_memo(witness, problem):
+    g = Graph(4, PAW)
+    assert verdict(g, compute_classes(g), "hf1f2-witness") == (True, None)
+    p = inject_vertex_sets(g, witness, EVERY_PAW_VERTEX)
+    assert verdict(g, p, "hf1f2-witness") == (False, problem)
+
+
+@pytest.mark.parametrize(
+    ("vertex_sets", "count"),
+    [
+        ([{1, 2}, {0, 1}, {1, 2, 3}], 1),
+        ([{0, 1}, EVERY_PAW_VERTEX], 0),
+        ([{1, 2, 3}, EVERY_PAW_VERTEX], 0),
+    ],
+)
+def test_witness_class_count_skips_injected_sets_that_are_no_module_or_disconnected(vertex_sets, count):
+    g = Graph(4, PAW)
+    assert count_homogeneous_witness_classes(g) == 1
+    inject_vertex_sets(g, *vertex_sets)
+    assert count_homogeneous_witness_classes(g) == count
